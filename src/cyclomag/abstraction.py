@@ -28,7 +28,7 @@ from .graphs import (
     MixedGraph,
     NodeId,
 )
-from .relations import ancestors, anteriors, neighborhood, neighborhood_complete
+from .relations import _shortest_walk, neighborhood, neighborhood_complete
 from .separation import (
     SeparationQuery,
     _iter_inducing_paths,
@@ -119,20 +119,21 @@ def represent(c: ContextedDmg) -> MixedGraph:
     observed = c.observed
     if not observed:
         raise InputError("at least one node must be observed")
-    anc = {v: ancestors(g, {v}) for v in observed}
-    anc_s = ancestors(g, s)
+    idx = g.index
+    anc = idx.anc
+    anc_s = idx.union(anc, idx.mask(s))
     edges = []
     for a, b in combinations(observed, 2):
         if not sigma_inducing_exists(g, s, a, b):
             continue
-        mark_a = TAIL if (a in anc[b] or a in anc_s) else ARROWHEAD
-        mark_b = TAIL if (b in anc[a] or b in anc_s) else ARROWHEAD
+        ia, ib = idx.ids[a], idx.ids[b]
+        mark_a = TAIL if (anc[ib] | anc_s) >> ia & 1 else ARROWHEAD
+        mark_b = TAIL if (anc[ia] | anc_s) >> ib & 1 else ARROWHEAD
         edges.append(MixedEdge(a, mark_a, b, mark_b))
     return MixedGraph(observed, tuple(edges))
 
 
 class ViolationKind(Enum):
-    MULTI_EDGE = "MultiEdge"
     ANCESTRAL = "AncestralViolation"
     MAXIMALITY = "MaximalityViolation"
     SIGMA_COMPLETENESS = "SigmaCompletenessViolation"
@@ -162,15 +163,15 @@ def validate(h: MixedGraph) -> ValidityReport:
     type itself and can never fail here.
     """
     violations: list[Violation] = []
+    idx = h.index
 
     # Ancestral condition: an anterior path from a to b forbids any edge
     # with an arrowhead at a between the two.
-    for b in h.nodes:
-        ant_b = anteriors(h, {b})
-        for a in sorted(ant_b - {b}):
+    for ib, b in enumerate(h.nodes):
+        for a in idx.members(idx.ant[ib] & ~(1 << ib)):
             e = h.edge(a, b)
             if e is not None and e.mark_at(a) is ARROWHEAD:
-                path = _shortest_anterior_path(h, a, b)
+                path = _shortest_walk(h, a, {b}, undirected=True)
                 violations.append(Violation(ViolationKind.ANCESTRAL, (path, e)))
 
     # Maximality: a fast connectivity pre-check filters pairs, then an
@@ -213,12 +214,7 @@ def validate(h: MixedGraph) -> ValidityReport:
     return ValidityReport(not violations, tuple(violations))
 
 
-_KIND_ORDER = {
-    ViolationKind.MULTI_EDGE: 0,
-    ViolationKind.ANCESTRAL: 1,
-    ViolationKind.MAXIMALITY: 2,
-    ViolationKind.SIGMA_COMPLETENESS: 3,
-}
+_KIND_ORDER = {kind: i for i, kind in enumerate(ViolationKind)}  # declaration order
 
 
 def _violation_sort_key(v: Violation):
@@ -228,35 +224,8 @@ def _violation_sort_key(v: Violation):
     return (_KIND_ORDER[v.kind], 0, v.witness)
 
 
-def _shortest_anterior_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk:
-    # Breadth-first over tail-leaving edges gives a shortest witness.
-    parent: dict[NodeId, tuple] = {a: None}
-    frontier = deque([a])
-    while frontier:
-        v = frontier.popleft()
-        if v == b:
-            edges = []
-            while parent[v] is not None:
-                u, e = parent[v]
-                edges.append(e)
-                v = u
-            return Walk(a, tuple(reversed(edges)))
-        for e in h.incident_edges(v):
-            if e.mark_at(v) is not TAIL:
-                continue
-            w = e.other(v)
-            if w not in parent:
-                parent[w] = (v, e)
-                frontier.append(w)
-    raise AssertionError("anterior path vanished")  # pragma: no cover
-
-
 def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:
-    best = None
-    for path in _iter_inducing_paths(h, a, b):
-        if best is None or len(path.edges) < len(best.edges):
-            best = path
-    return best
+    return min(_iter_inducing_paths(h, a, b), key=lambda p: len(p.edges), default=None)
 
 
 def canonical_dmg(h: MixedGraph) -> ContextedDmg:

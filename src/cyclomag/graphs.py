@@ -11,7 +11,9 @@ Two graph flavours are used throughout the package:
 
 All values are frozen after construction; every operation in the package
 is a pure function over them, so graphs can be shared freely across
-threads and used as dictionary keys.
+threads and used as dictionary keys.  Each graph builds its
+:class:`GraphIndex` of derived data on first use and keeps it on the
+instance; the index never affects equality or hashing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Union
 
 from .errors import InputError
@@ -237,9 +241,204 @@ def _parse_edge_spec(spec: str) -> tuple[NodeId, str, NodeId]:
     return parts[0], parts[1], parts[2]
 
 
+def _components(succ: list, pred: list) -> tuple[list[int], list[int]]:
+    """Strong components along ``succ`` by Kosaraju's algorithm.
+
+    ``pred`` is the reverse of ``succ``.  Returns the nodes in an order
+    where each component is contiguous and comes before every component
+    it reaches, and each node's component label.  Iterative, so deep
+    cycles cannot overflow the stack.
+    """
+    seen = [False] * len(succ)
+    finished: list[int] = []
+    for root in range(len(succ)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    comp = [-1] * len(succ)
+    order: list[int] = []
+    for root in reversed(finished):
+        if comp[root] >= 0:
+            continue
+        comp[root] = root
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            for u in pred[order[i]]:
+                if comp[u] < 0:
+                    comp[u] = root
+                    order.append(u)
+            i += 1
+    return order, comp
+
+
+def _reach(succ: list, order, comp: list[int]) -> list[int]:
+    """Reflexive reachability bitmask of every node along ``succ``.
+
+    ``order`` must list each strong component contiguously and after all
+    those it reaches, so every member of a component shares one mask.
+    """
+    reach: dict[int, int] = {}
+    for v in order:
+        mask = reach.get(comp[v], 0) | 1 << v
+        for w in succ[v]:
+            mask |= reach.get(comp[w], 0)
+        reach[comp[v]] = mask
+    return [reach[c] for c in comp]
+
+
+# Bits of the kind in a GraphIndex row.
+ARROW_HERE, ARROW_THERE, CROSSES_SCC = 4, 2, 1
+
+
+class GraphIndex:
+    """Derived data of one graph value, built once and cached on it.
+
+    * ``names`` and ``ids``: node ``i`` is ``names[i]``; ids follow the
+      sorted node order, so ascending ids are ascending names.
+    * ``rows[i]``: one ``(neighbour id, kind, edge)`` tuple per incident
+      edge, in :meth:`incident_edges` order.  The kind sets
+      ``ARROW_HERE`` and ``ARROW_THERE`` for arrowheads at the two ends
+      and ``CROSSES_SCC`` when the edge joins two strong components.
+    * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted.
+    * ``scc[i]``: position of the node's strong component (over directed
+      edges) in :func:`~cyclomag.relations.strongly_connected_components`.
+    * ``anc``, ``desc``, ``ant``: reflexive ancestor, descendant and
+      anterior sets of each node as int bitmasks, built on first use.
+    """
+
+    def __init__(self, nodes: tuple[NodeId, ...], incident: dict):
+        ids = {v: i for i, v in enumerate(nodes)}
+        links = []
+        for v in nodes:
+            row = []
+            for e in incident[v]:
+                u = e.other(v)
+                kind = ARROW_HERE * (e.mark_at(v) is ARROWHEAD) + ARROW_THERE * (e.mark_at(u) is ARROWHEAD)
+                row.append((ids[u], kind, e))
+            links.append(row)
+        parents = [tuple(w for w, kind, _ in row if kind == ARROW_HERE) for row in links]
+        children = [tuple(w for w, kind, _ in row if kind == ARROW_THERE) for row in links]
+        order, comp = _components(children, parents)
+        rank: dict[int, int] = {}
+        scc = [rank.setdefault(c, len(rank)) for c in comp]  # numbered by smallest member
+        self.names = nodes
+        self.ids = ids
+        self.rows = [
+            tuple((w, kind + CROSSES_SCC * (scc[v] != scc[w]), e) for w, kind, e in row) for v, row in enumerate(links)
+        ]
+        self.parents = parents
+        self.children = children
+        self.scc = scc
+        self._order = order
+
+    @cached_property
+    def anc(self) -> list[int]:
+        return _reach(self.parents, self._order, self.scc)
+
+    @cached_property
+    def desc(self) -> list[int]:
+        return _reach(self.children, reversed(self._order), self.scc)
+
+    @cached_property
+    def ant(self) -> list[int]:
+        """Nodes with a path into the node whose every edge leaves a tail."""
+        tail_in = [tuple(w for w, kind, _ in row if not kind & ARROW_THERE) for row in self.rows]
+        tail_out = [tuple(w for w, kind, _ in row if not kind & ARROW_HERE) for row in self.rows]
+        order, comp = _components(tail_in, tail_out)
+        return _reach(tail_in, reversed(order), comp)
+
+    def mask(self, vs: Iterable[NodeId]) -> int:
+        ids, m = self.ids, 0
+        for v in vs:
+            m |= 1 << ids[v]
+        return m
+
+    def union(self, sets: list[int], mask: int) -> int:
+        """Union of the per-node ``sets`` over the members of ``mask``."""
+        out = 0
+        for m in compress(sets, _flags(mask)):
+            out |= m
+        return out
+
+    def members(self, mask: int) -> tuple[NodeId, ...]:
+        """Names in ``mask``, in sorted order."""
+        return tuple(compress(self.names, _flags(mask)))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int) -> bytes:
+    """One byte per node id, nonzero exactly where ``mask`` has the node."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _sorted_incidence(nodes: tuple[NodeId, ...], edges: Iterable[Edge]) -> dict[NodeId, tuple[Edge, ...]]:
+    incident: dict[NodeId, list[Edge]] = {n: [] for n in nodes}
+    for e in edges:
+        for v in e.endpoints:
+            incident[v].append(e)
+    return {n: tuple(sorted(es, key=lambda e: _traversal_key(e, n))) for n, es in incident.items()}
+
+
+class _Graph:
+    """What both graph types share, including :attr:`index`.
+
+    The index is built on first access and kept on the instance.  It is
+    not a dataclass field, so it never takes part in equality, hashing or
+    ``repr``, and it holds no reference back to the graph.
+    """
+
+    def __contains__(self, v: NodeId) -> bool:
+        return v in self._incident
+
+    def require_nodes(self, vs: Iterable[NodeId]) -> None:
+        for v in vs:
+            if v not in self._incident:
+                raise InputError(f"unknown node: {v!r}")
+
+    def incident_edges(self, v: NodeId) -> tuple[Edge, ...]:
+        try:
+            return self._incident[v]
+        except KeyError:
+            raise InputError(f"unknown node: {v!r}") from None
+
+    @cached_property
+    def index(self) -> GraphIndex:
+        return GraphIndex(self.nodes, self._incident)
+
+    def parents(self, v: NodeId) -> tuple[NodeId, ...]:
+        """Nodes u with a directed edge u -> v, sorted."""
+        return self._family(self.index.parents, v)
+
+    def children(self, v: NodeId) -> tuple[NodeId, ...]:
+        """Nodes w with a directed edge v -> w, sorted."""
+        return self._family(self.index.children, v)
+
+    def _family(self, lists: list, v: NodeId) -> tuple[NodeId, ...]:
+        self.require_nodes([v])
+        names = self.index.names
+        return tuple(names[u] for u in lists[self.index.ids[v]])
+
+
 @dataclass(frozen=True)
-class MixedGraph:
-    """Mixed graph with at most one edge per node pair and no self-loops."""
+class MixedGraph(_Graph):
+    """Mixed graph with at most one edge per node pair and no self-loops.
+
+    Derived data lives in :attr:`index`, outside equality and hashing.
+    """
 
     nodes: tuple[NodeId, ...]
     edges: tuple[MixedEdge, ...]
@@ -260,18 +459,10 @@ class MixedGraph:
                 raise InputError(f"more than one edge between {e.a!r} and {e.b!r}")
             pair[key] = e
         edges = tuple(sorted(pair.values(), key=lambda e: (e.a, e.b)))
-        incident: dict[NodeId, list[MixedEdge]] = {n: [] for n in nodes}
-        for e in edges:
-            incident[e.a].append(e)
-            incident[e.b].append(e)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_pair", pair)
-        object.__setattr__(
-            self,
-            "_incident",
-            {n: tuple(sorted(es, key=lambda e: _traversal_key(e, n))) for n, es in incident.items()},
-        )
+        object.__setattr__(self, "_incident", _sorted_incidence(nodes, edges))
 
     @classmethod
     def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "MixedGraph":
@@ -291,14 +482,6 @@ class MixedGraph:
                 edges.append(MixedEdge.undirected(u, v))
         return cls(tuple(node_set), tuple(edges))
 
-    def __contains__(self, v: NodeId) -> bool:
-        return v in self._incident
-
-    def require_nodes(self, vs: Iterable[NodeId]) -> None:
-        for v in vs:
-            if v not in self._incident:
-                raise InputError(f"unknown node: {v!r}")
-
     def edge(self, a: NodeId, b: NodeId) -> MixedEdge | None:
         if a > b:
             a, b = b, a
@@ -307,92 +490,47 @@ class MixedGraph:
     def adjacent(self, a: NodeId, b: NodeId) -> bool:
         return self.edge(a, b) is not None
 
-    def incident_edges(self, v: NodeId) -> tuple[MixedEdge, ...]:
-        try:
-            return self._incident[v]
-        except KeyError:
-            raise InputError(f"unknown node: {v!r}") from None
-
     def contains_edge(self, e: Edge) -> bool:
         return isinstance(e, MixedEdge) and self.edge(e.a, e.b) == e
 
     def neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
         return tuple(e.other(v) for e in self.incident_edges(v))
 
-    def directed_parents(self, v: NodeId) -> tuple[NodeId, ...]:
-        """Nodes u with a directed edge u -> v."""
-        return tuple(
-            e.other(v)
-            for e in self.incident_edges(v)
-            if e.is_directed and e.directed_head == v
-        )
-
-    def directed_children(self, v: NodeId) -> tuple[NodeId, ...]:
-        return tuple(
-            e.other(v)
-            for e in self.incident_edges(v)
-            if e.is_directed and e.directed_tail == v
-        )
+    directed_parents = _Graph.parents
+    directed_children = _Graph.children
 
     def undirected_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
         return tuple(e.other(v) for e in self.incident_edges(v) if e.is_undirected)
 
 
 @dataclass(frozen=True)
-class DirectedMixedGraph:
-    """Directed mixed graph; cycles and parallel edges of distinct type allowed."""
+class DirectedMixedGraph(_Graph):
+    """Directed mixed graph; cycles and parallel edges of distinct type allowed.
+
+    Derived data lives in :attr:`index`, outside equality and hashing.
+    """
 
     nodes: tuple[NodeId, ...]
     directed: tuple[tuple[NodeId, NodeId], ...]
     bidirected: tuple[tuple[NodeId, NodeId], ...]
     _incident: dict = field(default=None, compare=False, repr=False)
-    _parents: dict = field(default=None, compare=False, repr=False)
-    _children: dict = field(default=None, compare=False, repr=False)
-    _directed_set: frozenset = field(default=None, compare=False, repr=False)
-    _bidirected_set: frozenset = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(sorted({check_node_name(n) for n in self.nodes}))
         node_set = set(nodes)
-        directed = set()
-        for t, h in self.directed:
-            if t == h:
-                raise InputError(f"self-loop on {t!r}")
-            if t not in node_set or h not in node_set:
-                raise InputError(f"edge {t} -> {h} uses undeclared node")
-            directed.add((t, h))
-        bidirected = set()
-        for a, b in self.bidirected:
-            if a == b:
-                raise InputError(f"self-loop on {a!r}")
-            if a not in node_set or b not in node_set:
-                raise InputError(f"edge {a} <-> {b} uses undeclared node")
-            bidirected.add((min(a, b), max(a, b)))
-        parents: dict[NodeId, list[NodeId]] = {n: [] for n in nodes}
-        children: dict[NodeId, list[NodeId]] = {n: [] for n in nodes}
-        incident: dict[NodeId, list[Edge]] = {n: [] for n in nodes}
-        for t, h in directed:
-            e = DirectedEdge(t, h)
-            children[t].append(h)
-            parents[h].append(t)
-            incident[t].append(e)
-            incident[h].append(e)
-        for a, b in bidirected:
-            e = BidirectedEdge(a, b)
-            incident[a].append(e)
-            incident[b].append(e)
+        directed, bidirected = set(), set()
+        for pairs, kept, arrow in ((self.directed, directed, "->"), (self.bidirected, bidirected, "<->")):
+            for a, b in pairs:
+                if a == b:
+                    raise InputError(f"self-loop on {a!r}")
+                if a not in node_set or b not in node_set:
+                    raise InputError(f"edge {a} {arrow} {b} uses undeclared node")
+                kept.add((a, b) if arrow == "->" else (min(a, b), max(a, b)))
+        edges = [DirectedEdge(t, h) for t, h in directed] + [BidirectedEdge(a, b) for a, b in bidirected]
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "directed", tuple(sorted(directed)))
         object.__setattr__(self, "bidirected", tuple(sorted(bidirected)))
-        object.__setattr__(
-            self,
-            "_incident",
-            {n: tuple(sorted(es, key=lambda e: _traversal_key(e, n))) for n, es in incident.items()},
-        )
-        object.__setattr__(self, "_parents", {n: tuple(sorted(ps)) for n, ps in parents.items()})
-        object.__setattr__(self, "_children", {n: tuple(sorted(cs)) for n, cs in children.items()})
-        object.__setattr__(self, "_directed_set", frozenset(directed))
-        object.__setattr__(self, "_bidirected_set", frozenset(bidirected))
+        object.__setattr__(self, "_incident", _sorted_incidence(nodes, edges))
 
     @classmethod
     def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "DirectedMixedGraph":
@@ -413,32 +551,8 @@ class DirectedMixedGraph:
                 raise InputError(f"undirected edge not allowed here: {spec!r}")
         return cls(tuple(node_set), tuple(directed), tuple(bidirected))
 
-    def __contains__(self, v: NodeId) -> bool:
-        return v in self._incident
-
-    def require_nodes(self, vs: Iterable[NodeId]) -> None:
-        for v in vs:
-            if v not in self._incident:
-                raise InputError(f"unknown node: {v!r}")
-
-    def incident_edges(self, v: NodeId) -> tuple[Edge, ...]:
-        try:
-            return self._incident[v]
-        except KeyError:
-            raise InputError(f"unknown node: {v!r}") from None
-
     def contains_edge(self, e: Edge) -> bool:
-        if isinstance(e, DirectedEdge):
-            return (e.tail, e.head) in self._directed_set
-        if isinstance(e, BidirectedEdge):
-            return (e.a, e.b) in self._bidirected_set
-        return False
-
-    def parents(self, v: NodeId) -> tuple[NodeId, ...]:
-        return self._parents[v]
-
-    def children(self, v: NodeId) -> tuple[NodeId, ...]:
-        return self._children[v]
+        return isinstance(e, (DirectedEdge, BidirectedEdge)) and e in self._incident.get(e.endpoints[0], ())
 
     def siblings(self, v: NodeId) -> tuple[NodeId, ...]:
         return tuple(e.other(v) for e in self.incident_edges(v) if isinstance(e, BidirectedEdge))

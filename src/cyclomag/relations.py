@@ -1,97 +1,50 @@
 """Family relations and the shared path enumerator.
 
-Ancestor, anterior and strong-component queries are the workhorses of
-every other module.  All of them are reflexive where a length-zero walk
-makes sense, and all of them return frozen sets so results can be cached
-or compared directly.
+Ancestor, descendant, anterior and strong-component queries are the
+workhorses of every other module.  Each graph answers them from its own
+:class:`~cyclomag.graphs.GraphIndex`, which computes the strong
+components once and the per-node closures on first use, so a query is
+a union of cached sets.  All of them are reflexive where a length-zero
+walk makes sense, and all of them return frozen sets.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from .errors import DomainError, InputError
-from .graphs import TAIL, DirectedMixedGraph, MixedGraph, NodeId
+from .graphs import ARROW_HERE, ARROW_THERE, DirectedMixedGraph, MixedGraph, NodeId
 from .walks import Walk, _interior_collider_positions, check_walk
 
 Graph = Union[DirectedMixedGraph, MixedGraph]
 
 
-def _directed_children(graph: Graph, v: NodeId) -> Iterable[NodeId]:
-    if isinstance(graph, DirectedMixedGraph):
-        return graph.children(v)
-    return graph.directed_children(v)
-
-
-def _directed_parents(graph: Graph, v: NodeId) -> Iterable[NodeId]:
-    if isinstance(graph, DirectedMixedGraph):
-        return graph.parents(v)
-    return graph.directed_parents(v)
-
-
-@lru_cache(maxsize=4096)
 def strongly_connected_components(g: DirectedMixedGraph) -> tuple[frozenset[NodeId], ...]:
     """Partition the nodes into strong components of the directed part.
 
     Two nodes share a class exactly when each reaches the other over
     directed edges; bidirected edges never contribute.  Components are
-    returned sorted by their smallest member.  Graphs are immutable, so
-    results are memoised per graph value.
+    returned sorted by their smallest member.  The graph's index numbers
+    the components once, in that order.
     """
-    # Tarjan's algorithm, iterative so deep cycles cannot overflow the stack.
-    index: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    on_stack: set[NodeId] = set()
-    stack: list[NodeId] = []
-    components: list[frozenset[NodeId]] = []
-    counter = 0
-
-    for root in g.nodes:
-        if root in index:
-            continue
-        work = [(root, iter(g.children(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, children = work[-1]
-            advanced = False
-            for w in children:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.children(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    components.sort(key=min)
-    return tuple(components)
+    idx = g.index
+    groups: dict[int, list[NodeId]] = {}
+    for v, k in zip(idx.names, idx.scc):
+        groups.setdefault(k, []).append(v)
+    return tuple(map(frozenset, groups.values()))
 
 
 def scc_index(g: DirectedMixedGraph) -> dict[NodeId, frozenset[NodeId]]:
     """Map each node to its strong component."""
     return {v: comp for comp in strongly_connected_components(g) for v in comp}
+
+
+def _closure(graph: Graph, targets: Iterable[NodeId], which: str) -> frozenset[NodeId]:
+    targets = set(targets)
+    graph.require_nodes(targets)
+    idx = graph.index
+    return frozenset(idx.members(idx.union(getattr(idx, which), idx.mask(targets))))
 
 
 def ancestors(graph: Graph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -100,31 +53,11 @@ def ancestors(graph: Graph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
     Reflexive: the targets are their own ancestors.  Works on both graph
     flavours; only directed edges are followed.
     """
-    targets = set(targets)
-    graph.require_nodes(targets)
-    seen = set(targets)
-    frontier = deque(targets)
-    while frontier:
-        v = frontier.popleft()
-        for u in _directed_parents(graph, v):
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return frozenset(seen)
+    return _closure(graph, targets, "anc")
 
 
 def descendants(graph: Graph, sources: Iterable[NodeId]) -> frozenset[NodeId]:
-    sources = set(sources)
-    graph.require_nodes(sources)
-    seen = set(sources)
-    frontier = deque(sources)
-    while frontier:
-        v = frontier.popleft()
-        for w in _directed_children(graph, v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+    return _closure(graph, sources, "desc")
 
 
 def anteriors(h: MixedGraph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -134,19 +67,7 @@ def anteriors(h: MixedGraph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
     graph without undirected edges anteriors coincide with ancestors.
     Reflexive.
     """
-    targets = set(targets)
-    h.require_nodes(targets)
-    seen = set(targets)
-    frontier = deque(targets)
-    while frontier:
-        v = frontier.popleft()
-        for e in h.incident_edges(v):
-            u = e.other(v)
-            # u joins when the edge has a tail at u (u -- v or u -> v).
-            if u not in seen and e.mark_at(u) is TAIL:
-                seen.add(u)
-                frontier.append(u)
-    return frozenset(seen)
+    return _closure(h, targets, "ant")
 
 
 def neighborhood(h: MixedGraph, v: NodeId) -> frozenset[NodeId]:
@@ -177,23 +98,39 @@ def shortest_directed_path(graph: Graph, source: NodeId, targets: Iterable[NodeI
     """
     targets = set(targets)
     graph.require_nodes({source} | targets)
-    if source in targets:
-        return (source,)
-    parent: dict[NodeId, NodeId] = {source: source}
-    frontier = deque([source])
-    while frontier:
+    walk = _shortest_walk(graph, source, targets, undirected=False)
+    return None if walk is None else walk.nodes
+
+
+def _shortest_walk(graph: Graph, source: NodeId, targets: set, undirected: bool) -> Walk | None:
+    """A shortest walk from ``source`` into ``targets`` that leaves a tail at every step.
+
+    Breadth-first in incident-edge order over directed edges, and over
+    ``--`` edges too when ``undirected`` (which gives anterior paths).
+    """
+    idx = graph.index
+    goal = idx.mask(targets)
+    start = idx.ids[source]
+    parent = {start: None}
+    frontier = deque([start])
+    end = start if goal >> start & 1 else None
+    while end is None and frontier:
         v = frontier.popleft()
-        for w in sorted(_directed_children(graph, v)):
-            if w in parent:
+        for w, kind, e in idx.rows[v]:
+            if kind & ARROW_HERE or not (kind & ARROW_THERE or undirected) or w in parent:
                 continue
-            parent[w] = v
-            if w in targets:
-                seq = [w]
-                while seq[-1] != source:
-                    seq.append(parent[seq[-1]])
-                return tuple(reversed(seq))
+            parent[w] = (v, e)
+            if goal >> w & 1:
+                end = w
+                break
             frontier.append(w)
-    return None
+    if end is None:
+        return None
+    edges = []
+    while parent[end] is not None:
+        end, e = parent[end]
+        edges.append(e)
+    return Walk(source, tuple(reversed(edges)))
 
 
 def collider_distance_sum(h: MixedGraph, path: Walk, z: Iterable[NodeId]) -> int:
@@ -229,34 +166,27 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]
     if a == b:
         raise InputError("path endpoints must differ")
     graph.require_nodes([a, b])
+    idx = graph.index
+    rows, target = idx.rows, idx.ids[b]
+    on_path = [False] * len(rows)
+    on_path[idx.ids[a]] = True
+    node_stack = []
     edge_stack = []
-    on_path = {a}
-    node_seq = [a]
-
-    def frames(v):
-        return iter(graph.incident_edges(v))
-
-    frame_stack = [frames(a)]
+    frame_stack = [iter(rows[idx.ids[a]])]
     while frame_stack:
-        it = frame_stack[-1]
-        advanced = False
-        for e in it:
-            w = e.other(node_seq[-1])
-            if w in on_path:
+        for w, _, e in frame_stack[-1]:
+            if on_path[w]:
                 continue
+            if w == target:
+                yield Walk(a, (*edge_stack, e))
+                continue
+            on_path[w] = True
+            node_stack.append(w)
             edge_stack.append(e)
-            if w == b:
-                yield Walk(a, tuple(edge_stack))
-                edge_stack.pop()
-                continue
-            on_path.add(w)
-            node_seq.append(w)
-            frame_stack.append(frames(w))
-            advanced = True
+            frame_stack.append(iter(rows[w]))
             break
-        if not advanced:
+        else:
             frame_stack.pop()
-            if edge_stack:
+            if node_stack:
+                on_path[node_stack.pop()] = False
                 edge_stack.pop()
-            if len(node_seq) > 1:
-                on_path.discard(node_seq.pop())

@@ -11,6 +11,9 @@ Two criteria live here:
 Each criterion ships in two independent implementations: a polynomial
 reachability engine over (node, incoming edge shape) states, and an
 exhaustive simple-path oracle used to audit the engine at desk scale.
+The two engines are one breadth-first search over the graph's
+:class:`~cyclomag.graphs.GraphIndex`, run with a different pair of
+transition rules.
 """
 
 from __future__ import annotations
@@ -18,26 +21,30 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import InputError, OracleCapError
 from .graphs import (
+    ARROW_HERE,
+    ARROW_THERE,
     ARROWHEAD,
+    CROSSES_SCC,
     TAIL,
     DirectedEdge,
     DirectedMixedGraph,
+    GraphIndex,
     MixedGraph,
     NodeId,
 )
 from .relations import (
     ancestors,
+    _shortest_walk,
     anteriors,
     enumerate_simple_paths,
     scc_index,
-    shortest_directed_path,
-    strongly_connected_components,
 )
-from .walks import Walk, check_walk, segment_partition
+from .walks import Walk, check_walk
 
 DEFAULT_PATH_ORACLE_CAP = 12
 DEFAULT_GRID_ORACLE_CAP = 8
@@ -119,11 +126,14 @@ def sigma_open_walk(g: DirectedMixedGraph, walk: Walk, z: Iterable[NodeId]) -> b
     z = set(z)
     g.require_nodes(z)
     check_walk(g, walk)
+    return _sigma_walk_open(walk, z, ancestors(g, z), scc_index(g))
+
+
+def _sigma_walk_open(walk: Walk, z: set, anc_z: frozenset, scc: dict) -> bool:
+    """:func:`sigma_open_walk` without input checks, given Anc(z) and the component map."""
     nodes, edges = walk.nodes, walk.edges
     if nodes[0] in z or nodes[-1] in z:
         return False
-    scc = scc_index(g)
-    anc_z = ancestors(g, z)
     for k in range(1, len(edges)):
         v = nodes[k]
         m_in = edges[k - 1].mark_at(v)
@@ -154,50 +164,28 @@ def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[Node
     check_walk(g, path)
     if not path.is_path:
         raise InputError("the segment criterion is defined for simple paths only")
+    scc = scc_index(g)
+    return _sigma_segments_open(path, z, scc, {scc[v] for v in ancestors(g, z)})
+
+
+def _sigma_segments_open(path: Walk, z: set, scc: dict, lit: set) -> bool:
+    """:func:`sigma_open_path_segments` without input checks.
+
+    ``scc`` maps each node to its strong component and ``lit`` holds the
+    components that meet the ancestors of ``z``.  Segment boundaries are
+    exactly the path edges whose endpoints lie in different components,
+    so the rules are checked edge by edge.
+    """
     nodes, edges = path.nodes, path.edges
     if nodes[0] in z or nodes[-1] in z:
         return False
-    partition = segment_partition(g, path)
-    components = strongly_connected_components(g)
-    anc_z = ancestors(g, z)
-    pos = {v: i for i, v in enumerate(nodes)}
-    n_edges = len(edges)
-    for seg in partition:
-        li, ri = pos[seg.left], pos[seg.right]
-        if li > 0:
-            e = edges[li - 1]
-            if isinstance(e, DirectedEdge) and e.tail == seg.left and seg.left in z:
-                return False
-        if ri < n_edges:
-            e = edges[ri]
-            if isinstance(e, DirectedEdge) and e.tail == seg.right and seg.right in z:
-                return False
-        if components[seg.scc_index].isdisjoint(anc_z):
-            for k in range(max(li, 1), min(ri, n_edges - 1) + 1):
-                v = nodes[k]
-                if edges[k - 1].mark_at(v) is ARROWHEAD and edges[k].mark_at(v) is ARROWHEAD:
-                    return False
+    for k, e in enumerate(edges):
+        u = nodes[k]
+        if isinstance(e, DirectedEdge) and e.tail in z and nodes[k + 1] not in scc[u]:
+            return False
+        if k and scc[u] not in lit and edges[k - 1].mark_at(u) is ARROWHEAD and e.mark_at(u) is ARROWHEAD:
+            return False
     return True
-
-
-# Reachability state shapes.  For the sigma engine a state records how the
-# walk arrived at a node: with an arrowhead, or with a tail whose edge
-# stays inside the node's strong component, or with a tail that crosses
-# components.  Distinguishing the two tail cases is what makes every
-# blocking rule local:
-#
-#   * a collider is recognised from (arrowhead in, arrowhead out) and only
-#     needs the precomputed ancestor set of z;
-#   * a non-collider is blockable iff one of its on-walk out-edges leaves
-#     its component, and both out-edges are visible here: the arrival
-#     tail's crossing bit is stored in the shape, and the departure edge's
-#     crossing bit is computed from the neighbour being expanded.
-#
-# Hence a transition across an interior node depends only on (shape in,
-# departure edge, membership of v in z / Anc(z), component membership of
-# the departure neighbour), and breadth-first search over the finite state
-# space decides exactly whether an open walk exists.
-_S_ARROW, _S_TAIL_WITHIN, _S_TAIL_CROSS = 0, 1, 2
 
 
 def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationVerdict:
@@ -207,62 +195,7 @@ def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> Separation
     are connected.  Walk connectivity and path connectivity coincide, so
     the witness is obtained by reducing the discovered walk to a path.
     """
-    x, y, z = _validated(g, query)
-    overlap = sorted((x & y) - z)
-    if overlap:
-        return SeparationVerdict(False, Walk(overlap[0]))
-    scc = scc_index(g)
-    anc_z = ancestors(g, z)
-
-    def arrival_shape(e, w, frm):
-        if e.mark_at(w) is ARROWHEAD:
-            return _S_ARROW
-        return _S_TAIL_WITHIN if frm in scc[w] else _S_TAIL_CROSS
-
-    parent: dict[tuple, tuple] = {}
-    queue: deque[tuple] = deque()
-    for a in sorted(x - z):
-        for e in g.incident_edges(a):
-            w = e.other(a)
-            st = (w, arrival_shape(e, w, a))
-            if st not in parent:
-                parent[st] = (None, e, a)
-                queue.append(st)
-    goal = None
-    while queue:
-        st = queue.popleft()
-        v, shape = st
-        if v in y and v not in z:
-            goal = st
-            break
-        for e in g.incident_edges(v):
-            w = e.other(v)
-            m_out = e.mark_at(v)
-            if shape == _S_ARROW and m_out is ARROWHEAD:
-                if v not in anc_z:
-                    continue
-            elif v in z:
-                if shape == _S_TAIL_CROSS or (m_out is TAIL and w not in scc[v]):
-                    continue
-            nxt = (w, arrival_shape(e, w, v))
-            if nxt not in parent:
-                parent[nxt] = (st, e, v)
-                queue.append(nxt)
-    if goal is None:
-        return SeparationVerdict(True)
-    walk = _reconstruct(parent, goal)
-    return SeparationVerdict(False, _sigma_walk_to_path(g, walk, scc))
-
-
-def _reconstruct(parent: dict, goal: tuple) -> Walk:
-    edges_rev = []
-    st = goal
-    while True:
-        prev, e, frm = parent[st]
-        edges_rev.append(e)
-        if prev is None:
-            return Walk(frm, tuple(reversed(edges_rev)))
-        st = prev
+    return _separation(g, query, _SIGMA)
 
 
 def _sigma_walk_to_path(g: DirectedMixedGraph, walk: Walk, scc) -> Walk:
@@ -292,11 +225,9 @@ def _sigma_walk_to_path(g: DirectedMixedGraph, walk: Walk, scc) -> Walk:
         j = max(k for k, v in enumerate(nodes) if v in comp)
         vi, vj = nodes[i], nodes[j]
         if j == len(nodes) - 1 or walk.edges[j].mark_at(vj) is TAIL:
-            seq = shortest_directed_path(g, vi, {vj})
-            mid = tuple(DirectedEdge(seq[t], seq[t + 1]) for t in range(len(seq) - 1))
+            mid = _shortest_walk(g, vi, {vj}, undirected=False).edges
         else:
-            seq = shortest_directed_path(g, vj, {vi})
-            mid = tuple(DirectedEdge(seq[t], seq[t + 1]) for t in range(len(seq) - 1))[::-1]
+            mid = _shortest_walk(g, vj, {vi}, undirected=False).edges[::-1]
         walk = Walk(nodes[0], walk.edges[:i] + mid + walk.edges[j:])
     return walk
 
@@ -309,17 +240,29 @@ def sigma_separated_oracle(
     Sound because an open walk exists iff an open path does.  Intended
     for desk-scale verification; refuses graphs above the size cap.
     """
-    _check_cap(len(g.nodes), cap, DEFAULT_PATH_ORACLE_CAP, "the sigma path oracle")
-    x, y, z = _validated(g, query)
+
+    def open_given(z):
+        scc = scc_index(g)
+        lit = {scc[v] for v in ancestors(g, z)}
+        return lambda path: _sigma_segments_open(path, z, scc, lit)
+
+    return _path_oracle(g, query, cap, "the sigma path oracle", open_given)
+
+
+def _path_oracle(graph, query: SeparationQuery, cap: int | None, what: str, open_given) -> SeparationVerdict:
+    """The first open simple path in name order; ``open_given(z)`` builds the per-path test once."""
+    _check_cap(len(graph.nodes), cap, DEFAULT_PATH_ORACLE_CAP, what)
+    x, y, z = _validated(graph, query)
     overlap = sorted((x & y) - z)
     if overlap:
         return SeparationVerdict(False, Walk(overlap[0]))
+    is_open = open_given(z)
     for a in sorted(x - z):
         for b in sorted(y - z):
             if a == b:
                 continue
-            for path in enumerate_simple_paths(g, a, b):
-                if sigma_open_path_segments(g, path, z):
+            for path in enumerate_simple_paths(graph, a, b):
+                if is_open(path):
                     return SeparationVerdict(False, path)
     return SeparationVerdict(True)
 
@@ -339,10 +282,14 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
     z = set(z)
     h.require_nodes(z)
     check_walk(h, walk)
+    return _m_walk_open(walk, z, ancestors(h, z))
+
+
+def _m_walk_open(walk: Walk, z: set, anc_z: frozenset) -> bool:
+    """:func:`m_open_walk` without input checks, given the ancestors of ``z``."""
     nodes, edges = walk.nodes, walk.edges
     if nodes[0] in z or nodes[-1] in z:
         return False
-    anc_z = ancestors(h, z)
     for k in range(1, len(edges)):
         v = nodes[k]
         e1, e2 = edges[k - 1], edges[k]
@@ -357,15 +304,6 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
     return True
 
 
-# m-engine shapes: arrived with an arrowhead, with the tail of a directed
-# edge, or over an undirected edge.  The undirected case must be kept
-# apart from the directed tail because the arrowhead/undirected exclusion
-# rule looks at the edge type, not just the mark.  All three blocking
-# rules are local to (shape in, departure edge) given Anc(z), so state
-# search is exact, as for the sigma engine above.
-_M_ARROW, _M_TAIL, _M_UNDIR = 0, 1, 2
-
-
 def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     """Reachability engine for m-separation over walks.
 
@@ -374,58 +312,7 @@ def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     where some connected pair admits open walks but no open path, the
     open walk itself is returned.
     """
-    x, y, z = _validated(h, query)
-    overlap = sorted((x & y) - z)
-    if overlap:
-        return SeparationVerdict(False, Walk(overlap[0]))
-    anc_z = ancestors(h, z)
-
-    def arrival_shape(e, w):
-        if e.mark_at(w) is ARROWHEAD:
-            return _M_ARROW
-        return _M_UNDIR if e.is_undirected else _M_TAIL
-
-    parent: dict[tuple, tuple] = {}
-    queue: deque[tuple] = deque()
-    for a in sorted(x - z):
-        for e in h.incident_edges(a):
-            w = e.other(a)
-            st = (w, arrival_shape(e, w))
-            if st not in parent:
-                parent[st] = (None, e, a)
-                queue.append(st)
-    goal = None
-    while queue:
-        st = queue.popleft()
-        v, shape = st
-        if v in y and v not in z:
-            goal = st
-            break
-        for e in h.incident_edges(v):
-            w = e.other(v)
-            m_out = e.mark_at(v)
-            if shape == _M_ARROW and e.is_undirected:
-                continue
-            if shape == _M_UNDIR and m_out is ARROWHEAD:
-                continue
-            if shape == _M_ARROW and m_out is ARROWHEAD:
-                if v not in anc_z:
-                    continue
-            elif v in z:
-                continue
-            nxt = (w, arrival_shape(e, w))
-            if nxt not in parent:
-                parent[nxt] = (st, e, v)
-                queue.append(nxt)
-    if goal is None:
-        return SeparationVerdict(True)
-    walk = _reconstruct(parent, goal)
-    witness = walk if walk.is_path else _m_walk_to_path(h, walk, z, anc_z)
-    if witness is None:
-        witness = _first_m_open_path(h, walk.start, walk.end, z)
-    if witness is None:
-        witness = walk
-    return SeparationVerdict(False, witness)
+    return _separation(h, query, _M)
 
 
 def _m_walk_to_path(h: MixedGraph, walk: Walk, z: set, anc_z: frozenset) -> Walk | None:
@@ -492,39 +379,170 @@ def _m_walk_to_path(h: MixedGraph, walk: Walk, z: set, anc_z: frozenset) -> Walk
         if m_in is ARROWHEAD and m_out is ARROWHEAD and rep not in anc_z:
             return None
         walk = Walk(nodes[0], walk.edges[:i] + walk.edges[j:])
-    return walk if m_open_walk(h, walk, z) else None
+    return walk if _m_walk_open(walk, z, anc_z) else None
 
 
-def _first_m_open_path(h: MixedGraph, a: NodeId, b: NodeId, z: set, limit: int = 200_000) -> Walk | None:
-    if a == b:
-        return None
-    count = 0
-    for path in enumerate_simple_paths(h, a, b):
-        count += 1
-        if count > limit:
-            return None
-        if m_open_walk(h, path, z):
-            return path
-    return None
+def _m_witness(h: MixedGraph, walk: Walk, z: set, anc_z: frozenset, limit: int = 200_000) -> Walk:
+    """An open path for an open walk: by reduction, else the first of up to
+    ``limit`` enumerated paths, else the walk itself."""
+    witness = _m_walk_to_path(h, walk, z, anc_z)
+    if witness is not None:
+        return witness
+    if walk.start != walk.end:
+        for count, path in enumerate(enumerate_simple_paths(h, walk.start, walk.end), 1):
+            if count > limit:
+                break
+            if _m_walk_open(path, z, anc_z):
+                return path
+    return walk
 
 
 def m_separated_oracle(
     h: MixedGraph, query: SeparationQuery, cap: int | None = None
 ) -> SeparationVerdict:
     """Exhaustive oracle: scan every simple path with the walk criterion."""
-    _check_cap(len(h.nodes), cap, DEFAULT_PATH_ORACLE_CAP, "the m path oracle")
-    x, y, z = _validated(h, query)
+
+    def open_given(z):
+        anc_z = ancestors(h, z)
+        return lambda path: _m_walk_open(path, z, anc_z)
+
+    return _path_oracle(h, query, cap, "the m path oracle", open_given)
+
+
+# ---------------------------------------------------------------------------
+# the shared reachability engine
+# ---------------------------------------------------------------------------
+
+# Both engines search one finite state space: a node together with the
+# shape of the edge the walk arrived on, encoded as 4 * node id + shape.
+# A criterion is two rules over an edge's kind (the bits of a graph index
+# row: arrowhead here, arrowhead there, crosses strong components).
+# ``arrival`` gives the shape the edge leaves at its far end; ``passes``
+# decides whether a walk that reached v with a given shape may leave over
+# the edge, given v's standing: outside Anc(z), in Anc(z) but not z, or
+# in z.  Every blocking rule is local to these, so breadth-first search
+# over the states decides exactly whether an open walk exists.  Rows are
+# read in incident-edge order, which fixes the witnesses.
+_ARROW = 0
+_OUTSIDE, _IN_ANC, _IN_Z = 0, 1, 2
+
+# sigma shapes: arrowhead, tail within the node's strong component, or
+# tail crossing components.  With the tail cases apart, a collider needs
+# only Anc(z), and a non-collider in z is blockable iff one of its
+# on-walk out-edges leaves its component; both out-edges are seen here.
+_S_TAIL_WITHIN, _S_TAIL_CROSS = 1, 2
+
+
+def _sigma_arrival(there: bool, undirected: bool, cross: bool) -> int:
+    return _ARROW if there else _S_TAIL_CROSS if cross else _S_TAIL_WITHIN
+
+
+def _sigma_passes(shape: int, here: bool, undirected: bool, cross: bool, standing: int) -> bool:
+    if shape == _ARROW and here:
+        return standing != _OUTSIDE
+    return standing != _IN_Z or not (shape == _S_TAIL_CROSS or (not here and cross))
+
+
+# m shapes: arrowhead, tail of a directed edge, or undirected edge.  The
+# last two differ because an arrowhead may never meet an undirected edge.
+_M_TAIL, _M_UNDIR = 1, 2
+
+
+def _m_arrival(there: bool, undirected: bool, cross: bool) -> int:
+    return _ARROW if there else _M_UNDIR if undirected else _M_TAIL
+
+
+def _m_passes(shape: int, here: bool, undirected: bool, cross: bool, standing: int) -> bool:
+    if (shape == _ARROW and undirected) or (shape == _M_UNDIR and here):
+        return False
+    if shape == _ARROW and here:
+        return standing != _OUTSIDE
+    return standing != _IN_Z
+
+
+def _criterion(arrival, passes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per edge kind: the arrival shape, and a mask whose bit
+    4 * standing + shape is set where the edge may be taken."""
+    arrive, masks = [], []
+    for kind in range(8):
+        here, there, cross = bool(kind & ARROW_HERE), bool(kind & ARROW_THERE), bool(kind & CROSSES_SCC)
+        undirected = not here and not there
+        arrive.append(arrival(there, undirected, cross))
+        mask = 0
+        for standing, shape in product(range(3), range(3)):
+            mask |= passes(shape, here, undirected, cross, standing) << (4 * standing + shape)
+        masks.append(mask)
+    return tuple(arrive), tuple(masks)
+
+
+_SIGMA = _criterion(_sigma_arrival, _sigma_passes)
+_M = _criterion(_m_arrival, _m_passes)
+
+
+def _search(idx: GraphIndex, crit: tuple, sources, goal: int, z: int, anc_z: int):
+    """Breadth-first search from the ``sources`` ids over node bitmasks.
+
+    Returns the first goal state reached, or None, and the parent map.
+    The queue is first-in first-out, so testing states as they are
+    pushed finds the same goal state, with the same parents, as testing
+    them as they are popped.
+    """
+    rows, (arrive, passes) = idx.rows, crit
+    parent: dict[int, tuple] = {}
+    queue: deque[int] = deque()
+    for a in sources:
+        for w, kind, e in rows[a]:
+            st = w << 2 | arrive[kind]
+            if st not in parent:
+                parent[st] = (None, e, a)
+                if goal >> w & 1:
+                    return st, parent
+                queue.append(st)
+    while queue:
+        st = queue.popleft()
+        v = st >> 2
+        standing = _IN_Z if z >> v & 1 else anc_z >> v & 1  # else _IN_ANC (1) or _OUTSIDE (0)
+        bit = 1 << (4 * standing + (st & 3))
+        for w, kind, e in rows[v]:
+            if passes[kind] & bit:
+                nxt = w << 2 | arrive[kind]
+                if nxt not in parent:
+                    parent[nxt] = (st, e, v)
+                    if goal >> w & 1:
+                        return nxt, parent
+                    queue.append(nxt)
+    return None, parent
+
+
+def _reconstruct(idx: GraphIndex, parent: dict, goal: int) -> Walk:
+    edges_rev = []
+    st = goal
+    while True:
+        prev, e, frm = parent[st]
+        edges_rev.append(e)
+        if prev is None:
+            return Walk(idx.names[frm], tuple(reversed(edges_rev)))
+        st = prev
+
+
+def _separation(graph, query: SeparationQuery, crit: tuple) -> SeparationVerdict:
+    x, y, z = _validated(graph, query)
     overlap = sorted((x & y) - z)
     if overlap:
         return SeparationVerdict(False, Walk(overlap[0]))
-    for a in sorted(x - z):
-        for b in sorted(y - z):
-            if a == b:
-                continue
-            for path in enumerate_simple_paths(h, a, b):
-                if m_open_walk(h, path, z):
-                    return SeparationVerdict(False, path)
-    return SeparationVerdict(True)
+    idx = graph.index
+    z_mask = idx.mask(z)
+    anc_z = idx.union(idx.anc, z_mask) if z else 0  # an empty z needs no ancestor sets
+    sources = sorted(idx.ids[a] for a in x - z)
+    goal, parent = _search(idx, crit, sources, idx.mask(y) & ~z_mask, z_mask, anc_z)
+    if goal is None:
+        return SeparationVerdict(True)
+    walk = _reconstruct(idx, parent, goal)
+    if not walk.is_path and crit is _SIGMA:
+        walk = _sigma_walk_to_path(graph, walk, scc_index(graph))
+    elif not walk.is_path:
+        walk = _m_witness(graph, walk, z, frozenset(idx.members(anc_z)))
+    return SeparationVerdict(False, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -553,24 +571,9 @@ def sigma_inducing_paths(
     _check_inducing_args(g, s, a, b)
     scc = scc_index(g)
     anc_ends = ancestors(g, {a, b} | s)
-    return tuple(p for p in enumerate_simple_paths(g, a, b) if _sigma_inducing(p, anc_ends, scc))
-
-
-def _sigma_inducing(path: Walk, anc_ends: frozenset, scc) -> bool:
-    nodes, edges = path.nodes, path.edges
-    for k in range(1, len(edges)):
-        v = nodes[k]
-        m_in = edges[k - 1].mark_at(v)
-        m_out = edges[k].mark_at(v)
-        if m_in is ARROWHEAD and m_out is ARROWHEAD:
-            if v not in anc_ends:
-                return False
-        else:
-            if m_in is TAIL and nodes[k - 1] not in scc[v]:
-                return False
-            if m_out is TAIL and nodes[k + 1] not in scc[v]:
-                return False
-    return True
+    # Open given all of its interior nodes, with colliders allowed anywhere in anc_ends.
+    paths = enumerate_simple_paths(g, a, b)
+    return tuple(p for p in paths if _sigma_walk_open(p, set(p.nodes[1:-1]), anc_ends, scc))
 
 
 def sigma_inducing_exists(
@@ -586,9 +589,10 @@ def sigma_inducing_exists(
     """
     s = set(s)
     _check_inducing_args(g, s, a, b)
-    z = (set(ancestors(g, {a, b} | s)) - {a, b}) | s
-    verdict = sigma_separated(g, SeparationQuery((a,), (b,), z))
-    return not verdict.separated
+    idx = g.index
+    ia, ib = idx.ids[a], idx.ids[b]
+    z = (idx.anc[ia] | idx.anc[ib] | idx.union(idx.anc, idx.mask(s))) & ~(1 << ia | 1 << ib)
+    return not sigma_separated(g, SeparationQuery((a,), (b,), idx.members(z))).separated
 
 
 def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
@@ -600,19 +604,10 @@ def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
 def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
     _check_inducing_args(h, set(), a, b)
     anc_ends = ancestors(h, {a, b})
+    # Open given every interior node exactly when each of them is a
+    # collider in anc_ends: a collider never meets an undirected edge.
     for path in enumerate_simple_paths(h, a, b):
-        nodes, edges = path.nodes, path.edges
-        ok = True
-        for k in range(1, len(edges)):
-            v = nodes[k]
-            if (
-                edges[k - 1].mark_at(v) is not ARROWHEAD
-                or edges[k].mark_at(v) is not ARROWHEAD
-                or v not in anc_ends
-            ):
-                ok = False
-                break
-        if ok:
+        if _m_walk_open(path, set(path.nodes[1:-1]), anc_ends):
             yield path
 
 
@@ -642,3 +637,4 @@ def canonical_inducing_separator(h: MixedGraph, a: NodeId, b: NodeId) -> frozens
     endpoints themselves excluded.
     """
     return frozenset(anteriors(h, {a, b}) - {a, b})
+

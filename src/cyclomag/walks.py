@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import TYPE_CHECKING, Union
 
 from .errors import InputError
@@ -160,16 +161,10 @@ def collider_status(graph: Graph, walk: Walk) -> tuple[ColliderStatus, ...]:
     single non-collider.
     """
     check_walk(graph, walk)
-    statuses = [ColliderStatus.NON_COLLIDER]
-    for k in range(1, len(walk.edges)):
-        v = walk.nodes[k]
-        if walk.edges[k - 1].mark_at(v) is ARROWHEAD and walk.edges[k].mark_at(v) is ARROWHEAD:
-            statuses.append(ColliderStatus.COLLIDER)
-        else:
-            statuses.append(ColliderStatus.NON_COLLIDER)
-    if walk.edges:
-        statuses.append(ColliderStatus.NON_COLLIDER)
-    return tuple(statuses)
+    colliders = set(_interior_collider_positions(walk))
+    return tuple(
+        ColliderStatus.COLLIDER if k in colliders else ColliderStatus.NON_COLLIDER for k in range(len(walk.nodes))
+    )
 
 
 def _interior_collider_positions(walk: Walk) -> list[int]:
@@ -205,22 +200,12 @@ def segment_partition(g: "DirectedMixedGraph", path: Walk) -> SegmentPartition:
     Concatenating the segments reproduces the path, consecutive segments
     lie in distinct components, and all nodes of a segment share one.
     """
-    from .relations import strongly_connected_components
-
     check_walk(g, path)
     if not path.is_path:
         raise InputError("segment partition is defined for simple paths only")
-    components = strongly_connected_components(g)
-    index_of = {v: i for i, comp in enumerate(components) for v in comp}
+    idx = g.index
     segments = []
-    run = [path.nodes[0]]
-    run_scc = index_of[path.nodes[0]]
-    for v in path.nodes[1:]:
-        if index_of[v] == run_scc:
-            run.append(v)
-        else:
-            segments.append(Segment(tuple(run), run[0], run[-1], run_scc))
-            run = [v]
-            run_scc = index_of[v]
-    segments.append(Segment(tuple(run), run[0], run[-1], run_scc))
+    for k, run in groupby(path.nodes, key=lambda v: idx.scc[idx.ids[v]]):
+        run = tuple(run)
+        segments.append(Segment(run, run[0], run[-1], k))
     return SegmentPartition(tuple(segments))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +18,16 @@ from cyclomag import (
     anteriors,
     collider_distance_sum,
     collider_status,
+    descendants,
     enumerate_simple_paths,
+    m_separated,
     neighborhood,
     neighborhood_complete,
     parse_walk,
+    represent,
+    scc_index,
+    SeparationQuery,
+    sigma_separated,
     strongly_connected_components,
 )
 from fixtures import (
@@ -26,6 +35,7 @@ from fixtures import (
     SELECTION_DMG,
     UNDIRECTED_FAN,
     UNDIRECTED_TRIANGLE,
+    seeded_contexted,
     seeded_valid_mixed,
 )
 
@@ -94,6 +104,85 @@ def test_scc_acyclic_chain_is_singletons():
 def test_scc_ignores_bidirected_edges():
     g = DirectedMixedGraph.of("a <-> b")
     assert len(strongly_connected_components(g)) == 2
+
+
+def test_scc_index_selection_dmg():
+    ab = frozenset({"a", "b"})
+    singles = {v: frozenset({v}) for v in "cds"}
+    assert scc_index(SELECTION_DMG.graph) == {"a": ab, "b": ab, **singles}
+
+
+def test_scc_sorted_by_smallest_member():
+    g = DirectedMixedGraph.of("d -> c", "c -> d", "c -> b", "b -> a", "a -> b", "e <-> a", "e -> d")
+    assert strongly_connected_components(g) == (
+        frozenset({"a", "b"}),
+        frozenset({"c", "d"}),
+        frozenset({"e"}),
+    )
+    assert scc_index(g)["d"] == frozenset({"c", "d"})
+
+
+# --- the per-graph index -------------------------------------------------------
+
+
+def test_index_takes_no_part_in_equality_or_hash():
+    g1 = DirectedMixedGraph.of("a -> b", "b -> a", "b <-> c")
+    g2 = DirectedMixedGraph.of("b <-> c", "b -> a", "a -> b")
+    h1 = MixedGraph.of("a -> b", "b -- c")
+    h2 = MixedGraph.of("b -- c", "a -> b")
+    ancestors(g1, {"a"})
+    anteriors(h1, {"c"})
+    assert "index" in vars(g1) and "index" not in vars(g2)
+    assert g1 == g2 and hash(g1) == hash(g2) and repr(g1) == repr(g2)
+    assert h1 == h2 and hash(h1) == hash(h2) and repr(h1) == repr(h2)
+    assert {g1: 1}[g2] == 1
+
+
+def test_graph_is_collected_once_unreferenced():
+    # No other test builds an equal graph, so no cache could hold this one.
+    c = ContextedDmg.of("p -> q", "q -> p", "q -> t", "r -> t", "q <-> u", selection=("t",))
+    h = represent(c)
+    sigma_separated(c.graph, SeparationQuery("p", "u", {"t"}))
+    m_separated(h, SeparationQuery("p", "u"))
+    strongly_connected_components(c.graph)
+    refs = [weakref.ref(c.graph), weakref.ref(h)]
+    del c, h
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def _reach_by_search(graph, start, step):
+    seen, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for e in graph.incident_edges(v):
+            w = e.other(v)
+            if w not in seen and step(e, v, w):
+                seen.add(w)
+                todo.append(w)
+    return frozenset(seen)
+
+
+def test_cached_closures_match_plain_search():
+    # Parents, children and anterior steps read straight off the marks.
+    def into(e, v, w):
+        return e.mark_at(w).name == "TAIL" and e.mark_at(v).name == "ARROWHEAD"
+
+    def out_of(e, v, w):
+        return e.mark_at(v).name == "TAIL" and e.mark_at(w).name == "ARROWHEAD"
+
+    def tail_at_far_end(e, v, w):
+        return e.mark_at(w).name == "TAIL"
+
+    for seed in range(60):
+        c = seeded_contexted(seed, max_n=9, max_s=2)
+        for graph in (c.graph, represent(c)):
+            for v in graph.nodes:
+                assert ancestors(graph, {v}) == _reach_by_search(graph, v, into)
+                assert descendants(graph, {v}) == _reach_by_search(graph, v, out_of)
+            if isinstance(graph, MixedGraph):
+                for v in graph.nodes:
+                    assert anteriors(graph, {v}) == _reach_by_search(graph, v, tail_at_far_end)
 
 
 # --- ancestors / anteriors ---------------------------------------------------
