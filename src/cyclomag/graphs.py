@@ -493,12 +493,6 @@ class MixedGraph(_Graph):
     def contains_edge(self, e: Edge) -> bool:
         return isinstance(e, MixedEdge) and self.edge(e.a, e.b) == e
 
-    def neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        return tuple(e.other(v) for e in self.incident_edges(v))
-
-    directed_parents = _Graph.parents
-    directed_children = _Graph.children
-
     def undirected_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
         return tuple(e.other(v) for e in self.incident_edges(v) if e.is_undirected)
 
@@ -553,9 +547,6 @@ class DirectedMixedGraph(_Graph):
 
     def contains_edge(self, e: Edge) -> bool:
         return isinstance(e, (DirectedEdge, BidirectedEdge)) and e in self._incident.get(e.endpoints[0], ())
-
-    def siblings(self, v: NodeId) -> tuple[NodeId, ...]:
-        return tuple(e.other(v) for e in self.incident_edges(v) if isinstance(e, BidirectedEdge))
 
     def adjacent(self, a: NodeId, b: NodeId) -> bool:
         return any(e.other(a) == b for e in self.incident_edges(a))

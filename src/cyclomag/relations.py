@@ -98,15 +98,29 @@ def shortest_directed_path(graph: Graph, source: NodeId, targets: Iterable[NodeI
     """
     targets = set(targets)
     graph.require_nodes({source} | targets)
-    walk = _shortest_walk(graph, source, targets, undirected=False)
+    walk = _shortest_walk(graph, source, targets, _directed_step)
     return None if walk is None else walk.nodes
 
 
-def _shortest_walk(graph: Graph, source: NodeId, targets: set, undirected: bool) -> Walk | None:
-    """A shortest walk from ``source`` into ``targets`` that leaves a tail at every step.
+def _directed_step(v: int, kind: int, w: int) -> bool:
+    """Steps of a directed path: a tail at ``v`` and an arrowhead at ``w``."""
+    return kind & (ARROW_HERE | ARROW_THERE) == ARROW_THERE
 
-    Breadth-first in incident-edge order over directed edges, and over
-    ``--`` edges too when ``undirected`` (which gives anterior paths).
+
+def _anterior_step(v: int, kind: int, w: int) -> bool:
+    """Steps of an anterior path: a tail at ``v``, over ``->`` or ``--``."""
+    return not kind & ARROW_HERE
+
+
+def _shortest_walk(graph: Graph, source: NodeId, targets: set, step) -> Walk | None:
+    """A shortest walk from ``source`` into ``targets`` whose every edge passes ``step``.
+
+    ``step(v, kind, w)`` decides whether the walk may go from id ``v`` to
+    id ``w`` over an edge with the given index-row kind.  The search is
+    breadth-first over nodes, first-in first-out, in incident-edge
+    order, so the walk is simple and its node sequence is the least in
+    name order among the shortest ones: the first shortest path that
+    :func:`enumerate_simple_paths` yields under the same rule.
     """
     idx = graph.index
     goal = idx.mask(targets)
@@ -117,7 +131,7 @@ def _shortest_walk(graph: Graph, source: NodeId, targets: set, undirected: bool)
     while end is None and frontier:
         v = frontier.popleft()
         for w, kind, e in idx.rows[v]:
-            if kind & ARROW_HERE or not (kind & ARROW_THERE or undirected) or w in parent:
+            if w in parent or not step(v, kind, w):
                 continue
             parent[w] = (v, e)
             if goal >> w & 1:

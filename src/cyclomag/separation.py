@@ -38,8 +38,9 @@ from .graphs import (
     NodeId,
 )
 from .relations import (
-    ancestors,
+    _directed_step,
     _shortest_walk,
+    ancestors,
     anteriors,
     enumerate_simple_paths,
     scc_index,
@@ -225,9 +226,9 @@ def _sigma_walk_to_path(g: DirectedMixedGraph, walk: Walk, scc) -> Walk:
         j = max(k for k, v in enumerate(nodes) if v in comp)
         vi, vj = nodes[i], nodes[j]
         if j == len(nodes) - 1 or walk.edges[j].mark_at(vj) is TAIL:
-            mid = _shortest_walk(g, vi, {vj}, undirected=False).edges
+            mid = _shortest_walk(g, vi, {vj}, _directed_step).edges
         else:
-            mid = _shortest_walk(g, vj, {vi}, undirected=False).edges[::-1]
+            mid = _shortest_walk(g, vj, {vi}, _directed_step).edges[::-1]
         walk = Walk(nodes[0], walk.edges[:i] + mid + walk.edges[j:])
     return walk
 
@@ -612,20 +613,27 @@ def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
 
 
 def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:
-    """Nonemptiness of :func:`inducing_paths`, with a polynomial pre-check.
+    """Nonemptiness of :func:`inducing_paths`, by one breadth-first search."""
+    return _shortest_inducing_path(h, a, b) is not None
 
-    Any inducing path keeps the endpoints connected no matter what the
-    conditioning set is, so separation given the anterior set of the
-    endpoints rules one out immediately.  Only when that connectivity
-    test passes do we enumerate to confirm.
+
+def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:
+    """The first shortest member of :func:`inducing_paths`, or None.
+
+    An interior node of an inducing path lies in Anc({a, b}) and has
+    arrowheads on both sides.  Both are tests of one edge at a time, so
+    a breadth-first search over nodes finds a shortest inducing path,
+    and a shortest one is simple.  Polynomial; nothing is enumerated.
     """
     _check_inducing_args(h, set(), a, b)
-    z = set(anteriors(h, {a, b})) - {a, b}
-    if m_separated(h, SeparationQuery((a,), (b,), z)).separated:
-        return False
-    for _ in _iter_inducing_paths(h, a, b):
-        return True
-    return False
+    idx = h.index
+    ia, ib = idx.ids[a], idx.ids[b]
+    anc_ends = idx.anc[ia] | idx.anc[ib]
+
+    def step(v: int, kind: int, w: int) -> bool:
+        return (v == ia or kind & ARROW_HERE) and (w == ib or kind & ARROW_THERE and anc_ends >> w & 1)
+
+    return _shortest_walk(h, a, {b}, step)
 
 
 def canonical_inducing_separator(h: MixedGraph, a: NodeId, b: NodeId) -> frozenset:

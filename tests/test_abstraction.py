@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from cyclomag import (
+    ARROWHEAD,
     ContextedDmg,
     DirectedMixedGraph,
     InputError,
@@ -13,6 +15,8 @@ from cyclomag import (
     ancestors,
     anteriors,
     canonical_dmg,
+    inducing_exists,
+    inducing_paths,
     represent,
     m_separated,
     marginalize,
@@ -146,18 +150,18 @@ def test_ancestral_violation_reported_with_path_and_edge():
 
 
 def test_witnesses_recheck_as_violations():
-    for seed in range(40):
-        # random mark soup, mostly invalid
-        import random
-
+    for seed in range(300):
+        # random mark soup, mostly invalid; sparser as n grows so that
+        # enumerating every inducing path stays cheap
         rng = random.Random(seed)
-        names = tuple(f"n{i}" for i in range(rng.randint(2, 5)))
+        names = tuple(f"n{i}" for i in range(rng.randint(2, 9)))
+        p_none = rng.choice([0.2, 0.45, 0.6] if len(names) <= 6 else [0.45, 0.6])
         edges = []
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                kind = rng.choice(["none", "->", "<-", "<->", "--"])
-                if kind == "none":
+                if rng.random() < p_none:
                     continue
+                kind = rng.choice(["->", "<-", "<->", "--"])
                 if kind == "->":
                     edges.append(MixedGraph.of(f"{a} -> {b}").edges[0])
                 elif kind == "<-":
@@ -168,13 +172,13 @@ def test_witnesses_recheck_as_violations():
                     edges.append(MixedGraph.of(f"{a} -- {b}").edges[0])
         h = MixedGraph(names, tuple(edges))
         report = validate(h)
+        maximality = {}
         for v in report.violations:
             if v.kind is ViolationKind.MAXIMALITY:
                 path = v.witness[0]
+                maximality[path.start, path.end] = path
                 assert not h.adjacent(path.start, path.end)
                 anc_ends = ancestors(h, {path.start, path.end})
-                from cyclomag import ARROWHEAD
-
                 for k in range(1, len(path.edges)):
                     node = path.nodes[k]
                     assert path.edges[k - 1].mark_at(node) is ARROWHEAD
@@ -183,19 +187,47 @@ def test_witnesses_recheck_as_violations():
             elif v.kind is ViolationKind.ANCESTRAL:
                 path, edge = v.witness
                 assert path.nodes[0] in anteriors(h, {path.nodes[-1]})
-                from cyclomag import ARROWHEAD
-
                 assert edge.mark_at(path.nodes[0]) is ARROWHEAD
             elif v.kind is ViolationKind.SIGMA_COMPLETENESS:
                 a, b = v.witness[0], v.witness[1]
                 e = h.edge(a, b)
-                from cyclomag import ARROWHEAD
-
                 assert e is not None and e.mark_at(b) is ARROWHEAD
                 if len(v.witness) == 3:
                     assert not h.adjacent(v.witness[0], v.witness[2])
                 else:
                     assert not h.adjacent(v.witness[2], v.witness[3])
+        # The maximality witness of a pair is its first shortest inducing
+        # path in enumeration order, and existence agrees with enumeration.
+        for a, b in itertools.combinations(h.nodes, 2):
+            paths = inducing_paths(h, a, b)
+            assert inducing_exists(h, a, b) == bool(paths)
+            if not h.adjacent(a, b):
+                assert maximality.get((a, b)) == min(paths, key=lambda p: len(p.edges), default=None)
+
+
+def test_validate_never_enumerates_paths(monkeypatch):
+    from cyclomag import abstraction, separation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate enumerated paths")
+
+    monkeypatch.setattr(separation, "_iter_inducing_paths", refuse)
+    monkeypatch.setattr(abstraction, "_iter_inducing_paths", refuse)
+    monkeypatch.setattr(separation, "enumerate_simple_paths", refuse)
+    # Mark-heavy: about 18% <-> and 7% -> per pair.  Enumerating this
+    # graph's inducing paths takes more than a minute.
+    rng = random.Random(22)
+    names = [f"x{i}" for i in range(22)]
+    specs = []
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            u = rng.random()
+            if u < 0.18:
+                specs.append(f"{a} <-> {b}")
+            elif u < 0.25:
+                specs.append(f"{a} -> {b}" if rng.random() < 0.5 else f"{b} -> {a}")
+    report = validate(MixedGraph.of(*specs, nodes=names))
+    assert any(v.kind is ViolationKind.MAXIMALITY for v in report.violations)
 
 
 def test_accepted_graphs_satisfy_structural_laws():
