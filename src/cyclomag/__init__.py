@@ -79,12 +79,9 @@ from .separation import (
 )
 from .walks import (
     ColliderStatus,
-    Segment,
-    SegmentPartition,
     Walk,
     collider_status,
     parse_walk,
-    segment_partition,
 )
 
 __version__ = "0.1.0"

@@ -157,30 +157,20 @@ def _cmd_equiv(args) -> int:
     g2 = _load_auto(args.file2)
     if type(g1) is not type(g2):
         raise InputError("cannot compare a mixed document with a dmg document")
-    if isinstance(g1, MixedGraph):
+    mixed = isinstance(g1, MixedGraph)
+    if mixed:
         for path, h in ((args.file1, g1), (args.file2, g2)):
-            report = validate(h)
-            if not report.valid:
+            if not validate(h).valid:
                 raise PreconditionError(f"{path} is not a valid input graph")
-        if args.oracle:
-            ok, cex = m_markov_equivalent_oracle(g1, g2)
-            _print_equiv_oracle(ok, cex)
-        else:
-            report = condition1(g1, g2)
-            print(f"equivalent: {'true' if report.equivalent else 'false'}")
-            if not report.equivalent:
-                print(f"clause: {report.failed_clause.value}")
-                print(f"witness: {_render_witness(report.witness)}")
-    else:
-        if args.oracle:
-            ok, cex = sigma_markov_equivalent_oracle(g1, g2)
-            _print_equiv_oracle(ok, cex)
-        else:
-            report = condition1(represent(g1), represent(g2))
-            print(f"equivalent: {'true' if report.equivalent else 'false'}")
-            if not report.equivalent:
-                print(f"clause: {report.failed_clause.value}")
-                print(f"witness: {_render_witness(report.witness)}")
+    if args.oracle:
+        oracle = m_markov_equivalent_oracle if mixed else sigma_markov_equivalent_oracle
+        _print_equiv_oracle(*oracle(g1, g2))
+        return 0
+    report = condition1(g1, g2) if mixed else condition1(represent(g1), represent(g2))
+    print(f"equivalent: {'true' if report.equivalent else 'false'}")
+    if not report.equivalent:
+        print(f"clause: {report.failed_clause.value}")
+        print(f"witness: {_render_witness(report.witness)}")
     return 0
 
 

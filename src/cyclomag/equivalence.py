@@ -4,20 +4,20 @@ Two valid mixed graphs induce the same m-separation relations exactly
 when they share adjacencies, unshielded colliders, and the collider
 status of the distinguished node on every discriminating path whose
 node sequence discriminates in both graphs.  ``condition1`` decides
-that criterion directly; the exhaustive oracles re-derive equivalence
-from first principles by sweeping full query grids, which is what the
-desk-scale test suites compare against.
+that criterion directly and in polynomial time; the exhaustive oracles
+re-derive equivalence from first principles by sweeping full query
+grids, which is what the desk-scale test suites compare against.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import ARROWHEAD, ContextedDmg, MixedGraph, NodeId
+from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId
+from .relations import _shortest_walk
 from .separation import (
     DEFAULT_GRID_ORACLE_CAP,
     SeparationQuery,
@@ -113,22 +113,15 @@ def discriminating_paths(
 ) -> tuple[DiscriminatingPath, ...]:
     """Exhaustively enumerate discriminating paths, sorted by node sequence.
 
-    ``for_node`` filters on the discriminated node.  Enumeration is
-    unbounded up to ten nodes; above that a default interior cap kicks
-    in with a warning unless ``max_interior`` is given explicitly.
+    ``for_node`` filters on the discriminated node; ``max_interior``
+    bounds the number of chain nodes v_k, and None leaves it unbounded.
+    Exponential in the worst case: this listing backs ``cyclomag paths``
+    and the tests, while :func:`condition1` never enumerates.
     """
     if for_node is not None:
         h.require_nodes([for_node])
     if max_interior is None:
-        if len(h.nodes) > 10:
-            max_interior = 10
-            warnings.warn(
-                "discriminating-path enumeration capped at 10 interior nodes; "
-                "pass max_interior to override",
-                stacklevel=2,
-            )
-        else:
-            max_interior = len(h.nodes)
+        max_interior = len(h.nodes)
     found: list[DiscriminatingPath] = []
     for c in h.nodes:
         parents_c = set(h.parents(c))
@@ -184,8 +177,11 @@ def condition1(h1: MixedGraph, h2: MixedGraph) -> EquivalenceReport:
 
     Checks, in order: identical adjacencies, identical unshielded
     colliders, and matching collider status on every discriminating
-    path shared by both graphs (checked in both directions).  The first
-    failure, smallest witness first, is reported.  Callers are expected
+    path shared by both graphs.  The first failure is reported: the
+    smallest differing pair or triple, or, for the last clause, the
+    first edge b - c in name order of (c, b) that closes a differing
+    path, with the first shortest such path in breadth-first order.
+    Polynomial throughout; no path is enumerated.  Callers are expected
     to pass graphs that satisfy :func:`cyclomag.abstraction.validate`.
     """
     if h1.nodes != h2.nodes:
@@ -203,15 +199,61 @@ def condition1(h1: MixedGraph, h2: MixedGraph) -> EquivalenceReport:
     if diff:
         return EquivalenceReport(False, EquivalenceClause.UNSHIELDED_COLLIDER, diff[0])
 
-    for first, second in ((h1, h2), (h2, h1)):
-        for dp in discriminating_paths(first):
-            if not is_discriminating(second, dp.nodes, dp.target):
-                continue
-            if dp.target_is_collider(first) != dp.target_is_collider(second):
-                return EquivalenceReport(
-                    False, EquivalenceClause.DISCRIMINATING_PATH, (dp, dp.target)
-                )
+    dp = _differing_discriminating_path(h1, h2)
+    if dp is not None:
+        return EquivalenceReport(False, EquivalenceClause.DISCRIMINATING_PATH, (dp, dp.target))
     return EquivalenceReport(True)
+
+
+def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph) -> DiscriminatingPath | None:
+    """A path that discriminates its target b in both graphs, b a collider in one only.
+
+    The graphs share nodes and adjacencies, so their index rows line up
+    entry for entry and one lookup gives an edge's kinds in both.  For
+    each edge b - c, a breadth-first search from b walks the chain
+    v_n .. v_0 backwards to an outer node a.  Its first step needs
+    v_n -> c and an arrowhead at v_n in both graphs, and b a collider
+    after v_n in exactly one; later steps stay on parents of c in both
+    graphs over edges with arrowheads at both ends in both, or end at a
+    node not adjacent to c over an edge with an arrowhead at the chain
+    end in both.  Each test reads one edge, so the search finds a
+    shortest such path, and a shortest one is simple.
+    """
+    idx1, idx2 = h1.index, h2.index
+    kinds = {}
+    moved = 0  # nodes where some mark differs; only there can a status differ
+    for v, (row1, row2) in enumerate(zip(idx1.rows, idx2.rows)):
+        for (w, k1, _), (_, k2, _) in zip(row1, row2):
+            kinds[v, w] = k1, k2
+            if (k1 ^ k2) & ARROW_HERE:
+                moved |= 1 << v
+    if not moved:
+        return None
+    heads = ARROW_HERE | ARROW_THERE
+    everyone = (1 << len(idx1.names)) - 1
+    for c, row in enumerate(idx1.rows):
+        ends = [b for b, _, _ in row if moved >> b & 1]
+        if not ends:
+            continue
+        name = idx1.names[c]
+        chain = idx1.mask(set(h1.parents(name)) & set(h2.parents(name)))
+        far = everyone & ~sum(1 << w for w, _, _ in row) & ~(1 << c)
+        targets = set(idx1.members(far))
+        for b in ends:
+            into_b1, into_b2 = (k & ARROW_HERE for k in kinds[b, c])
+
+            def step(t: int, _: int, u: int) -> bool:
+                k1, k2 = kinds[t, u]
+                if t == b:
+                    return chain >> u & 1 and k1 & k2 & ARROW_THERE and bool(k1 & into_b1) != bool(k2 & into_b2)
+                if chain >> u & 1:
+                    return k1 & k2 & heads == heads
+                return far >> u & 1 and k1 & k2 & ARROW_HERE
+
+            walk = _shortest_walk(h1, idx1.names[b], targets, step)
+            if walk is not None:
+                return DiscriminatingPath(walk.nodes[::-1] + (name,), idx1.names[b])
+    return None
 
 
 CounterExample = tuple[NodeId, NodeId, frozenset]

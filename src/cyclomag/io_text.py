@@ -18,7 +18,7 @@ serialised document reproduces it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, ParseError
 from .graphs import (
@@ -41,7 +41,6 @@ class GraphDocument:
     nodes: tuple[NodeId, ...]
     selection: tuple[NodeId, ...]
     edges: tuple[EdgeRecord, ...]
-    spans: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("dmg", "mixed"):
@@ -111,9 +110,8 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
         raise InputError(f"unknown document kind: {kind!r}")
     nodes: set[NodeId] = set()
     selection: set[NodeId] = set()
-    edges: list[EdgeRecord] = []
-    seen_pairs: dict[tuple[NodeId, NodeId], set[str]] = {}
-    spans: dict = {}
+    edges: set[EdgeRecord] = set()
+    pairs: set[tuple[NodeId, NodeId]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -135,7 +133,6 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
                 raise err("expected: node <id>")
             v = name(tokens[1])
             nodes.add(v)
-            spans.setdefault(("node", v), (lineno, 1))
         elif tokens[0] == "selection":
             if len(tokens) != 2:
                 raise err("expected: selection <id>")
@@ -144,7 +141,6 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
             v = name(tokens[1])
             nodes.add(v)
             selection.add(v)
-            spans.setdefault(("selection", v), (lineno, 1))
         elif len(tokens) == 3 and tokens[1] in _EDGE_OPS:
             a, op, b = name(tokens[0]), tokens[1], name(tokens[2])
             if a == b:
@@ -158,23 +154,19 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
                 a, b = min(a, b), max(a, b)
             rec = (op, a, b)
             pair = (min(a, b), max(a, b))
-            kinds_here = seen_pairs.setdefault(pair, set())
             if rec in edges:
                 raise err(f"duplicate edge {tokens[0]} {tokens[1]} {tokens[2]}", tokens[1])
-            if kind == "mixed" and kinds_here:
+            if kind == "mixed" and pair in pairs:
                 raise err(
                     f"more than one edge between {pair[0]!r} and {pair[1]!r}", tokens[1]
                 )
-            kinds_here.add(op)
+            pairs.add(pair)
             nodes.update(pair)
-            edges.append(rec)
-            spans[rec] = (lineno, 1)
+            edges.add(rec)
         else:
             raise err(f"unrecognised declaration: {line.strip()!r}")
 
-    doc = GraphDocument(kind, tuple(nodes), tuple(selection), tuple(edges))
-    object.__setattr__(doc, "spans", spans)
-    return doc
+    return GraphDocument(kind, tuple(nodes), tuple(selection), tuple(edges))
 
 
 def serialize_graph(doc: GraphDocument) -> str:

@@ -1,10 +1,9 @@
-"""Walks over graphs, collider classification, and segment partitions."""
+"""Walks over graphs, their parsing, and collider classification."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
 from typing import TYPE_CHECKING, Union
 
 from .errors import InputError
@@ -174,38 +173,3 @@ def _interior_collider_positions(walk: Walk) -> list[int]:
         if walk.edges[k - 1].mark_at(v) is ARROWHEAD and walk.edges[k].mark_at(v) is ARROWHEAD:
             out.append(k)
     return out
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Maximal run of consecutive path nodes lying in one strong component."""
-
-    nodes: tuple[NodeId, ...]
-    left: NodeId
-    right: NodeId
-    scc_index: int
-
-
-@dataclass(frozen=True)
-class SegmentPartition:
-    segments: tuple[Segment, ...]
-
-    def __iter__(self):
-        return iter(self.segments)
-
-
-def segment_partition(g: "DirectedMixedGraph", path: Walk) -> SegmentPartition:
-    """Split a simple path by the strong components of ``g``.
-
-    Concatenating the segments reproduces the path, consecutive segments
-    lie in distinct components, and all nodes of a segment share one.
-    """
-    check_walk(g, path)
-    if not path.is_path:
-        raise InputError("segment partition is defined for simple paths only")
-    idx = g.index
-    segments = []
-    for k, run in groupby(path.nodes, key=lambda v: idx.scc[idx.ids[v]]):
-        run = tuple(run)
-        segments.append(Segment(run, run[0], run[-1], k))
-    return SegmentPartition(tuple(segments))

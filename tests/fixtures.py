@@ -5,12 +5,16 @@ from __future__ import annotations
 import random
 
 from cyclomag import (
+    ARROWHEAD,
+    TAIL,
     ContextedDmg,
     DirectedMixedGraph,
     GeneratorConfig,
+    MixedEdge,
     MixedGraph,
     random_dmg,
     represent,
+    validate,
 )
 
 # A four-node directed graph observed through one latent node (u) and one
@@ -56,6 +60,12 @@ SELECTION_AND_CYCLE = ContextedDmg.of(
 # opposite status of the discriminated node b.
 DISC_TAIL = MixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c")
 DISC_COLLIDER = MixedGraph.of("a <-> q", "q -> c", "q <-> b", "b <-> c")
+# An equivalent pair: a, v, b, c discriminates b in the first graph only,
+# since the second has v -> a, so b's differing status decides nothing.
+DISC_ONE_SIDED = (
+    MixedGraph.of("a <-> v", "a -> b", "v <-> b", "v -> c", "b -> c"),
+    MixedGraph.of("v -> a", "b -> a", "v <-> b", "v -> c", "b <-> c"),
+)
 
 
 def seeded_contexted(seed: int, max_n: int = 6, max_s: int = 2) -> ContextedDmg:
@@ -76,6 +86,29 @@ def seeded_contexted(seed: int, max_n: int = 6, max_s: int = 2) -> ContextedDmg:
 def seeded_valid_mixed(seed: int, max_n: int = 6, max_s: int = 2) -> MixedGraph:
     """A random graph that passes validity checking, via abstraction."""
     return represent(seeded_contexted(seed, max_n, max_s))
+
+
+def seeded_marked_mixed(seed: int, max_n: int = 8) -> MixedGraph:
+    """A valid mixed graph with marks drawn at random, two arrowheads to one tail.
+
+    Unlike abstractions of random systems, these graphs are rich in
+    bidirected chains, so discriminating paths are common.  Draws until
+    a graph passes validity checking.
+    """
+    rng = random.Random(seed)
+    marks = (TAIL, ARROWHEAD, ARROWHEAD)
+    while True:
+        names = [f"n{i}" for i in range(rng.randint(4, max_n))]
+        p = rng.uniform(0.3, 0.7)
+        edges = [
+            MixedEdge(u, rng.choice(marks), v, rng.choice(marks))
+            for i, u in enumerate(names)
+            for v in names[i + 1 :]
+            if rng.random() < p
+        ]
+        h = MixedGraph(tuple(names), tuple(edges))
+        if validate(h).valid:
+            return h
 
 
 def seeded_mixed_pair(seed: int, max_n: int = 5) -> tuple[ContextedDmg, ContextedDmg]:

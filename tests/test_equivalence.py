@@ -3,9 +3,14 @@ import itertools
 import pytest
 
 from cyclomag import (
+    ARROWHEAD,
+    TAIL,
     DiscriminatingPath,
     EquivalenceClause,
+    GeneratorConfig,
+    GraphDocument,
     InputError,
+    MixedEdge,
     MixedGraph,
     OracleCapError,
     SeparationQuery,
@@ -14,14 +19,18 @@ from cyclomag import (
     is_discriminating,
     m_markov_equivalent_oracle,
     m_separated,
+    random_dmg,
     represent,
+    serialize_graph,
     sigma_markov_equivalent_oracle,
     unshielded_colliders,
     validate,
 )
+from cyclomag.cli import cli
 from fixtures import (
     CYCLE_WITH_CHILD,
     DISC_COLLIDER,
+    DISC_ONE_SIDED,
     DISC_TAIL,
     HUB_CYCLE_A,
     HUB_CYCLE_B,
@@ -29,6 +38,7 @@ from fixtures import (
     TRIANGLE_WITH_HUB,
     UNDIRECTED_TRIANGLE,
     all_subsets,
+    seeded_marked_mixed,
     seeded_mixed_pair,
     seeded_valid_mixed,
 )
@@ -207,12 +217,50 @@ def test_condition_agrees_with_oracles_on_seeded_pairs():
         assert cond == sigma_markov_equivalent_oracle(c1, c2)[0]
 
 
-def test_condition_witnesses_reverify_in_both_graphs():
-    seen = set()
+_FLIP = {TAIL: ARROWHEAD, ARROWHEAD: TAIL}
+
+
+def _enumerated_condition1(h1, h2):
+    """Verdict and failed clause by enumerating every discriminating path."""
+    if {(e.a, e.b) for e in h1.edges} != {(e.a, e.b) for e in h2.edges}:
+        return False, EquivalenceClause.ADJACENCY
+    if unshielded_colliders(h1) != unshielded_colliders(h2):
+        return False, EquivalenceClause.UNSHIELDED_COLLIDER
+    for first, second in ((h1, h2), (h2, h1)):
+        for dp in discriminating_paths(first):
+            if not is_discriminating(second, dp.nodes, dp.target):
+                continue
+            if dp.target_is_collider(first) != dp.target_is_collider(second):
+                return False, EquivalenceClause.DISCRIMINATING_PATH
+    return True, None
+
+
+def _valid_single_mark_flips(h):
+    for i, e in enumerate(h.edges):
+        for ma, mb in ((_FLIP[e.mark_a], e.mark_b), (e.mark_a, _FLIP[e.mark_b])):
+            flipped = MixedGraph(h.nodes, h.edges[:i] + (MixedEdge(e.a, ma, e.b, mb),) + h.edges[i + 1 :])
+            if validate(flipped).valid:
+                yield flipped
+
+
+def _witness_pairs():
+    yield DISC_ONE_SIDED
+    yield DISC_ONE_SIDED[::-1]
     for seed in range(120):
         c1, c2 = seeded_mixed_pair(seed, max_n=5)
-        h1, h2 = represent(c1), represent(c2)
+        yield represent(c1), represent(c2)
+    for seed in range(300):
+        h = seeded_marked_mixed(seed, max_n=8)
+        for flipped in _valid_single_mark_flips(h):
+            yield h, flipped
+            yield flipped, h
+
+
+def test_condition_witnesses_reverify_in_both_graphs():
+    seen = set()
+    for h1, h2 in _witness_pairs():
         report = condition1(h1, h2)
+        assert (report.equivalent, report.failed_clause) == _enumerated_condition1(h1, h2)
         if report.equivalent:
             continue
         seen.add(report.failed_clause)
@@ -227,7 +275,51 @@ def test_condition_witnesses_reverify_in_both_graphs():
             assert is_discriminating(h1, dp.nodes, target)
             assert is_discriminating(h2, dp.nodes, target)
             assert dp.target_is_collider(h1) != dp.target_is_collider(h2)
-    assert EquivalenceClause.ADJACENCY in seen
+    assert {EquivalenceClause.ADJACENCY, EquivalenceClause.DISCRIMINATING_PATH} <= seen
+
+
+def _chain_pair(k):
+    """``a -> v0``, ``v_i <-> v_i+1``, ``v_last <-> b``, ``v_i -> c``, closed by ``b <-> c`` or ``b -> c``."""
+    vs = [f"v{i:02d}" for i in range(k)]
+    common = ["a -> v00", *(f"{u} <-> {w}" for u, w in zip(vs, vs[1:])), f"{vs[-1]} <-> b"]
+    common += [f"{v} -> c" for v in vs]
+    return MixedGraph.of(*common, "b <-> c"), MixedGraph.of(*common, "b -> c")
+
+
+@pytest.mark.parametrize("k", range(11, 15))
+def test_long_discriminating_chain_is_told_apart(k, tmp_path, capsys):
+    collider, non_collider = _chain_pair(k)
+    assert validate(collider).valid and validate(non_collider).valid
+    report = condition1(collider, non_collider)
+    assert not report.equivalent
+    assert report.failed_clause is EquivalenceClause.DISCRIMINATING_PATH
+    dp, target = report.witness
+    assert target == "b" and len(dp.nodes) == k + 3
+    assert is_discriminating(collider, dp.nodes, target)
+    assert is_discriminating(non_collider, dp.nodes, target)
+    assert dp.target_is_collider(collider) and not dp.target_is_collider(non_collider)
+    files = [tmp_path / "collider.mixed", tmp_path / "non_collider.mixed"]
+    for path, h in zip(files, (collider, non_collider)):
+        path.write_text(serialize_graph(GraphDocument.from_mixed(h)), encoding="utf-8")
+    assert cli(["equiv", *map(str, files)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "equivalent: false"
+
+
+def test_condition1_never_enumerates_paths(monkeypatch):
+    from cyclomag import equivalence, relations
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("condition1 enumerated paths")
+
+    monkeypatch.setattr(equivalence, "discriminating_paths", refuse)
+    monkeypatch.setattr(equivalence, "is_discriminating", refuse)
+    monkeypatch.setattr(relations, "enumerate_simple_paths", refuse)
+    report = condition1(*_chain_pair(14))
+    assert report.failed_clause is EquivalenceClause.DISCRIMINATING_PATH
+    cfg = GeneratorConfig(n_nodes=50, p_directed=1.5 / 50, p_bidirected=0.6 / 50, n_selection=2, seed=1)
+    h = represent(random_dmg(cfg))
+    assert len(h.nodes) >= 40
+    assert condition1(h, h).equivalent
 
 
 def test_discriminating_paths_pin_their_separating_sets():

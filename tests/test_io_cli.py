@@ -66,8 +66,12 @@ def test_self_loop_rejected_with_position():
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_graph("a -> b\nb <- a", "dmg")
+    assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        parse_graph("node c\na <-> b\nc -> a\n\nb <-> a", "dmg")
+    assert err.value.line == 5
 
 
 def test_dmg_allows_distinct_parallel_edges():
@@ -76,8 +80,12 @@ def test_dmg_allows_distinct_parallel_edges():
 
 
 def test_mixed_document_rejects_second_edge_on_pair():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_graph("a -> b\na <-> b", "mixed")
+    assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        parse_graph("a -> b\nc -- a\n# comment\nb <- a", "mixed")
+    assert err.value.line == 4
 
 
 def test_mixed_document_rejects_selection():
