@@ -39,9 +39,7 @@ from .generators import GeneratorConfig, random_dmg
 from .graphs import (
     ARROWHEAD,
     TAIL,
-    BidirectedEdge,
     ContextedDmg,
-    DirectedEdge,
     DirectedMixedGraph,
     EdgeMark,
     MixedEdge,

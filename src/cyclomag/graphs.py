@@ -1,13 +1,14 @@
 """Immutable graph value types.
 
-Two graph flavours are used throughout the package:
+Two graph flavours are used throughout the package.  Both hold
+:class:`MixedEdge` values, which carry one mark (tail or arrowhead) at
+each endpoint:
 
 * :class:`DirectedMixedGraph` holds directed and bidirected edges, allows
   directed cycles, and permits up to three parallel edges per node pair
   (``a -> b``, ``b -> a`` and ``a <-> b``).
-* :class:`MixedGraph` holds at most one edge per node pair, where an edge
-  carries one mark (tail or arrowhead) at each endpoint, giving the four
-  edge types ``->``, ``<-``, ``<->`` and ``--``.
+* :class:`MixedGraph` holds at most one edge per node pair, of any of
+  the four edge types ``->``, ``<-``, ``<->`` and ``--``.
 
 All values are frozen after construction; every operation in the package
 is a pure function over them, so graphs can be shared freely across
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import InputError
 
@@ -51,84 +52,8 @@ ARROWHEAD = EdgeMark.ARROWHEAD
 
 
 @dataclass(frozen=True)
-class DirectedEdge:
-    """A directed edge ``tail -> head`` of a directed mixed graph."""
-
-    tail: NodeId
-    head: NodeId
-
-    def __post_init__(self):
-        if self.tail == self.head:
-            raise InputError(f"self-loop on {self.tail!r}")
-
-    @property
-    def endpoints(self) -> tuple[NodeId, NodeId]:
-        return (self.tail, self.head)
-
-    @property
-    def is_undirected(self) -> bool:
-        return False
-
-    def mark_at(self, v: NodeId) -> EdgeMark:
-        if v == self.tail:
-            return TAIL
-        if v == self.head:
-            return ARROWHEAD
-        raise InputError(f"{v!r} is not an endpoint of {self}")
-
-    def other(self, v: NodeId) -> NodeId:
-        if v == self.tail:
-            return self.head
-        if v == self.head:
-            return self.tail
-        raise InputError(f"{v!r} is not an endpoint of {self}")
-
-    def __str__(self) -> str:
-        return f"{self.tail} -> {self.head}"
-
-
-@dataclass(frozen=True)
-class BidirectedEdge:
-    """A bidirected edge ``a <-> b``; endpoints are stored sorted."""
-
-    a: NodeId
-    b: NodeId
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise InputError(f"self-loop on {self.a!r}")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-    @property
-    def endpoints(self) -> tuple[NodeId, NodeId]:
-        return (self.a, self.b)
-
-    @property
-    def is_undirected(self) -> bool:
-        return False
-
-    def mark_at(self, v: NodeId) -> EdgeMark:
-        if v in (self.a, self.b):
-            return ARROWHEAD
-        raise InputError(f"{v!r} is not an endpoint of {self}")
-
-    def other(self, v: NodeId) -> NodeId:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise InputError(f"{v!r} is not an endpoint of {self}")
-
-    def __str__(self) -> str:
-        return f"{self.a} <-> {self.b}"
-
-
-@dataclass(frozen=True)
 class MixedEdge:
-    """The unique edge between two nodes of a :class:`MixedGraph`.
+    """An edge of either graph type: one mark at each endpoint.
 
     The two marks encode the edge type: tail/arrowhead is ``a -> b``,
     arrowhead/tail is ``a <- b``, arrowhead/arrowhead is ``a <-> b`` and
@@ -221,15 +146,13 @@ class MixedEdge:
         return f"{self.a} {self.render_from(self.a)} {self.b}"
 
 
-Edge = Union[DirectedEdge, BidirectedEdge, MixedEdge]
-
 # Sort key used everywhere an edge list must be deterministic: traversal
 # from v visits neighbours in name order, breaking parallel-edge ties by
 # (mark here, mark there) with tails before arrowheads.
 _MARK_RANK = {TAIL: 0, ARROWHEAD: 1}
 
 
-def _traversal_key(edge: Edge, v: NodeId):
+def _traversal_key(edge: MixedEdge, v: NodeId):
     w = edge.other(v)
     return (w, _MARK_RANK[edge.mark_at(v)], _MARK_RANK[edge.mark_at(w)])
 
@@ -385,8 +308,8 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def _sorted_incidence(nodes: tuple[NodeId, ...], edges: Iterable[Edge]) -> dict[NodeId, tuple[Edge, ...]]:
-    incident: dict[NodeId, list[Edge]] = {n: [] for n in nodes}
+def _sorted_incidence(nodes: tuple[NodeId, ...], edges: Iterable[MixedEdge]) -> dict[NodeId, tuple[MixedEdge, ...]]:
+    incident: dict[NodeId, list[MixedEdge]] = {n: [] for n in nodes}
     for e in edges:
         for v in e.endpoints:
             incident[v].append(e)
@@ -404,12 +327,15 @@ class _Graph:
     def __contains__(self, v: NodeId) -> bool:
         return v in self._incident
 
+    def contains_edge(self, e: MixedEdge) -> bool:
+        return isinstance(e, MixedEdge) and e in self._incident.get(e.a, ())
+
     def require_nodes(self, vs: Iterable[NodeId]) -> None:
         for v in vs:
             if v not in self._incident:
                 raise InputError(f"unknown node: {v!r}")
 
-    def incident_edges(self, v: NodeId) -> tuple[Edge, ...]:
+    def incident_edges(self, v: NodeId) -> tuple[MixedEdge, ...]:
         try:
             return self._incident[v]
         except KeyError:
@@ -490,12 +416,6 @@ class MixedGraph(_Graph):
     def adjacent(self, a: NodeId, b: NodeId) -> bool:
         return self.edge(a, b) is not None
 
-    def contains_edge(self, e: Edge) -> bool:
-        return isinstance(e, MixedEdge) and self.edge(e.a, e.b) == e
-
-    def undirected_neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        return tuple(e.other(v) for e in self.incident_edges(v) if e.is_undirected)
-
 
 @dataclass(frozen=True)
 class DirectedMixedGraph(_Graph):
@@ -520,7 +440,7 @@ class DirectedMixedGraph(_Graph):
                 if a not in node_set or b not in node_set:
                     raise InputError(f"edge {a} {arrow} {b} uses undeclared node")
                 kept.add((a, b) if arrow == "->" else (min(a, b), max(a, b)))
-        edges = [DirectedEdge(t, h) for t, h in directed] + [BidirectedEdge(a, b) for a, b in bidirected]
+        edges = [MixedEdge.directed(t, h) for t, h in directed] + [MixedEdge.bidirected(a, b) for a, b in bidirected]
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "directed", tuple(sorted(directed)))
         object.__setattr__(self, "bidirected", tuple(sorted(bidirected)))
@@ -544,9 +464,6 @@ class DirectedMixedGraph(_Graph):
             else:
                 raise InputError(f"undirected edge not allowed here: {spec!r}")
         return cls(tuple(node_set), tuple(directed), tuple(bidirected))
-
-    def contains_edge(self, e: Edge) -> bool:
-        return isinstance(e, (DirectedEdge, BidirectedEdge)) and e in self._incident.get(e.endpoints[0], ())
 
     def adjacent(self, a: NodeId, b: NodeId) -> bool:
         return any(e.other(a) == b for e in self.incident_edges(a))

@@ -10,8 +10,10 @@ ignored)::
     <id> <-> <id>
     <id> -- <id>          # mixed documents only
 
-A dmg document permits up to one edge of each type per node pair; a
-mixed document permits a single edge per pair and no selection lines.
+A line of three tokens with an arrow in the middle is an edge, so
+``node`` and ``selection`` can also name nodes.  A dmg document permits
+up to one edge of each type per node pair; a mixed document permits a
+single edge per pair and no selection lines.
 Serialisation is normalised (sorted, minimal node lines), so parsing a
 serialised document reproduces it exactly.
 """
@@ -128,20 +130,7 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
                 raise err(f"invalid identifier {tok!r}", tok)
             return tok
 
-        if tokens[0] == "node":
-            if len(tokens) != 2:
-                raise err("expected: node <id>")
-            v = name(tokens[1])
-            nodes.add(v)
-        elif tokens[0] == "selection":
-            if len(tokens) != 2:
-                raise err("expected: selection <id>")
-            if kind == "mixed":
-                raise err("selection nodes are not allowed in a mixed document", tokens[0])
-            v = name(tokens[1])
-            nodes.add(v)
-            selection.add(v)
-        elif len(tokens) == 3 and tokens[1] in _EDGE_OPS:
+        if len(tokens) == 3 and tokens[1] in _EDGE_OPS:
             a, op, b = name(tokens[0]), tokens[1], name(tokens[2])
             if a == b:
                 raise err(f"self-loop on {a!r}", tokens[0])
@@ -163,6 +152,19 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
             pairs.add(pair)
             nodes.update(pair)
             edges.add(rec)
+        elif tokens[0] == "node":
+            if len(tokens) != 2:
+                raise err("expected: node <id>")
+            v = name(tokens[1])
+            nodes.add(v)
+        elif tokens[0] == "selection":
+            if len(tokens) != 2:
+                raise err("expected: selection <id>")
+            if kind == "mixed":
+                raise err("selection nodes are not allowed in a mixed document", tokens[0])
+            v = name(tokens[1])
+            nodes.add(v)
+            selection.add(v)
         else:
             raise err(f"unrecognised declaration: {line.strip()!r}")
 

@@ -72,8 +72,7 @@ def anteriors(h: MixedGraph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
 
 def neighborhood(h: MixedGraph, v: NodeId) -> frozenset[NodeId]:
     """Nodes joined to ``v`` by undirected edges."""
-    h.require_nodes([v])
-    return frozenset(h.undirected_neighbors(v))
+    return frozenset(e.other(v) for e in h.incident_edges(v) if e.is_undirected)
 
 
 def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:

@@ -31,7 +31,6 @@ from .graphs import (
     ARROWHEAD,
     CROSSES_SCC,
     TAIL,
-    DirectedEdge,
     DirectedMixedGraph,
     GraphIndex,
     MixedGraph,
@@ -182,7 +181,7 @@ def _sigma_segments_open(path: Walk, z: set, scc: dict, lit: set) -> bool:
         return False
     for k, e in enumerate(edges):
         u = nodes[k]
-        if isinstance(e, DirectedEdge) and e.tail in z and nodes[k + 1] not in scc[u]:
+        if e.is_directed and e.directed_tail in z and nodes[k + 1] not in scc[u]:
             return False
         if k and scc[u] not in lit and edges[k - 1].mark_at(u) is ARROWHEAD and e.mark_at(u) is ARROWHEAD:
             return False

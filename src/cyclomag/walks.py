@@ -7,7 +7,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Union
 
 from .errors import InputError
-from .graphs import ARROWHEAD, BidirectedEdge, DirectedEdge, Edge, NodeId
+from .graphs import ARROWHEAD, MixedEdge, NodeId
 
 if TYPE_CHECKING:
     from .graphs import DirectedMixedGraph, MixedGraph
@@ -26,7 +26,7 @@ class Walk:
     """
 
     start: NodeId
-    edges: tuple[Edge, ...] = ()
+    edges: tuple[MixedEdge, ...] = ()
     _nodes: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -79,22 +79,10 @@ class Walk:
             raise InputError(f"bad subwalk positions {i}, {j}")
         return Walk(self._nodes[i], self.edges[i:j])
 
-    def reversed(self) -> "Walk":
-        return Walk(self.end, tuple(reversed(self.edges)))
-
     def render(self) -> str:
         parts = [self.start]
-        for pos, e in enumerate(self.edges):
-            u = self._nodes[pos]
-            w = self._nodes[pos + 1]
-            if isinstance(e, DirectedEdge):
-                arrow = "->" if e.tail == u else "<-"
-            elif isinstance(e, BidirectedEdge):
-                arrow = "<->"
-            else:
-                arrow = e.render_from(u)
-            parts.append(arrow)
-            parts.append(w)
+        for u, e, w in zip(self._nodes, self.edges, self._nodes[1:]):
+            parts += (e.render_from(u), w)
         return " ".join(parts)
 
     def __str__(self) -> str:
@@ -107,8 +95,6 @@ def parse_walk(graph: Graph, text: str) -> Walk:
     Each arrow is oriented as seen along the walk, so ``"b <- a"`` means
     the directed edge a -> b traversed from b.
     """
-    from .graphs import DirectedMixedGraph, MixedGraph  # local to avoid cycle
-
     tokens = text.split()
     if not tokens or len(tokens) % 2 == 0:
         raise InputError(f"malformed walk: {text!r}")
@@ -117,23 +103,9 @@ def parse_walk(graph: Graph, text: str) -> Walk:
     graph.require_nodes(names)
     edges = []
     for u, arrow, w in zip(names, arrows, names[1:]):
-        if isinstance(graph, MixedGraph):
-            e = graph.edge(u, w)
-            if e is None or e.render_from(u) != arrow:
-                raise InputError(f"graph has no edge {u} {arrow} {w}")
-        elif isinstance(graph, DirectedMixedGraph):
-            if arrow == "->":
-                e = DirectedEdge(u, w)
-            elif arrow == "<-":
-                e = DirectedEdge(w, u)
-            elif arrow == "<->":
-                e = BidirectedEdge(u, w)
-            else:
-                raise InputError(f"graph has no edge {u} {arrow} {w}")
-            if not graph.contains_edge(e):
-                raise InputError(f"graph has no edge {u} {arrow} {w}")
-        else:
-            raise InputError(f"unsupported graph type: {type(graph).__name__}")
+        e = next((e for e in graph.incident_edges(u) if e.other(u) == w and e.render_from(u) == arrow), None)
+        if e is None:
+            raise InputError(f"graph has no edge {u} {arrow} {w}")
         edges.append(e)
     return Walk(names[0], tuple(edges))
 

@@ -408,8 +408,8 @@ def test_scc_matches_mutual_ancestry(g):
             assert (index[v] is index[w]) == mutual
 
 
-@given(dmgs(max_n=4))
-@settings(max_examples=60)
+@given(st.one_of(dmgs(max_n=4), mixed_graphs(max_n=4)))
+@settings(max_examples=120)
 def test_path_enumeration_yields_unique_simple_paths(g):
     for a in g.nodes:
         for b in g.nodes:
@@ -420,6 +420,8 @@ def test_path_enumeration_yields_unique_simple_paths(g):
             for p in paths:
                 assert p.is_path
                 assert p.start == a and p.end == b
+                # Parallel dmg edges render apart, so parsing picks the same one.
+                assert parse_walk(g, p.render()) == p
 
 
 def test_anterior_extension_in_valid_graphs():

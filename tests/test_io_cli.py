@@ -116,6 +116,11 @@ def test_roundtrip_on_seeded_graphs():
         assert parse_graph(serialize_graph(doc), "dmg") == doc
     doc = GraphDocument.from_mixed(SELECTION_ABSTRACTION)
     assert parse_graph(serialize_graph(doc), "mixed") == doc
+    # Nodes named like the declaration keywords.
+    doc = GraphDocument.from_mixed(MixedGraph.of("node -> b", "selection -- node", "node <-> c"))
+    assert parse_graph(serialize_graph(doc), "mixed") == doc
+    doc = GraphDocument.from_contexted(ContextedDmg.of("selection -> b", "node <-> selection", selection=("s",)))
+    assert parse_graph(serialize_graph(doc), "dmg") == doc
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -336,6 +341,13 @@ def test_cli_parse_error_exit_code(files, capsys):
 def test_cli_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.mixed")
     assert code == 1 and "cannot read" in err
+
+
+def test_cli_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.mixed"
+    path.write_bytes(b"a -> b\n\xff\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and out == "" and err.startswith("error: cannot read")
 
 
 def test_cli_usage_error(capsys):
