@@ -105,23 +105,26 @@ def represent(c: ContextedDmg) -> MixedGraph:
     """Abstract a directed mixed graph with selection nodes.
 
     Two observed nodes become adjacent exactly when they cannot be
-    separated by any admissible conditioning set (decided polynomially
-    via :func:`sigma_inducing_exists`); the mark at an endpoint is a
-    tail when that endpoint is an ancestor of the other one or of the
-    selection set, and an arrowhead otherwise.
+    separated by any admissible conditioning set.  No set blocks an edge,
+    or a directed path inside a strong component, so pairs that are
+    adjacent or share a component are decided from the graph index;
+    every other pair costs one :func:`sigma_inducing_exists` search.  The
+    mark at an endpoint is a tail when that endpoint is an ancestor of
+    the other one or of the selection set, and an arrowhead otherwise.
     """
     g, s = c.graph, set(c.selection)
     observed = c.observed
     if not observed:
         raise InputError("at least one node must be observed")
     idx = g.index
-    anc = idx.anc
+    adj, anc, scc = idx.adj, idx.anc, idx.scc
     anc_s = idx.union(anc, idx.mask(s))
     edges = []
     for a, b in combinations(observed, 2):
-        if not sigma_inducing_exists(g, s, a, b):
-            continue
         ia, ib = idx.ids[a], idx.ids[b]
+        joined = adj[ia] >> ib & 1 or scc[ia] == scc[ib]
+        if not joined and not sigma_inducing_exists(g, s, a, b):
+            continue
         mark_a = TAIL if (anc[ib] | anc_s) >> ia & 1 else ARROWHEAD
         mark_b = TAIL if (anc[ia] | anc_s) >> ib & 1 else ARROWHEAD
         edges.append(MixedEdge(a, mark_a, b, mark_b))

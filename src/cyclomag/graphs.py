@@ -237,8 +237,12 @@ class GraphIndex:
     * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted.
     * ``scc[i]``: position of the node's strong component (over directed
       edges) in :func:`~cyclomag.relations.strongly_connected_components`.
-    * ``anc``, ``desc``, ``ant``: reflexive ancestor, descendant and
-      anterior sets of each node as int bitmasks, built on first use.
+    * ``adj``, ``anc``, ``desc``, ``ant``: the neighbours (over edges of
+      every kind) and the reflexive ancestor, descendant and anterior
+      sets of each node as int bitmasks, built on first use.
+      :func:`~cyclomag.abstraction.represent` decides adjacent and
+      same-component pairs from ``adj`` and ``scc``, and runs one
+      separation search per observed pair that is neither.
     """
 
     def __init__(self, nodes: tuple[NodeId, ...], incident: dict):
@@ -265,6 +269,10 @@ class GraphIndex:
         self.children = children
         self.scc = scc
         self._order = order
+
+    @cached_property
+    def adj(self) -> list[int]:
+        return [sum({1 << w for w, _, _ in row}) for row in self.rows]
 
     @cached_property
     def anc(self) -> list[int]:
@@ -466,7 +474,9 @@ class DirectedMixedGraph(_Graph):
         return cls(tuple(node_set), tuple(directed), tuple(bidirected))
 
     def adjacent(self, a: NodeId, b: NodeId) -> bool:
-        return any(e.other(a) == b for e in self.incident_edges(a))
+        self.require_nodes([a])
+        ids = self.index.ids
+        return b in ids and bool(self.index.adj[ids[a]] >> ids[b] & 1)
 
 
 @dataclass(frozen=True)

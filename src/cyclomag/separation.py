@@ -307,10 +307,11 @@ def _m_walk_open(walk: Walk, z: set, anc_z: frozenset) -> bool:
 def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     """Reachability engine for m-separation over walks.
 
-    The witness is reduced to a simple path whenever possible (always,
-    on graphs that pass validity checking); for badly malformed graphs
-    where some connected pair admits open walks but no open path, the
-    open walk itself is returned.
+    The witness is reduced to a simple path by
+    :func:`_m_walk_to_path`, which always succeeds on graphs that pass
+    validity checking.  On an invalid graph where the reduction fails,
+    the open walk itself is returned, even when some open path exists.
+    Nothing is enumerated.
     """
     return _separation(h, query, _M)
 
@@ -324,7 +325,7 @@ def _m_walk_to_path(h: MixedGraph, walk: Walk, z: set, anc_z: frozenset) -> Walk
     triples of the form arrowhead-into-undirected force to exist in any
     graph that passes validity checking.  Returns None when a needed
     shortcut is missing (possible only on invalid graphs); the caller
-    falls back to path enumeration.
+    then keeps the open walk.
     """
     guard = len(walk.edges) + 2
     while not walk.is_path:
@@ -380,21 +381,6 @@ def _m_walk_to_path(h: MixedGraph, walk: Walk, z: set, anc_z: frozenset) -> Walk
             return None
         walk = Walk(nodes[0], walk.edges[:i] + walk.edges[j:])
     return walk if _m_walk_open(walk, z, anc_z) else None
-
-
-def _m_witness(h: MixedGraph, walk: Walk, z: set, anc_z: frozenset, limit: int = 200_000) -> Walk:
-    """An open path for an open walk: by reduction, else the first of up to
-    ``limit`` enumerated paths, else the walk itself."""
-    witness = _m_walk_to_path(h, walk, z, anc_z)
-    if witness is not None:
-        return witness
-    if walk.start != walk.end:
-        for count, path in enumerate(enumerate_simple_paths(h, walk.start, walk.end), 1):
-            if count > limit:
-                break
-            if _m_walk_open(path, z, anc_z):
-                return path
-    return walk
 
 
 def m_separated_oracle(
@@ -541,7 +527,8 @@ def _separation(graph, query: SeparationQuery, crit: tuple) -> SeparationVerdict
     if not walk.is_path and crit is _SIGMA:
         walk = _sigma_walk_to_path(graph, walk, scc_index(graph))
     elif not walk.is_path:
-        walk = _m_witness(graph, walk, z, frozenset(idx.members(anc_z)))
+        path = _m_walk_to_path(graph, walk, z, frozenset(idx.members(anc_z)))
+        walk = walk if path is None else path
     return SeparationVerdict(False, walk)
 
 

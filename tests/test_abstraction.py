@@ -5,8 +5,10 @@ import pytest
 
 from cyclomag import (
     ARROWHEAD,
+    TAIL,
     ContextedDmg,
     DirectedMixedGraph,
+    GeneratorConfig,
     InputError,
     MixedGraph,
     PreconditionError,
@@ -20,6 +22,8 @@ from cyclomag import (
     represent,
     m_separated,
     marginalize,
+    random_dmg,
+    sigma_inducing_exists,
     validate,
 )
 from fixtures import (
@@ -104,6 +108,62 @@ def test_represent_output_is_always_valid():
     for seed in range(120):
         h = represent(seeded_contexted(seed, max_n=6))
         assert validate(h).valid
+
+
+def _dense_cycles(seed: int) -> ContextedDmg:
+    # One directed cycle through every node plus random chords and
+    # bidirected edges; selection nodes keep their children.
+    rng = random.Random(seed)
+    names = [f"n{i}" for i in range(rng.randint(3, 10))]
+    ring = rng.sample(names, len(names))
+    directed = list(zip(ring, ring[1:] + ring[:1]))
+    directed += [(u, v) for u in names for v in names if u != v and rng.random() < 0.2]
+    bidirected = [(u, v) for u, v in itertools.combinations(names, 2) if rng.random() < 0.15]
+    selection = rng.sample(names, rng.randint(0, min(3, len(names) - 2)))
+    return ContextedDmg(DirectedMixedGraph(tuple(names), tuple(directed), tuple(bidirected)), tuple(selection))
+
+
+def test_represent_matches_engine_on_every_pair():
+    # represent decides adjacent and same-component pairs from the index;
+    # the engine alone must agree on every pair, and the marks must
+    # follow ancestry of the other endpoint or of the selection set.
+    systems = []
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(3, 14)
+        cfg = GeneratorConfig(n, rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.3), rng.randint(0, min(3, n - 2)), seed)
+        systems.append(random_dmg(cfg, allow_selection_children=seed % 2 == 1))
+    systems += [_dense_cycles(seed) for seed in range(120)]
+    systems += [canonical_dmg(seeded_valid_mixed(seed, max_n=8)) for seed in range(80)]
+    two_cycles = 0
+    for c in systems:
+        g, s = c.graph, set(c.selection)
+        two_cycles += any((h, t) in g.directed for t, h in g.directed)
+        out = represent(c)
+        expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inducing_exists(g, s, a, b)}
+        assert {e.endpoints for e in out.edges} == expected
+        for e in out.edges:
+            for v, w in (e.endpoints, e.endpoints[::-1]):
+                assert (e.mark_at(v) is TAIL) == (v in ancestors(g, s | {w}))
+    assert len(systems) >= 300 and two_cycles >= 40
+
+
+def test_represent_searches_only_separable_candidates(monkeypatch):
+    from cyclomag import abstraction
+
+    searched = []
+
+    def record(g, s, a, b):
+        searched.append(a + b)
+        return sigma_inducing_exists(g, s, a, b)
+
+    monkeypatch.setattr(abstraction, "sigma_inducing_exists", record)
+    # A 4-cycle (a, c and b, d share its component without an edge), the
+    # edge d -> e, and the collider d -> e <- f.
+    c = ContextedDmg.of("a -> b", "b -> c", "c -> d", "d -> a", "d -> e", "f -> e")
+    h = represent(c)
+    assert sorted(searched) == ["ae", "af", "be", "bf", "ce", "cf", "df"]
+    assert h == MixedGraph.of("a -- b", "b -- c", "c -- d", "a -- d", "a -- c", "b -- d", "d -> e", "f -> e")
 
 
 # --- validity checking --------------------------------------------------

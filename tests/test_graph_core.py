@@ -408,6 +408,20 @@ def test_scc_matches_mutual_ancestry(g):
             assert (index[v] is index[w]) == mutual
 
 
+@given(st.one_of(dmgs(), mixed_graphs()))
+def test_adjacency_matches_incident_edges(g):
+    idx = g.index
+    for v in g.nodes:
+        neighbours = {e.other(v) for e in g.incident_edges(v)}
+        assert set(idx.members(idx.adj[idx.ids[v]])) == neighbours
+        for w in g.nodes:
+            assert g.adjacent(v, w) == (w in neighbours)
+        assert not g.adjacent(v, "unknown")
+    if isinstance(g, DirectedMixedGraph):
+        with pytest.raises(InputError):
+            g.adjacent("unknown", g.nodes[0])
+
+
 @given(st.one_of(dmgs(max_n=4), mixed_graphs(max_n=4)))
 @settings(max_examples=120)
 def test_path_enumeration_yields_unique_simple_paths(g):

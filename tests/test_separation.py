@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -248,6 +249,42 @@ def test_m_walk_semantics_on_invalid_graph():
     assert not verdict.separated
     assert m_open_walk(h, verdict.witness, {"q"})
     assert m_separated_oracle(h, SeparationQuery("u", "w", "q")).separated
+
+
+def test_m_separated_never_enumerates_paths(monkeypatch):
+    from cyclomag import ARROWHEAD, TAIL, MixedEdge, relations, separation, validate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("m_separated enumerated paths")
+
+    monkeypatch.setattr(separation, "enumerate_simple_paths", refuse)
+    monkeypatch.setattr(relations, "enumerate_simple_paths", refuse)
+    h = MixedGraph.of("u -- v", "v -> x", "x <-> y", "y -> v", "v <-> w", "x -> q")
+    queries = [(h, "u", "w", ["q"])]
+    # Random marks on every pair make mostly invalid graphs, where the
+    # walk-to-path reduction can fail and the open walk is the witness.
+    rng = random.Random(0)
+    while len(queries) < 3000:
+        names = [f"n{i}" for i in range(rng.randint(3, 10))]
+        p = rng.uniform(0.2, 0.6)
+        edges = [
+            MixedEdge(u, rng.choice((TAIL, ARROWHEAD)), v, rng.choice((TAIL, ARROWHEAD)))
+            for u, v in itertools.combinations(names, 2)
+            if rng.random() < p
+        ]
+        g = MixedGraph(tuple(names), tuple(edges))
+        if validate(g).valid:
+            continue
+        for _ in range(10):
+            a, b = rng.sample(names, 2)
+            queries.append((g, a, b, [v for v in names if v not in (a, b) and rng.random() < 0.4]))
+    walks = 0
+    for g, a, b, z in queries:
+        verdict = m_separated(g, SeparationQuery((a,), (b,), z))
+        if not verdict.separated:
+            assert m_open_walk(g, verdict.witness, z)
+            walks += not verdict.witness.is_path
+    assert walks >= 5
 
 
 # --- walk-to-path reductions (white box) --------------------------------
