@@ -28,8 +28,8 @@ from .graphs import (
     MixedGraph,
     NodeId,
 )
-from .relations import _anterior_step, _shortest_walk, neighborhood, neighborhood_complete
-from .separation import _shortest_inducing_path, sigma_inducing_exists
+from .relations import _anterior_step, _shortest_walk, neighborhood_complete
+from .separation import _collider_connected, _shortest_inducing_path, sigma_inducing_exists
 from .separation import _iter_inducing_paths  # noqa: F401  unused; bench/tests checks the tracer wraps it here
 from .walks import Walk
 
@@ -160,43 +160,42 @@ def validate(h: MixedGraph) -> ValidityReport:
     single-edge and no-self-loop invariants are enforced by the graph
     type itself and can never fail here.
 
-    Polynomial: each non-adjacent pair costs one breadth-first search,
-    and its maximality witness is the first shortest of its
-    :func:`~cyclomag.separation.inducing_paths`.
+    Polynomial; every pair test is a bitmask operation on the index.
+    Each non-adjacent pair costs one collider closure, and only a pair
+    it joins is searched for its maximality witness, the first shortest
+    of its :func:`~cyclomag.separation.inducing_paths`.
     """
     violations: list[Violation] = []
     idx = h.index
+    names, adj = h.nodes, idx.adj
 
     # Ancestral condition: an anterior path from a to b forbids any edge
     # with an arrowhead at a between the two.
-    for ib, b in enumerate(h.nodes):
-        for a in idx.members(idx.ant[ib] & ~(1 << ib)):
-            e = h.edge(a, b)
-            if e is not None and e.mark_at(a) is ARROWHEAD:
-                path = _shortest_walk(h, a, {b}, _anterior_step)
-                violations.append(Violation(ViolationKind.ANCESTRAL, (path, e)))
+    for ib, b in enumerate(names):
+        for a in idx.members(idx.ant[ib] & idx.into[ib]):
+            path = _shortest_walk(h, a, {b}, _anterior_step)
+            violations.append(Violation(ViolationKind.ANCESTRAL, (path, h.edge(a, b))))
 
-    # Maximality: no inducing path may join a non-adjacent pair.  The
-    # witness is the first shortest one, found by one breadth-first search.
-    for a, b in combinations(h.nodes, 2):
-        if not h.adjacent(a, b):
-            witness = _shortest_inducing_path(h, a, b)
-            if witness is not None:
-                violations.append(Violation(ViolationKind.MAXIMALITY, (witness,)))
+    # Maximality: no inducing path may join a non-adjacent pair.  A mask
+    # & -(2 << i) keeps the ids above i.
+    everyone = (1 << len(names)) - 1
+    for ia, a in enumerate(names):
+        for ib in idx.ids_in(everyone & ~adj[ia] & -(2 << ia)):
+            if _collider_connected(idx, ia, ib):
+                violations.append(Violation(ViolationKind.MAXIMALITY, (_shortest_inducing_path(h, a, names[ib]),)))
 
     # Completeness of arrowhead-adjacent undirected fans.  A spike is never
     # an undirected neighbour (one edge per pair), and b's non-adjacent
     # neighbour pairs are the same for every spike.
-    for b in h.nodes:
-        nbh = sorted(neighborhood(h, b))
-        spikes = sorted(e.other(b) for e in h.incident_edges(b) if e.mark_at(b) is ARROWHEAD)
-        if not nbh or not spikes:
+    for ib, b in enumerate(names):
+        nbh = idx.und[ib]
+        if not nbh or not idx.spikes[ib]:
             continue
-        gaps = [(c, d) for c, d in combinations(nbh, 2) if not h.adjacent(c, d)]
-        for a in spikes:
-            for c in nbh:
-                if not h.adjacent(a, c):
-                    violations.append(Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c)))
+        gaps = [(names[c], names[d]) for c in idx.ids_in(nbh) for d in idx.ids_in(nbh & ~adj[c] & -(2 << c))]
+        for ia in idx.ids_in(idx.spikes[ib]):
+            a = names[ia]
+            for c in idx.members(nbh & ~adj[ia]):
+                violations.append(Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c)))
             for c, d in gaps:
                 violations.append(Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c, d)))
 

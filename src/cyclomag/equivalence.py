@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Iterable
 
 from .errors import InputError
 from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId
@@ -29,14 +30,17 @@ from .separation import (
 Triple = tuple[NodeId, NodeId, NodeId]
 
 
-def unshielded_colliders(h: MixedGraph) -> frozenset[Triple]:
-    """All triples (a, b, c), a < c, with both edges into b and a, c non-adjacent."""
-    out = set()
-    for b in h.nodes:
-        spikes = sorted(e.other(b) for e in h.incident_edges(b) if e.mark_at(b) is ARROWHEAD)
-        for a, c in combinations(spikes, 2):
-            if not h.adjacent(a, c):
-                out.add((a, b, c))
+def unshielded_colliders(h: MixedGraph, centres: Iterable[NodeId] | None = None) -> frozenset[Triple]:
+    """All triples (a, b, c), a < c, with both edges into b and a, c non-adjacent;
+    with ``centres`` given, only those whose b is one of them."""
+    centres = h.nodes if centres is None else tuple(centres)
+    h.require_nodes(centres)
+    idx, out = h.index, set()
+    for b in centres:
+        spikes = idx.spikes[idx.ids[b]]
+        for ia in idx.ids_in(spikes):
+            for c in idx.members(spikes & ~idx.adj[ia] & -(2 << ia)):  # c above a
+                out.add((h.nodes[ia], b, c))
     return frozenset(out)
 
 
@@ -181,8 +185,11 @@ def condition1(h1: MixedGraph, h2: MixedGraph) -> EquivalenceReport:
     smallest differing pair or triple, or, for the last clause, the
     first edge b - c in name order of (c, b) that closes a differing
     path, with the first shortest such path in breadth-first order.
-    Polynomial throughout; no path is enumerated.  Callers are expected
-    to pass graphs that satisfy :func:`cyclomag.abstraction.validate`.
+    With adjacencies equal, colliders can differ only at nodes where a
+    mark differs, so the last two clauses look only there, and equal
+    marks skip them.  Polynomial throughout; no path is enumerated.
+    Callers are expected to pass graphs that satisfy
+    :func:`cyclomag.abstraction.validate`.
     """
     if h1.nodes != h2.nodes:
         raise InputError("equivalence needs a shared node set")
@@ -193,19 +200,23 @@ def condition1(h1: MixedGraph, h2: MixedGraph) -> EquivalenceReport:
     if diff:
         return EquivalenceReport(False, EquivalenceClause.ADJACENCY, diff[0])
 
-    uc1 = unshielded_colliders(h1)
-    uc2 = unshielded_colliders(h2)
-    diff = sorted(uc1 ^ uc2)
+    idx1, idx2 = h1.index, h2.index
+    moved = sum(1 << v for v, (s1, s2) in enumerate(zip(idx1.spikes, idx2.spikes)) if s1 != s2)
+    if not moved:
+        return EquivalenceReport(True)
+
+    centres = idx1.members(moved)
+    diff = sorted(unshielded_colliders(h1, centres) ^ unshielded_colliders(h2, centres))
     if diff:
         return EquivalenceReport(False, EquivalenceClause.UNSHIELDED_COLLIDER, diff[0])
 
-    dp = _differing_discriminating_path(h1, h2)
+    dp = _differing_discriminating_path(h1, h2, moved)
     if dp is not None:
         return EquivalenceReport(False, EquivalenceClause.DISCRIMINATING_PATH, (dp, dp.target))
     return EquivalenceReport(True)
 
 
-def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph) -> DiscriminatingPath | None:
+def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -> DiscriminatingPath | None:
     """A path that discriminates its target b in both graphs, b a collider in one only.
 
     The graphs share nodes and adjacencies, so their index rows line up
@@ -217,27 +228,22 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph) -> Discrimina
     graphs over edges with arrowheads at both ends in both, or end at a
     node not adjacent to c over an edge with an arrowhead at the chain
     end in both.  Each test reads one edge, so the search finds a
-    shortest such path, and a shortest one is simple.
+    shortest such path, and a shortest one is simple.  Only b in
+    ``moved``, where some mark differs, can close one.
     """
     idx1, idx2 = h1.index, h2.index
     kinds = {}
-    moved = 0  # nodes where some mark differs; only there can a status differ
     for v, (row1, row2) in enumerate(zip(idx1.rows, idx2.rows)):
         for (w, k1, _), (_, k2, _) in zip(row1, row2):
             kinds[v, w] = k1, k2
-            if (k1 ^ k2) & ARROW_HERE:
-                moved |= 1 << v
-    if not moved:
-        return None
     heads = ARROW_HERE | ARROW_THERE
     everyone = (1 << len(idx1.names)) - 1
-    for c, row in enumerate(idx1.rows):
-        ends = [b for b, _, _ in row if moved >> b & 1]
+    for c, name in enumerate(idx1.names):
+        ends = list(idx1.ids_in(idx1.adj[c] & moved))
         if not ends:
             continue
-        name = idx1.names[c]
         chain = idx1.mask(set(h1.parents(name)) & set(h2.parents(name)))
-        far = everyone & ~sum(1 << w for w, _, _ in row) & ~(1 << c)
+        far = everyone & ~idx1.adj[c] & ~(1 << c)
         targets = set(idx1.members(far))
         for b in ends:
             into_b1, into_b2 = (k & ARROW_HERE for k in kinds[b, c])

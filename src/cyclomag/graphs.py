@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
@@ -243,6 +243,10 @@ class GraphIndex:
       :func:`~cyclomag.abstraction.represent` decides adjacent and
       same-component pairs from ``adj`` and ``scc``, and runs one
       separation search per observed pair that is neither.
+    * ``into``, ``spikes``, ``bi``, ``und``: the neighbours w of each node
+      v with an arrowhead at w on an edge v - w, with one at v, over
+      ``<->`` and over ``--``; bitmasks built on first use, on which the
+      pair tests of ``validate`` and ``condition1`` run.
     """
 
     def __init__(self, nodes: tuple[NodeId, ...], incident: dict):
@@ -270,9 +274,28 @@ class GraphIndex:
         self.scc = scc
         self._order = order
 
+    def _neighbours(self, heads: int, want: int) -> list[int]:  # over edges with kind & heads == want
+        return [sum({1 << w for w, kind, _ in row if kind & heads == want}) for row in self.rows]
+
     @cached_property
     def adj(self) -> list[int]:
-        return [sum({1 << w for w, _, _ in row}) for row in self.rows]
+        return self._neighbours(0, 0)
+
+    @cached_property
+    def into(self) -> list[int]:
+        return self._neighbours(ARROW_THERE, ARROW_THERE)
+
+    @cached_property
+    def spikes(self) -> list[int]:
+        return self._neighbours(ARROW_HERE, ARROW_HERE)
+
+    @cached_property
+    def bi(self) -> list[int]:
+        return self._neighbours(ARROW_HERE | ARROW_THERE, ARROW_HERE | ARROW_THERE)
+
+    @cached_property
+    def und(self) -> list[int]:
+        return self._neighbours(ARROW_HERE | ARROW_THERE, 0)
 
     @cached_property
     def anc(self) -> list[int]:
@@ -307,6 +330,10 @@ class GraphIndex:
         """Names in ``mask``, in sorted order."""
         return tuple(compress(self.names, _flags(mask)))
 
+    def ids_in(self, mask: int) -> Iterator[int]:
+        """Ids in ``mask``, ascending."""
+        return compress(range(len(self.names)), _flags(mask))
+
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
@@ -337,6 +364,12 @@ class _Graph:
 
     def contains_edge(self, e: MixedEdge) -> bool:
         return isinstance(e, MixedEdge) and e in self._incident.get(e.a, ())
+
+    def adjacent(self, a: NodeId, b: NodeId) -> bool:
+        """True when an edge joins ``a`` and ``b``; raises for an unknown ``a``."""
+        self.require_nodes([a])
+        ids = self.index.ids
+        return b in ids and bool(self.index.adj[ids[a]] >> ids[b] & 1)
 
     def require_nodes(self, vs: Iterable[NodeId]) -> None:
         for v in vs:
@@ -417,12 +450,11 @@ class MixedGraph(_Graph):
         return cls(tuple(node_set), tuple(edges))
 
     def edge(self, a: NodeId, b: NodeId) -> MixedEdge | None:
-        if a > b:
-            a, b = b, a
-        return self._pair.get((a, b))
-
-    def adjacent(self, a: NodeId, b: NodeId) -> bool:
-        return self.edge(a, b) is not None
+        """The edge between ``a`` and ``b``, or None; raises for an unknown ``a``."""
+        e = self._pair.get((a, b) if a < b else (b, a))
+        if e is None:
+            self.require_nodes([a])
+        return e
 
 
 @dataclass(frozen=True)
@@ -472,11 +504,6 @@ class DirectedMixedGraph(_Graph):
             else:
                 raise InputError(f"undirected edge not allowed here: {spec!r}")
         return cls(tuple(node_set), tuple(directed), tuple(bidirected))
-
-    def adjacent(self, a: NodeId, b: NodeId) -> bool:
-        self.require_nodes([a])
-        ids = self.index.ids
-        return b in ids and bool(self.index.adj[ids[a]] >> ids[b] & 1)
 
 
 @dataclass(frozen=True)

@@ -80,13 +80,10 @@ def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:
 
     Vacuously true for neighborhoods with at most one member.
     """
-    nbh = sorted(neighborhood(h, v))
-    for i, b in enumerate(nbh):
-        for c in nbh[i + 1 :]:
-            e = h.edge(b, c)
-            if e is None or not e.is_undirected:
-                return False
-    return True
+    h.require_nodes([v])
+    idx = h.index
+    nbh = idx.und[idx.ids[v]]
+    return all(nbh & ~idx.und[w] == 1 << w for w in idx.ids_in(nbh))
 
 
 def shortest_directed_path(graph: Graph, source: NodeId, targets: Iterable[NodeId]) -> tuple[NodeId, ...] | None:

@@ -599,8 +599,27 @@ def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
 
 
 def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:
-    """Nonemptiness of :func:`inducing_paths`, by one breadth-first search."""
-    return _shortest_inducing_path(h, a, b) is not None
+    """Nonemptiness of :func:`inducing_paths`: an edge, or :func:`_collider_connected`."""
+    _check_inducing_args(h, set(), a, b)
+    idx = h.index
+    ia, ib = idx.ids[a], idx.ids[b]
+    return bool(idx.adj[ia] >> ib & 1) or _collider_connected(idx, ia, ib)
+
+
+def _collider_connected(idx: GraphIndex, ia: int, ib: int) -> bool:
+    """Whether a collider chain a *-> c1 <-> .. <-> ck <-* b runs inside T = Anc({a, b}).
+
+    For non-adjacent ids this decides :func:`inducing_exists`: close
+    ``into[a] & T`` over ``bi`` inside T and test it against ``into[b]``.
+    A chain through a or b can be cut short there, so T keeps them.
+    """
+    inside = idx.anc[ia] | idx.anc[ib]
+    goal = idx.into[ib]
+    reached = frontier = idx.into[ia] & inside
+    while frontier and not reached & goal:
+        frontier = idx.union(idx.bi, frontier) & inside & ~reached
+        reached |= frontier
+    return bool(reached & goal)
 
 
 def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:

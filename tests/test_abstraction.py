@@ -10,6 +10,7 @@ from cyclomag import (
     DirectedMixedGraph,
     GeneratorConfig,
     InputError,
+    MixedEdge,
     MixedGraph,
     PreconditionError,
     SeparationQuery,
@@ -263,6 +264,122 @@ def test_witnesses_recheck_as_violations():
             assert inducing_exists(h, a, b) == bool(paths)
             if not h.adjacent(a, b):
                 assert maximality.get((a, b)) == min(paths, key=lambda p: len(p.edges), default=None)
+
+
+def _reference_validate(h):
+    """``validate`` as per-pair loops over ``h.edge`` and ``h.adjacent``."""
+    from cyclomag.abstraction import Violation, _violation_sort_key
+    from cyclomag.relations import _anterior_step, _shortest_walk, neighborhood
+    from cyclomag.separation import _shortest_inducing_path
+
+    violations = []
+    for b in h.nodes:
+        for a in sorted(anteriors(h, {b}) - {b}):
+            e = h.edge(a, b)
+            if e is not None and e.mark_at(a) is ARROWHEAD:
+                path = _shortest_walk(h, a, {b}, _anterior_step)
+                violations.append(Violation(ViolationKind.ANCESTRAL, (path, e)))
+    for a, b in itertools.combinations(h.nodes, 2):
+        if not h.adjacent(a, b):
+            witness = _shortest_inducing_path(h, a, b)
+            if witness is not None:
+                violations.append(Violation(ViolationKind.MAXIMALITY, (witness,)))
+    for b in h.nodes:
+        nbh = sorted(neighborhood(h, b))
+        spikes = sorted(e.other(b) for e in h.incident_edges(b) if e.mark_at(b) is ARROWHEAD)
+        if not nbh or not spikes:
+            continue
+        gaps = [(c, d) for c, d in itertools.combinations(nbh, 2) if not h.adjacent(c, d)]
+        for a in spikes:
+            for c in nbh:
+                if not h.adjacent(a, c):
+                    violations.append(Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c)))
+            for c, d in gaps:
+                violations.append(Violation(ViolationKind.SIGMA_COMPLETENESS, (a, b, c, d)))
+    violations.sort(key=_violation_sort_key)
+    return tuple(violations)
+
+
+def _reference_neighborhood_complete(h, v):
+    from cyclomag.relations import neighborhood
+
+    nbh = sorted(neighborhood(h, v))
+    for i, b in enumerate(nbh):
+        for c in nbh[i + 1 :]:
+            e = h.edge(b, c)
+            if e is None or not e.is_undirected:
+                return False
+    return True
+
+
+def _reference_unshielded_colliders(h):
+    out = set()
+    for b in h.nodes:
+        spikes = sorted(e.other(b) for e in h.incident_edges(b) if e.mark_at(b) is ARROWHEAD)
+        for a, c in itertools.combinations(spikes, 2):
+            if not h.adjacent(a, c):
+                out.add((a, b, c))
+    return frozenset(out)
+
+
+def _marked_and_abstracted(count):
+    """Seeded mixed graphs with n = 2..30: random marks of all four edge
+    kinds (mostly invalid), and every fourth an abstraction (valid)."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = 2 + seed % 29
+        if seed % 4 == 3:
+            cfg = GeneratorConfig(n + 2, 1.5 / n, 1.0 / n, n_selection=2, seed=seed)
+            yield represent(random_dmg(cfg, allow_selection_children=seed % 8 == 3))
+            continue
+        names = tuple(f"n{i}" for i in range(n))
+        p = rng.choice([0.1, 0.25, 0.5])
+        marks = (TAIL, ARROWHEAD)
+        edges = [
+            MixedEdge(a, rng.choice(marks), b, rng.choice(marks))
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
+            if rng.random() < p
+        ]
+        yield MixedGraph(names, tuple(edges))
+
+
+def test_validate_matches_reference_loops():
+    from cyclomag import neighborhood_complete, unshielded_colliders
+
+    valid = 0
+    for h in _marked_and_abstracted(160):
+        report = validate(h)
+        assert report.violations == _reference_validate(h)
+        assert report.valid == (not report.violations)
+        valid += report.valid
+        assert unshielded_colliders(h) == _reference_unshielded_colliders(h)
+        for v in h.nodes:
+            assert neighborhood_complete(h, v) == _reference_neighborhood_complete(h, v)
+    assert 40 <= valid <= 120
+
+
+def test_validate_searches_only_flagged_pairs(monkeypatch):
+    from cyclomag import abstraction
+
+    searched = []
+    search = abstraction._shortest_inducing_path
+
+    def record(h, a, b):
+        searched.append((a, b))
+        return search(h, a, b)
+
+    monkeypatch.setattr(abstraction, "_shortest_inducing_path", record)
+    apart = found = 0
+    for h in _marked_and_abstracted(120):
+        searched.clear()
+        report = validate(h)
+        flagged = [v.witness[0] for v in report.violations if v.kind is ViolationKind.MAXIMALITY]
+        assert sorted(searched) == sorted((p.start, p.end) for p in flagged)
+        apart += sum(not h.adjacent(a, b) for a, b in itertools.combinations(h.nodes, 2))
+        found += len(flagged)
+    # Most non-adjacent pairs have no inducing path and are never searched.
+    assert found > 500 and apart > 2 * found
 
 
 def test_validate_never_enumerates_paths(monkeypatch):

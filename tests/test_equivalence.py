@@ -61,6 +61,17 @@ def test_complete_graph_has_no_unshielded_triples():
     assert unshielded_colliders(h) == frozenset()
 
 
+def test_unshielded_colliders_at_given_centres():
+    h = MixedGraph.of("a -> b", "c -> b", "c <-> d", "e -> d", "a -> e")
+    everything = unshielded_colliders(h)
+    assert everything == frozenset({("a", "b", "c"), ("c", "d", "e")})
+    assert unshielded_colliders(h, ["d"]) == frozenset({("c", "d", "e")})
+    assert unshielded_colliders(h, ["a", "b"]) == frozenset({("a", "b", "c")})
+    assert unshielded_colliders(h, []) == frozenset()
+    with pytest.raises(InputError):
+        unshielded_colliders(h, ["nope"])
+
+
 # --- discriminating paths ------------------------------------------------
 
 
@@ -320,6 +331,21 @@ def test_condition1_never_enumerates_paths(monkeypatch):
     h = represent(random_dmg(cfg))
     assert len(h.nodes) >= 40
     assert condition1(h, h).equivalent
+
+
+def test_condition1_skips_collider_scan_on_equal_marks(monkeypatch):
+    from cyclomag import equivalence
+
+    cfg = GeneratorConfig(n_nodes=50, p_directed=1.5 / 50, p_bidirected=0.6 / 50, n_selection=2, seed=1)
+    h = represent(random_dmg(cfg))
+    assert validate(h).valid and unshielded_colliders(h)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("condition1 scanned colliders of graphs with equal marks")
+
+    monkeypatch.setattr(equivalence, "unshielded_colliders", refuse)
+    assert condition1(h, h).equivalent
+    assert condition1(h, MixedGraph(h.nodes, h.edges)).equivalent
 
 
 def test_discriminating_paths_pin_their_separating_sets():

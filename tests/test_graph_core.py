@@ -417,9 +417,12 @@ def test_adjacency_matches_incident_edges(g):
         for w in g.nodes:
             assert g.adjacent(v, w) == (w in neighbours)
         assert not g.adjacent(v, "unknown")
-    if isinstance(g, DirectedMixedGraph):
+    with pytest.raises(InputError):
+        g.adjacent("unknown", g.nodes[0])
+    if isinstance(g, MixedGraph):
+        assert g.edge(g.nodes[0], "unknown") is None
         with pytest.raises(InputError):
-            g.adjacent("unknown", g.nodes[0])
+            g.edge("unknown", g.nodes[0])
 
 
 @given(st.one_of(dmgs(max_n=4), mixed_graphs(max_n=4)))
