@@ -3,11 +3,17 @@
 Exit codes: 0 when a verdict or document was computed (whatever the
 verdict), 1 for usage or parse errors, 2 for precondition failures such
 as feeding an invalid graph to ``canonical`` or exceeding an oracle cap.
+
+The parser is built once, on the first call, and holds no command
+functions: :func:`cli` looks ``_cmd_<command>`` up in this module by name
+on every call, so a function replaced after import (by a tracer, say) is
+the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -222,53 +228,47 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="cyclomag", description=__doc__)
+    # The help text stops before the paragraph on how commands are found.
+    parser = _Parser(prog="cyclomag", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a mixed graph for validity")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("abstract", help="abstract a dmg document into a mixed graph")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_abstract)
 
     p = sub.add_parser("marginalize", help="project latent nodes out of a dmg")
     p.add_argument("file")
     p.add_argument("--drop", required=True, help="comma-separated nodes to remove")
-    p.set_defaults(func=_cmd_marginalize)
 
     p = sub.add_parser("msep", help="m-separation query on a mixed graph")
     p.add_argument("file")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--z", default="")
-    p.set_defaults(func=_cmd_msep)
 
     p = sub.add_parser("ssep", help="sigma-separation query on a dmg")
     p.add_argument("file")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--z", default="", help="conditioning set; selection nodes are always added")
-    p.set_defaults(func=_cmd_ssep)
 
     p = sub.add_parser("canonical", help="reconstruct one dmg a valid mixed graph abstracts")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_canonical)
 
     p = sub.add_parser("equiv", help="Markov-equivalence of two graph documents")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--oracle", action="store_true", help="use the exhaustive oracle")
-    p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("paths", help="enumerate special paths")
     p.add_argument("file")
     p.add_argument("--kind", required=True, choices=["inducing", "sigma-inducing", "discriminating"])
     p.add_argument("--a")
     p.add_argument("--b")
-    p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("random", help="generate a seeded random dmg document")
     p.add_argument("--nodes", type=int, required=True)
@@ -277,20 +277,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--selection", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-selection-children", action="store_true")
-    p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("export-dot", help="emit Graphviz text for a graph document")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_export_dot)
 
     return parser
 
 
 def cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -146,17 +146,6 @@ class MixedEdge:
         return f"{self.a} {self.render_from(self.a)} {self.b}"
 
 
-# Sort key used everywhere an edge list must be deterministic: traversal
-# from v visits neighbours in name order, breaking parallel-edge ties by
-# (mark here, mark there) with tails before arrowheads.
-_MARK_RANK = {TAIL: 0, ARROWHEAD: 1}
-
-
-def _traversal_key(edge: MixedEdge, v: NodeId):
-    w = edge.other(v)
-    return (w, _MARK_RANK[edge.mark_at(v)], _MARK_RANK[edge.mark_at(w)])
-
-
 def _parse_edge_spec(spec: str) -> tuple[NodeId, str, NodeId]:
     parts = spec.split()
     if len(parts) != 3 or parts[1] not in ("->", "<-", "<->", "--"):
@@ -255,19 +244,19 @@ class GraphIndex:
         for v in nodes:
             row = []
             for e in incident[v]:
-                u = e.other(v)
-                kind = ARROW_HERE * (e.mark_at(v) is ARROWHEAD) + ARROW_THERE * (e.mark_at(u) is ARROWHEAD)
-                row.append((ids[u], kind, e))
+                u, here, there = (e.b, e.mark_a, e.mark_b) if e.a == v else (e.a, e.mark_b, e.mark_a)
+                row.append((ids[u], ARROW_HERE * (here is ARROWHEAD) + ARROW_THERE * (there is ARROWHEAD)))
             links.append(row)
-        parents = [tuple(w for w, kind, _ in row if kind == ARROW_HERE) for row in links]
-        children = [tuple(w for w, kind, _ in row if kind == ARROW_THERE) for row in links]
+        parents = [tuple([w for w, kind in row if kind == ARROW_HERE]) for row in links]
+        children = [tuple([w for w, kind in row if kind == ARROW_THERE]) for row in links]
         order, comp = _components(children, parents)
         rank: dict[int, int] = {}
         scc = [rank.setdefault(c, len(rank)) for c in comp]  # numbered by smallest member
         self.names = nodes
         self.ids = ids
         self.rows = [
-            tuple((w, kind + CROSSES_SCC * (scc[v] != scc[w]), e) for w, kind, e in row) for v, row in enumerate(links)
+            tuple([(w, kind + CROSSES_SCC * (here != scc[w]), e) for (w, kind), e in zip(row, incident[v])])
+            for v, here, row in zip(nodes, scc, links)
         ]
         self.parents = parents
         self.children = children
@@ -343,12 +332,21 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def _sorted_incidence(nodes: tuple[NodeId, ...], edges: Iterable[MixedEdge]) -> dict[NodeId, tuple[MixedEdge, ...]]:
-    incident: dict[NodeId, list[MixedEdge]] = {n: [] for n in nodes}
-    for e in edges:
-        for v in e.endpoints:
-            incident[v].append(e)
-    return {n: tuple(sorted(es, key=lambda e: _traversal_key(e, n))) for n, es in incident.items()}
+def _sorted_incidence(nodes: tuple[NodeId, ...], edges: Sequence[MixedEdge]) -> dict[NodeId, tuple[MixedEdge, ...]]:
+    """Each node's edges in traversal order, the order every edge list keeps.
+
+    Traversal from v visits neighbours in name order, breaking
+    parallel-edge ties by (mark here, mark there), tails before
+    arrowheads.
+    """
+    # Keys hold the edge's position rather than the edge: they sort as
+    # plain tuples, and the collector stops tracking them after one pass.
+    incident: dict[NodeId, list] = {n: [] for n in nodes}
+    for i, e in enumerate(edges):
+        head_a, head_b = e.mark_a is ARROWHEAD, e.mark_b is ARROWHEAD
+        incident[e.a].append((e.b, head_a, head_b, i))
+        incident[e.b].append((e.a, head_b, head_a, i))
+    return {n: tuple([edges[t[3]] for t in sorted(keys)]) for n, keys in incident.items()}
 
 
 class _Graph:

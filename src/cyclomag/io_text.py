@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 from .errors import InputError, ParseError
 from .graphs import (
+    ARROWHEAD,
+    TAIL,
     ContextedDmg,
     DirectedMixedGraph,
     MixedEdge,
@@ -66,12 +68,8 @@ class GraphDocument:
             raise InputError("not a mixed document")
         edges = []
         for k, a, b in self.edges:
-            if k == "->":
-                edges.append(MixedEdge.directed(a, b))
-            elif k == "<->":
-                edges.append(MixedEdge.bidirected(a, b))
-            else:
-                edges.append(MixedEdge.undirected(a, b))
+            mark_a, mark_b = _MARKS[k]
+            edges.append(MixedEdge(a, mark_a, b, mark_b))
         return MixedGraph(self.nodes, tuple(edges))
 
     @classmethod
@@ -93,11 +91,15 @@ class GraphDocument:
         return cls("mixed", h.nodes, (), tuple(edges))
 
 
+_KIND_RANK = {"->": 0, "<->": 1, "--": 2}
+_MARKS = {"->": (TAIL, ARROWHEAD), "<->": (ARROWHEAD, ARROWHEAD), "--": (TAIL, TAIL)}  # at a, at b
+
+
 def _edge_sort_key(rec: EdgeRecord):
     kind, a, b = rec
     # dmg serialisation groups directed edges before bidirected ones;
     # mixed documents sort by endpoint pair with a stable kind order.
-    return ({"->": 0, "<->": 1, "--": 2}[kind], a, b)
+    return (_KIND_RANK[kind], a, b)
 
 
 _EDGE_OPS = ("->", "<-", "<->", "--")
@@ -114,61 +116,59 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
     selection: set[NodeId] = set()
     edges: set[EdgeRecord] = set()
     pairs: set[tuple[NodeId, NodeId]] = set()
+    match = _NAME_RE.match
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+        line = raw.split("#", 1)[0]
         tokens = line.split()
-
-        def err(msg: str, token: str = "") -> ParseError:
-            column = raw.index(token) + 1 if token and token in raw else 1
-            return ParseError(msg, lineno, column)
-
-        def name(tok: str) -> str:
-            if not _NAME_RE.match(tok):
-                raise err(f"invalid identifier {tok!r}", tok)
-            return tok
-
+        if not tokens:
+            continue
         if len(tokens) == 3 and tokens[1] in _EDGE_OPS:
-            a, op, b = name(tokens[0]), tokens[1], name(tokens[2])
+            a, op, b = tokens
+            if not (match(a) and match(b)):
+                i = 2 if match(a) else 0
+                raise _error(f"invalid identifier {tokens[i]!r}", lineno, raw, tokens, i)
             if a == b:
-                raise err(f"self-loop on {a!r}", tokens[0])
+                raise _error(f"self-loop on {a!r}", lineno, raw, tokens, 0)
             if op == "--" and kind == "dmg":
-                raise err("undirected edges are not allowed in a dmg document", op)
+                raise _error("undirected edges are not allowed in a dmg document", lineno, raw, tokens, 1)
             if op == "<-":
                 a, b = b, a
                 op = "->"
-            if op != "->":
-                a, b = min(a, b), max(a, b)
-            rec = (op, a, b)
-            pair = (min(a, b), max(a, b))
+            pair = (a, b) if a < b else (b, a)
+            rec = (op, a, b) if op == "->" else (op, *pair)
             if rec in edges:
-                raise err(f"duplicate edge {tokens[0]} {tokens[1]} {tokens[2]}", tokens[1])
+                raise _error(f"duplicate edge {' '.join(tokens)}", lineno, raw, tokens, 1)
             if kind == "mixed" and pair in pairs:
-                raise err(
-                    f"more than one edge between {pair[0]!r} and {pair[1]!r}", tokens[1]
-                )
+                raise _error(f"more than one edge between {pair[0]!r} and {pair[1]!r}", lineno, raw, tokens, 1)
             pairs.add(pair)
             nodes.update(pair)
             edges.add(rec)
-        elif tokens[0] == "node":
+        elif tokens[0] in ("node", "selection"):
             if len(tokens) != 2:
-                raise err("expected: node <id>")
-            v = name(tokens[1])
+                raise _error(f"expected: {tokens[0]} <id>", lineno, raw)
+            if tokens[0] == "selection" and kind == "mixed":
+                raise _error("selection nodes are not allowed in a mixed document", lineno, raw, tokens, 0)
+            v = tokens[1]
+            if not match(v):
+                raise _error(f"invalid identifier {v!r}", lineno, raw, tokens, 1)
             nodes.add(v)
-        elif tokens[0] == "selection":
-            if len(tokens) != 2:
-                raise err("expected: selection <id>")
-            if kind == "mixed":
-                raise err("selection nodes are not allowed in a mixed document", tokens[0])
-            v = name(tokens[1])
-            nodes.add(v)
-            selection.add(v)
+            if tokens[0] == "selection":
+                selection.add(v)
         else:
-            raise err(f"unrecognised declaration: {line.strip()!r}")
+            raise _error(f"unrecognised declaration: {line.strip()!r}", lineno, raw)
 
     return GraphDocument(kind, tuple(nodes), tuple(selection), tuple(edges))
+
+
+def _error(msg: str, lineno: int, raw: str, tokens=(), i: int | None = None) -> ParseError:
+    """ParseError at the start of ``tokens[i]`` in ``raw``, or at column 1."""
+    column = 0
+    if i is not None:
+        for tok in tokens[:i]:
+            column = raw.index(tok, column) + len(tok)
+        column = raw.index(tokens[i], column)
+    return ParseError(msg, lineno, column + 1)
 
 
 def serialize_graph(doc: GraphDocument) -> str:

@@ -1,11 +1,15 @@
 import gc
+import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomag import (
+    ARROWHEAD,
+    TAIL,
     ColliderStatus,
     ContextedDmg,
     DirectedMixedGraph,
@@ -30,6 +34,7 @@ from cyclomag import (
     sigma_separated,
     strongly_connected_components,
 )
+from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC
 from fixtures import (
     SELECTION_ABSTRACTION,
     SELECTION_DMG,
@@ -136,6 +141,52 @@ def test_index_takes_no_part_in_equality_or_hash():
     assert g1 == g2 and hash(g1) == hash(g2) and repr(g1) == repr(g2)
     assert h1 == h2 and hash(h1) == hash(h2) and repr(h1) == repr(h2)
     assert {g1: 1}[g2] == 1
+
+
+def _traversal_key(edge, v):
+    # Reference order: neighbours by name, then tails before arrowheads
+    # at v, then at the far end.
+    w = edge.other(v)
+    return (w, edge.mark_at(v) is ARROWHEAD, edge.mark_at(w) is ARROWHEAD)
+
+
+def _incidence_graphs(seed):
+    """A dmg with all three parallel edges on some pairs, and a mixed
+    graph with every edge kind; node names do not sort numerically."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in rng.sample(range(40), rng.randint(2, 14))]
+    directed, bidirected, mixed = [], [], []
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            triple = rng.random() < 0.15
+            directed += [e for e in ((a, b), (b, a)) if triple or rng.random() < 0.3]
+            bidirected += [(b, a)] * (triple or rng.random() < 0.2)
+            if rng.random() < 0.7:
+                ma, mb = rng.choice((TAIL, ARROWHEAD)), rng.choice((TAIL, ARROWHEAD))
+                mixed.append(MixedEdge(a, ma, b, mb) if rng.random() < 0.5 else MixedEdge(b, mb, a, ma))
+    return DirectedMixedGraph(tuple(names), tuple(directed), tuple(bidirected)), MixedGraph(tuple(names), tuple(mixed))
+
+
+def test_incidence_order_and_index_kinds_follow_the_marks():
+    triples = kinds = 0
+    for seed in range(150):
+        for g in _incidence_graphs(seed):
+            idx = g.index
+            for v in g.nodes:
+                edges = g.incident_edges(v)
+                assert list(edges) == sorted(edges, key=lambda e: _traversal_key(e, v))
+                row = idx.rows[idx.ids[v]]
+                assert [e for _, _, e in row] == list(edges)
+                for w, kind, e in row:
+                    u = e.other(v)
+                    assert idx.names[w] == u
+                    assert bool(kind & ARROW_HERE) == (e.mark_at(v) is ARROWHEAD)
+                    assert bool(kind & ARROW_THERE) == (e.mark_at(u) is ARROWHEAD)
+                    assert bool(kind & CROSSES_SCC) == (idx.scc[idx.ids[v]] != idx.scc[w])
+                    kinds |= 1 << (kind & ~CROSSES_SCC)
+                triples += 3 in Counter(e.other(v) for e in edges).values()
+    # Three-way parallel-edge ties and all four edge kinds were seen.
+    assert triples > 100 and kinds == 1 << 0 | 1 << 2 | 1 << 4 | 1 << 6
 
 
 def test_graph_is_collected_once_unreferenced():

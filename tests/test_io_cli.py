@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from cyclomag import (
     random_dmg,
     serialize_graph,
 )
+from cyclomag import cli as cli_module
 from cyclomag.cli import cli
 from fixtures import (
     INDUCING_CHAIN,
@@ -108,6 +111,24 @@ def test_unknown_declaration_rejected():
 def test_bad_identifier_rejected():
     with pytest.raises(ParseError):
         parse_graph("node 1abc", "dmg")
+
+
+@pytest.mark.parametrize(
+    "text, kind, line, column",
+    [
+        ("x1 -> 1", "mixed", 1, 7),  # the bad name also occurs inside x1
+        ("a -> b\n  a2b  ->  2b", "dmg", 2, 12),
+        ("node -> node", "mixed", 1, 1),
+        ("a -> b\nb <- a", "dmg", 2, 3),
+        ("ab -> b\n b -- ab", "mixed", 2, 4),
+        ("selection s", "mixed", 1, 1),
+        ("  x -> y z", "dmg", 1, 1),
+    ],
+)
+def test_parse_error_column_is_the_token_position(text, kind, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, kind)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_roundtrip_on_seeded_graphs():
@@ -353,3 +374,52 @@ def test_cli_file_not_utf8(tmp_path, capsys):
 def test_cli_usage_error(capsys):
     code, _, err = run(capsys, "msep")
     assert code == 1 and "error" in err
+
+
+# --- the parser is built once ---------------------------------------------
+
+
+def test_cli_builds_its_parser_once(files, capsys, monkeypatch):
+    path = files("ok.mixed", "a -> b\n")
+    run(capsys, "validate", path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "validate", path) == (0, "valid: true\n", "")
+    assert run(capsys, "msep", path, "--x", "a", "--y", "b")[0] == 0
+    assert run(capsys, "msep")[0] == 1
+    assert built == []
+
+
+def test_cli_runs_the_command_function_it_finds_at_call_time(files, capsys, monkeypatch):
+    path = files("ok.mixed", "a -> b\n")
+    run(capsys, "validate", path)
+    seen = []
+    monkeypatch.setattr(cli_module, "_cmd_validate", lambda args: seen.append(args.file) or 7)
+    assert cli(["validate", path]) == 7
+    assert seen == [path]
+
+
+def test_reused_parser_keeps_no_state_between_calls(files, capsys):
+    path = files("chain.mixed", "a -> c\nc -> b\n")
+    calls = [
+        ("msep", path, "--x", "a"),
+        ("msep", path, "--x", "a", "--y", "b", "--z", "c"),
+        ("msep", path, "--x", "a", "--y", "b"),
+        ("validate",),
+        ("equiv", path, path, "--oracle"),
+        ("equiv", path, path),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli_module._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [r[:2] for r in reused] == [r[:2] for r in fresh]
+    assert [r[0] for r in reused] == [1, 0, 0, 1, 0, 0]
+    assert reused[1][1] == "separated: true\n" and reused[2][1].startswith("separated: false\n")
