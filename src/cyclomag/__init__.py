@@ -29,7 +29,6 @@ from .equivalence import (
 )
 from .errors import (
     CyclomagError,
-    DomainError,
     InputError,
     OracleCapError,
     ParseError,
@@ -50,13 +49,11 @@ from .io_text import GraphDocument, export_dot, parse_graph, serialize_graph
 from .relations import (
     ancestors,
     anteriors,
-    collider_distance_sum,
     descendants,
     enumerate_simple_paths,
     neighborhood,
     neighborhood_complete,
     scc_index,
-    shortest_directed_path,
     strongly_connected_components,
 )
 from .separation import (
@@ -75,12 +72,7 @@ from .separation import (
     sigma_separated,
     sigma_separated_oracle,
 )
-from .walks import (
-    ColliderStatus,
-    Walk,
-    collider_status,
-    parse_walk,
-)
+from .walks import Walk, parse_walk
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,6 @@ that the input abstracts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -44,61 +43,29 @@ def marginalize(g: DirectedMixedGraph, w: Iterable[NodeId]) -> DirectedMixedGrap
     """
     w = set(w)
     g.require_nodes(w)
-    keep = [v for v in g.nodes if v not in w]
+    idx = g.index
+    latent = idx.mask(w)
+    keep = [i for i in range(len(idx.names)) if not latent >> i & 1]
 
-    def reach_through(a: NodeId) -> set[NodeId]:
-        # Non-latent nodes reachable from a by directed steps whose
-        # interior stays inside w.
-        out: set[NodeId] = set()
-        seen: set[NodeId] = set()
-        frontier = deque(g.children(a))
+    def reach(i: int, sets: list[int]) -> int:
+        # Nodes one or more steps along ``sets`` from i, stepping on only
+        # from latent nodes.
+        out, frontier = 0, 1 << i
         while frontier:
-            v = frontier.popleft()
-            if v in w:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.extend(g.children(v))
-            else:
-                out.add(v)
+            step = idx.union(sets, frontier) & ~out
+            out |= step
+            frontier = step & latent
         return out
 
-    def latent_sources_into(a: NodeId) -> set[NodeId]:
-        # Latent nodes with a directed chain onto a running inside w.
-        out: set[NodeId] = set()
-        frontier = deque(u for u in g.parents(a) if u in w)
-        while frontier:
-            u = frontier.popleft()
-            if u not in out:
-                out.add(u)
-                frontier.extend(p for p in g.parents(u) if p in w)
-        return out
-
-    directed = []
-    for a in keep:
-        for b in reach_through(a):
-            if b != a:
-                directed.append((a, b))
-
-    sources = {a: latent_sources_into(a) for a in keep}
-    bidirected = []
-    for a, b in combinations(keep, 2):
-        # Chains from each side may meet at one latent apex, or be tied
-        # together by a bidirected edge between (possibly degenerate)
-        # chain tops.
-        if sources[a] & sources[b]:
-            bidirected.append((a, b))
-            continue
-        tops_a = sources[a] | {a}
-        tops_b = sources[b] | {b}
-        found = False
-        for u, v in g.bidirected:
-            if (u in tops_a and v in tops_b) or (v in tops_a and u in tops_b):
-                found = True
-                break
-        if found:
-            bidirected.append((a, b))
-
-    return DirectedMixedGraph(tuple(keep), tuple(directed), tuple(bidirected))
+    # The tops of a are a and its latent sources.  Chains from a and b
+    # meet when their tops share a latent apex or a bidirected edge
+    # joins them.
+    tops = {a: reach(a, idx.pa) & latent | 1 << a for a in keep}
+    meets = {a: tops[a] & latent | idx.union(idx.bi, tops[a]) for a in keep}
+    names = idx.names
+    directed = [(names[a], names[b]) for a in keep for b in idx.ids_in(reach(a, idx.ch) & ~latent & ~(1 << a))]
+    bidirected = [(names[a], names[b]) for a, b in combinations(keep, 2) if meets[a] & tops[b]]
+    return DirectedMixedGraph(tuple(names[a] for a in keep), tuple(directed), tuple(bidirected))
 
 
 def represent(c: ContextedDmg) -> MixedGraph:

@@ -25,7 +25,7 @@ from .equivalence import (
     m_markov_equivalent_oracle,
     sigma_markov_equivalent_oracle,
 )
-from .errors import DomainError, InputError, OracleCapError, ParseError, PreconditionError
+from .errors import InputError, OracleCapError, ParseError, PreconditionError
 from .generators import GeneratorConfig, random_dmg
 from .graphs import ContextedDmg, MixedGraph
 from .io_text import GraphDocument, export_dot, parse_graph, serialize_graph
@@ -294,7 +294,7 @@ def cli(argv) -> int:
     except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionError, DomainError, OracleCapError) as exc:
+    except (PreconditionError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,20 +112,15 @@ def is_discriminating(h: MixedGraph, nodes, b: NodeId) -> bool:
     return True
 
 
-def discriminating_paths(
-    h: MixedGraph, for_node: NodeId | None = None, max_interior: int | None = None
-) -> tuple[DiscriminatingPath, ...]:
+def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple[DiscriminatingPath, ...]:
     """Exhaustively enumerate discriminating paths, sorted by node sequence.
 
-    ``for_node`` filters on the discriminated node; ``max_interior``
-    bounds the number of chain nodes v_k, and None leaves it unbounded.
+    ``for_node`` filters on the discriminated node.
     Exponential in the worst case: this listing backs ``cyclomag paths``
     and the tests, while :func:`condition1` never enumerates.
     """
     if for_node is not None:
         h.require_nodes([for_node])
-    if max_interior is None:
-        max_interior = len(h.nodes)
     found: list[DiscriminatingPath] = []
     for c in h.nodes:
         parents_c = set(h.parents(c))
@@ -149,12 +144,7 @@ def discriminating_paths(
                         continue
                     mark_tip = e.mark_at(tip)
                     mark_v = e.mark_at(v)
-                    if (
-                        v in parents_c
-                        and mark_v is ARROWHEAD
-                        and (tip == b or mark_tip is ARROWHEAD)
-                        and len(chain) - 1 < max_interior
-                    ):
+                    if v in parents_c and mark_v is ARROWHEAD and (tip == b or mark_tip is ARROWHEAD):
                         stack.append(chain + [v])
                     if len(chain) >= 2 and v not in adjacent_c and mark_tip is ARROWHEAD:
                         seq = tuple([v] + chain[::-1] + [c])
@@ -242,7 +232,7 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -
         ends = list(idx1.ids_in(idx1.adj[c] & moved))
         if not ends:
             continue
-        chain = idx1.mask(set(h1.parents(name)) & set(h2.parents(name)))
+        chain = idx1.pa[c] & idx2.pa[c]
         far = everyone & ~idx1.adj[c] & ~(1 << c)
         targets = set(idx1.members(far))
         for b in ends:

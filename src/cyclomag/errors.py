@@ -22,9 +22,5 @@ class PreconditionError(CyclomagError):
     """An operation was invoked on an object that violates its precondition."""
 
 
-class DomainError(CyclomagError):
-    """A requested quantity is undefined for the given arguments."""
-
-
 class OracleCapError(CyclomagError):
     """An exhaustive oracle was asked to run on a graph above its size cap."""

@@ -223,7 +223,11 @@ class GraphIndex:
       edge, in :meth:`incident_edges` order.  The kind sets
       ``ARROW_HERE`` and ``ARROW_THERE`` for arrowheads at the two ends
       and ``CROSSES_SCC`` when the edge joins two strong components.
-    * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted.
+    * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted;
+      ``pa`` and ``ch`` hold the same sets as bitmasks, built on first
+      use.  :func:`~cyclomag.abstraction.marginalize` closes them over
+      the latent nodes, and ``condition1`` reads ``pa`` for the chain
+      nodes of a discriminating path.
     * ``scc[i]``: position of the node's strong component (over directed
       edges) in :func:`~cyclomag.relations.strongly_connected_components`.
     * ``adj``, ``anc``, ``desc``, ``ant``: the neighbours (over edges of
@@ -269,6 +273,14 @@ class GraphIndex:
     @cached_property
     def adj(self) -> list[int]:
         return self._neighbours(0, 0)
+
+    @cached_property
+    def pa(self) -> list[int]:
+        return self._neighbours(ARROW_HERE | ARROW_THERE, ARROW_HERE)
+
+    @cached_property
+    def ch(self) -> list[int]:
+        return self._neighbours(ARROW_HERE | ARROW_THERE, ARROW_THERE)
 
     @cached_property
     def into(self) -> list[int]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Union
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .graphs import ARROW_HERE, ARROW_THERE, DirectedMixedGraph, MixedGraph, NodeId
-from .walks import Walk, _interior_collider_positions, check_walk
+from .walks import Walk
 
 Graph = Union[DirectedMixedGraph, MixedGraph]
 
@@ -86,18 +86,6 @@ def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:
     return all(nbh & ~idx.und[w] == 1 << w for w in idx.ids_in(nbh))
 
 
-def shortest_directed_path(graph: Graph, source: NodeId, targets: Iterable[NodeId]) -> tuple[NodeId, ...] | None:
-    """Node sequence of a shortest directed path from ``source`` into ``targets``.
-
-    Deterministic: breadth-first with children visited in name order.
-    Returns None when no target is reachable.
-    """
-    targets = set(targets)
-    graph.require_nodes({source} | targets)
-    walk = _shortest_walk(graph, source, targets, _directed_step)
-    return None if walk is None else walk.nodes
-
-
 def _directed_step(v: int, kind: int, w: int) -> bool:
     """Steps of a directed path: a tail at ``v`` and an arrowhead at ``w``."""
     return kind & (ARROW_HERE | ARROW_THERE) == ARROW_THERE
@@ -141,28 +129,6 @@ def _shortest_walk(graph: Graph, source: NodeId, targets: set, step) -> Walk | N
         end, e = parent[end]
         edges.append(e)
     return Walk(source, tuple(reversed(edges)))
-
-
-def collider_distance_sum(h: MixedGraph, path: Walk, z: Iterable[NodeId]) -> int:
-    """Sum over the path's colliders of the shortest directed distance to ``z``.
-
-    Members of ``z`` sit at distance zero.  A collider with no directed
-    path into ``z`` leaves the metric undefined and raises
-    :class:`DomainError`.
-    """
-    z = set(z)
-    h.require_nodes(z)
-    check_walk(h, path)
-    if not path.is_path:
-        raise InputError("collider distance sum is defined for simple paths only")
-    total = 0
-    for k in _interior_collider_positions(path):
-        v = path.nodes[k]
-        seq = shortest_directed_path(h, v, z)
-        if seq is None:
-            raise DomainError(f"collider {v!r} has no directed path into the target set")
-        total += len(seq) - 1
-    return total
 
 
 def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]:

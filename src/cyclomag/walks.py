@@ -1,9 +1,8 @@
-"""Walks over graphs, their parsing, and collider classification."""
+"""Walks over graphs and their parsing."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Union
 
 from .errors import InputError
@@ -117,31 +116,3 @@ def check_walk(graph: Graph, walk: Walk) -> Walk:
         if not graph.contains_edge(e):
             raise InputError(f"walk edge {e} is not in the graph")
     return walk
-
-
-class ColliderStatus(Enum):
-    COLLIDER = "collider"
-    NON_COLLIDER = "non-collider"
-
-
-def collider_status(graph: Graph, walk: Walk) -> tuple[ColliderStatus, ...]:
-    """Classify every walk position; endpoints always count as non-colliders.
-
-    An interior position is a collider exactly when both incident walk
-    edges carry an arrowhead at that node.  A trivial walk yields a
-    single non-collider.
-    """
-    check_walk(graph, walk)
-    colliders = set(_interior_collider_positions(walk))
-    return tuple(
-        ColliderStatus.COLLIDER if k in colliders else ColliderStatus.NON_COLLIDER for k in range(len(walk.nodes))
-    )
-
-
-def _interior_collider_positions(walk: Walk) -> list[int]:
-    out = []
-    for k in range(1, len(walk.edges)):
-        v = walk.nodes[k]
-        if walk.edges[k - 1].mark_at(v) is ARROWHEAD and walk.edges[k].mark_at(v) is ARROWHEAD:
-            out.append(k)
-    return out

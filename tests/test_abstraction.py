@@ -25,6 +25,7 @@ from cyclomag import (
     marginalize,
     random_dmg,
     sigma_inducing_exists,
+    sigma_separated,
     validate,
 )
 from fixtures import (
@@ -83,6 +84,30 @@ def test_marginalize_composes():
 def test_marginalize_keeps_bidirected_chains():
     g = DirectedMixedGraph.of("a <- w0", "w0 <- w1", "w1 <-> w2", "w2 -> b")
     assert marginalize(g, {"w0", "w1", "w2"}).bidirected == (("a", "b"),)
+    g = DirectedMixedGraph.of("u1 -> a", "u2 -> b", "u1 <-> u2", "c <- a")
+    assert marginalize(g, {"u1", "u2"}) == DirectedMixedGraph.of("a -> c", "a <-> b")
+
+
+def test_marginalize_cycle_through_latent_gives_no_self_loop():
+    assert marginalize(DirectedMixedGraph.of("a -> w", "w -> a"), {"w"}) == DirectedMixedGraph(("a",), (), ())
+    g = DirectedMixedGraph.of("a -> w0", "w0 -> w1", "w1 -> a", "w1 -> b")
+    assert marginalize(g, {"w0", "w1"}) == DirectedMixedGraph.of("a -> b", "a <-> b")
+
+
+def test_marginalize_preserves_sigma_separation_among_kept_nodes():
+    queries = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        g = random_dmg(GeneratorConfig(n, rng.uniform(0.1, 0.5), rng.uniform(0.05, 0.35), seed=seed)).graph
+        w = set(rng.sample(g.nodes, rng.randint(1, min(2, n - 2))))
+        m = marginalize(g, w)
+        for a, b in itertools.combinations(m.nodes, 2):
+            for z in all_subsets(set(m.nodes) - {a, b}):
+                q = SeparationQuery(a, b, z)
+                assert sigma_separated(m, q).separated == sigma_separated(g, q).separated, (seed, sorted(w), q)
+                queries += 1
+    assert queries > 10_000
 
 
 # --- representation -----------------------------------------------------

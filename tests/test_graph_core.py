@@ -10,18 +10,13 @@ from hypothesis import strategies as st
 from cyclomag import (
     ARROWHEAD,
     TAIL,
-    ColliderStatus,
     ContextedDmg,
     DirectedMixedGraph,
-    DomainError,
     InputError,
     MixedEdge,
     MixedGraph,
-    Walk,
     ancestors,
     anteriors,
-    collider_distance_sum,
-    collider_status,
     descendants,
     enumerate_simple_paths,
     m_separated,
@@ -43,10 +38,6 @@ from fixtures import (
     seeded_contexted,
     seeded_valid_mixed,
 )
-
-C = ColliderStatus.COLLIDER
-N = ColliderStatus.NON_COLLIDER
-
 
 # --- construction invariants -------------------------------------------------
 
@@ -292,34 +283,7 @@ def test_neighborhood_unknown_node():
         neighborhood(UNDIRECTED_FAN, "zz")
 
 
-# --- collider classification -------------------------------------------------
-
-
-def test_collider_status_chain_and_collider():
-    g = DirectedMixedGraph.of("a -> b", "b -> c")
-    assert collider_status(g, parse_walk(g, "a -> b -> c")) == (N, N, N)
-    g2 = DirectedMixedGraph.of("a -> b", "c -> b")
-    assert collider_status(g2, parse_walk(g2, "a -> b <- c")) == (N, C, N)
-
-
-def test_collider_status_trivial_walk():
-    g = DirectedMixedGraph.of("a -> b")
-    assert collider_status(g, Walk("a")) == (N,)
-
-
-def test_collider_status_discriminating_chain():
-    from fixtures import DISC_TAIL
-
-    walk = parse_walk(DISC_TAIL, "a <-> q <-> b")
-    assert collider_status(DISC_TAIL, walk) == (N, C, N)
-
-
-def test_collider_status_rejects_foreign_walk():
-    g = DirectedMixedGraph.of("a -> b")
-    other = DirectedMixedGraph.of("a <-> b")
-    walk = parse_walk(other, "a <-> b")
-    with pytest.raises(InputError):
-        collider_status(g, walk)
+# --- walks -------------------------------------------------------------------
 
 
 def test_parse_walk_rejects_missing_edges_and_bad_syntax():
@@ -330,41 +294,6 @@ def test_parse_walk_rejects_missing_edges_and_bad_syntax():
         parse_walk(g, "a -> b ->")  # dangling arrow
     with pytest.raises(InputError):
         parse_walk(g, "a -- b")  # no undirected edges in this graph
-
-
-# --- collider distance sum ---------------------------------------------------
-
-
-def _cds_fixture():
-    return MixedGraph.of("x <-> a", "a <-> y", "a -> m", "m -> z1")
-
-
-def test_collider_distance_sum_no_colliders_is_zero():
-    h = _cds_fixture()
-    assert collider_distance_sum(h, parse_walk(h, "a -> m -> z1"), {"z1"}) == 0
-
-
-def test_collider_distance_sum_examples():
-    h = _cds_fixture()
-    path = parse_walk(h, "x <-> a <-> y")
-    assert collider_distance_sum(h, path, {"z1"}) == 2
-    assert collider_distance_sum(h, path, {"m"}) == 1
-    assert collider_distance_sum(h, path, {"a"}) == 0
-
-
-def test_collider_distance_sum_undefined_without_directed_route():
-    h = _cds_fixture()
-    path = parse_walk(h, "x <-> a <-> y")
-    with pytest.raises(DomainError):
-        collider_distance_sum(h, path, {"x"})
-
-
-def test_collider_distance_sum_rejects_non_path():
-    h = _cds_fixture()
-    e = h.edge("a", "x")
-    walk = Walk("x", (e, e))
-    with pytest.raises(InputError):
-        collider_distance_sum(h, walk, {"z1"})
 
 
 # --- simple path enumeration -------------------------------------------------

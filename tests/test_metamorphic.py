@@ -4,7 +4,8 @@ Each seeded system goes through the abstraction laws that must hold
 whatever the graph: its representation is valid, the canonical
 reconstruction round-trips, and sigma-separation in the system given
 Z and the selection set agrees with m-separation in the representation
-given Z.
+given Z.  Projecting latent nodes out with ``marginalize`` keeps every
+sigma-separation among the nodes that remain.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from cyclomag import (
     SeparationQuery,
     canonical_dmg,
     m_separated,
+    marginalize,
     random_dmg,
     represent,
     sigma_separated,
@@ -28,8 +30,7 @@ SYSTEMS = [(50, 1, 1.5, 0.6, 2), (56, 2, 1.2, 0.8, 3), (60, 3, 1.2, 0.8, 2)]
 QUERIES = 150
 
 
-@pytest.mark.parametrize("n, seed, directed, bidirected, n_selection", SYSTEMS)
-def test_abstraction_laws_hold_at_scale(n, seed, directed, bidirected, n_selection):
+def _system(n, seed, directed, bidirected, n_selection):
     cfg = GeneratorConfig(
         n_nodes=n,
         p_directed=directed / n,
@@ -37,7 +38,12 @@ def test_abstraction_laws_hold_at_scale(n, seed, directed, bidirected, n_selecti
         n_selection=n_selection,
         seed=seed,
     )
-    c = random_dmg(cfg)
+    return random_dmg(cfg)
+
+
+@pytest.mark.parametrize("n, seed, directed, bidirected, n_selection", SYSTEMS)
+def test_abstraction_laws_hold_at_scale(n, seed, directed, bidirected, n_selection):
+    c = _system(n, seed, directed, bidirected, n_selection)
     h = represent(c)
     assert validate(h).valid
     assert represent(canonical_dmg(h)) == h
@@ -55,4 +61,25 @@ def test_abstraction_laws_hold_at_scale(n, seed, directed, bidirected, n_selecti
         sigma_side = sigma_separated(c.graph, SeparationQuery(a, b, z | s)).separated
         assert m_side == sigma_side, (a, b, sorted(z))
         verdicts.add(m_side)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, seed, directed, bidirected, n_selection", SYSTEMS)
+def test_marginalize_preserves_sigma_separation_at_scale(n, seed, directed, bidirected, n_selection):
+    c = _system(n, seed, directed, bidirected, n_selection)
+    rng = random.Random(seed)
+    latent = set(rng.sample(c.observed, n // 10))
+    g = marginalize(c.graph, latent)
+    kept, s = [v for v in c.observed if v not in latent], set(c.selection)
+
+    # Half the queries join a pair with no edge left, whose verdict depends on Z.
+    apart = [(a, b) for a, b in itertools.combinations(kept, 2) if not g.adjacent(a, b)]
+    verdicts = set()
+    for k in range(QUERIES):
+        a, b = rng.choice(apart) if k % 2 else rng.sample(kept, 2)
+        rest = [v for v in kept if v not in (a, b)]
+        q = SeparationQuery(a, b, set(rng.sample(rest, rng.randint(0, len(rest) // 3))) | s)
+        marginal = sigma_separated(g, q).separated
+        assert marginal == sigma_separated(c.graph, q).separated, (a, b, sorted(q.z))
+        verdicts.add(marginal)
     assert verdicts == {True, False}
