@@ -88,10 +88,8 @@ def _print_verdict(verdict) -> None:
 
 
 def _render_witness_item(item) -> str:
-    if isinstance(item, Walk):
+    if isinstance(item, (Walk, DiscriminatingPath)):
         return item.render()
-    if isinstance(item, DiscriminatingPath):
-        return " ".join(item.nodes)
     if isinstance(item, frozenset):
         return "{" + ", ".join(sorted(item)) + "}"
     return str(item)

@@ -50,6 +50,12 @@ class EdgeMark(Enum):
 TAIL = EdgeMark.TAIL
 ARROWHEAD = EdgeMark.ARROWHEAD
 
+# Each arrow token with the marks at its (left, right) nodes.  The token
+# of marks (l, r) is _ARROWS[2 * (l is ARROWHEAD) + (r is ARROWHEAD)]: a
+# tuple index, because hashing an EdgeMark runs Enum.__hash__ in Python.
+_ARROW_MARKS = {"--": (TAIL, TAIL), "->": (TAIL, ARROWHEAD), "<-": (ARROWHEAD, TAIL), "<->": (ARROWHEAD, ARROWHEAD)}
+_ARROWS = tuple(_ARROW_MARKS)
+
 
 @dataclass(frozen=True)
 class MixedEdge:
@@ -133,24 +139,20 @@ class MixedEdge:
 
     def render_from(self, v: NodeId) -> str:
         """Arrow as seen when traversing the edge starting at ``v``."""
-        m_here, m_there = self.mark_at(v), self.mark_at(self.other(v))
-        if m_here is TAIL and m_there is TAIL:
-            return "--"
-        if m_here is TAIL:
-            return "->"
-        if m_there is TAIL:
-            return "<-"
-        return "<->"
+        here = self.mark_at(v)
+        there = self.mark_b if v == self.a else self.mark_a
+        return _ARROWS[2 * (here is ARROWHEAD) + (there is ARROWHEAD)]
 
     def __str__(self) -> str:
         return f"{self.a} {self.render_from(self.a)} {self.b}"
 
 
-def _parse_edge_spec(spec: str) -> tuple[NodeId, str, NodeId]:
+def _parse_edge_spec(spec: str) -> tuple[NodeId, NodeId, tuple[EdgeMark, EdgeMark]]:
+    """``(u, v, (mark at u, mark at v))`` of a spec like ``"u <- v"``."""
     parts = spec.split()
-    if len(parts) != 3 or parts[1] not in ("->", "<-", "<->", "--"):
+    if len(parts) != 3 or parts[1] not in _ARROW_MARKS:
         raise InputError(f"bad edge spec: {spec!r}")
-    return parts[0], parts[1], parts[2]
+    return parts[0], parts[2], _ARROW_MARKS[parts[1]]
 
 
 def _components(succ: list, pred: list) -> tuple[list[int], list[int]]:
@@ -447,16 +449,9 @@ class MixedGraph(_Graph):
         node_set = set(nodes)
         edges = []
         for spec in edge_specs:
-            u, op, v = _parse_edge_spec(spec)
+            u, v, (mark_u, mark_v) = _parse_edge_spec(spec)
             node_set.update((u, v))
-            if op == "->":
-                edges.append(MixedEdge.directed(u, v))
-            elif op == "<-":
-                edges.append(MixedEdge.directed(v, u))
-            elif op == "<->":
-                edges.append(MixedEdge.bidirected(u, v))
-            else:
-                edges.append(MixedEdge.undirected(u, v))
+            edges.append(MixedEdge(u, mark_u, v, mark_v))
         return cls(tuple(node_set), tuple(edges))
 
     def edge(self, a: NodeId, b: NodeId) -> MixedEdge | None:
@@ -503,16 +498,12 @@ class DirectedMixedGraph(_Graph):
         directed = []
         bidirected = []
         for spec in edge_specs:
-            u, op, v = _parse_edge_spec(spec)
+            u, v, (mark_u, mark_v) = _parse_edge_spec(spec)
             node_set.update((u, v))
-            if op == "->":
-                directed.append((u, v))
-            elif op == "<-":
-                directed.append((v, u))
-            elif op == "<->":
-                bidirected.append((u, v))
-            else:
+            if mark_u is mark_v is TAIL:
                 raise InputError(f"undirected edge not allowed here: {spec!r}")
+            pairs = bidirected if mark_u is mark_v else directed
+            pairs.append((v, u) if mark_v is TAIL else (u, v))  # tail first
         return cls(tuple(node_set), tuple(directed), tuple(bidirected))
 
 

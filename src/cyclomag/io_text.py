@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 from .errors import InputError, ParseError
 from .graphs import (
-    ARROWHEAD,
-    TAIL,
     ContextedDmg,
     DirectedMixedGraph,
     MixedEdge,
     MixedGraph,
     NodeId,
+    _ARROW_MARKS,
     _NAME_RE,
 )
 
@@ -47,11 +46,17 @@ class GraphDocument:
     edges: tuple[EdgeRecord, ...]
 
     def __post_init__(self):
-        if self.kind not in ("dmg", "mixed"):
+        rank = _KIND_RANK.get(self.kind)
+        if rank is None:
             raise InputError(f"unknown document kind: {self.kind!r}")
+        stray = {rec[0] for rec in self.edges} - rank.keys()
+        if stray:
+            raise InputError(f"{min(stray)!r} edges are not allowed in a {self.kind} document")
+        if self.selection and self.kind == "mixed":
+            raise InputError("selection nodes are not allowed in a mixed document")
         object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
         object.__setattr__(self, "selection", tuple(sorted(set(self.selection))))
-        object.__setattr__(self, "edges", tuple(sorted(set(self.edges), key=_edge_sort_key)))
+        object.__setattr__(self, "edges", tuple(sorted(set(self.edges), key=lambda r: (rank[r[0]], r[1], r[2]))))
 
     def to_contexted(self) -> ContextedDmg:
         if self.kind != "dmg":
@@ -68,41 +73,31 @@ class GraphDocument:
             raise InputError("not a mixed document")
         edges = []
         for k, a, b in self.edges:
-            mark_a, mark_b = _MARKS[k]
+            mark_a, mark_b = _ARROW_MARKS[k]
             edges.append(MixedEdge(a, mark_a, b, mark_b))
         return MixedGraph(self.nodes, tuple(edges))
 
     @classmethod
     def from_contexted(cls, c: ContextedDmg) -> "GraphDocument":
-        edges = [("->", t, h) for t, h in c.graph.directed]
-        edges += [("<->", a, b) for a, b in c.graph.bidirected]
-        return cls("dmg", c.graph.nodes, c.selection, tuple(edges))
+        return cls("dmg", c.graph.nodes, c.selection, tuple(_dmg_records(c.graph)))
 
     @classmethod
     def from_mixed(cls, h: MixedGraph) -> "GraphDocument":
-        edges = []
-        for e in h.edges:
-            if e.is_undirected:
-                edges.append(("--", e.a, e.b))
-            elif e.is_bidirected:
-                edges.append(("<->", e.a, e.b))
-            else:
-                edges.append(("->", e.directed_tail, e.directed_head))
-        return cls("mixed", h.nodes, (), tuple(edges))
+        return cls("mixed", h.nodes, (), tuple(map(_record, h.edges)))
 
 
-_KIND_RANK = {"->": 0, "<->": 1, "--": 2}
-_MARKS = {"->": (TAIL, ARROWHEAD), "<->": (ARROWHEAD, ARROWHEAD), "--": (TAIL, TAIL)}  # at a, at b
+# The edge kinds each document kind allows, ranked in serialisation
+# order: directed edges, then bidirected ones, then undirected ones.
+_KIND_RANK = {"dmg": {"->": 0, "<->": 1}, "mixed": {"->": 0, "<->": 1, "--": 2}}
 
 
-def _edge_sort_key(rec: EdgeRecord):
-    kind, a, b = rec
-    # dmg serialisation groups directed edges before bidirected ones;
-    # mixed documents sort by endpoint pair with a stable kind order.
-    return (_KIND_RANK[kind], a, b)
+def _record(e: MixedEdge) -> EdgeRecord:
+    arrow = e.render_from(e.a)
+    return ("->", e.b, e.a) if arrow == "<-" else (arrow, e.a, e.b)
 
 
-_EDGE_OPS = ("->", "<-", "<->", "--")
+def _dmg_records(g: DirectedMixedGraph) -> list[EdgeRecord]:
+    return [("->", t, h) for t, h in g.directed] + [("<->", a, b) for a, b in g.bidirected]
 
 
 def parse_graph(text: str, kind: str) -> GraphDocument:
@@ -110,7 +105,7 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
 
     Syntax errors raise :class:`ParseError` with line and column.
     """
-    if kind not in ("dmg", "mixed"):
+    if kind not in _KIND_RANK:
         raise InputError(f"unknown document kind: {kind!r}")
     nodes: set[NodeId] = set()
     selection: set[NodeId] = set()
@@ -123,7 +118,7 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
         tokens = line.split()
         if not tokens:
             continue
-        if len(tokens) == 3 and tokens[1] in _EDGE_OPS:
+        if len(tokens) == 3 and tokens[1] in _ARROW_MARKS:
             a, op, b = tokens
             if not (match(a) and match(b)):
                 i = 2 if match(a) else 0
@@ -183,6 +178,9 @@ def serialize_graph(doc: GraphDocument) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_DOT_ATTRS = {"->": "", "<->": " [dir=both]", "--": " [dir=none]"}
+
+
 def export_dot(graph) -> str:
     """Graphviz text for any of the three graph value types.
 
@@ -193,26 +191,16 @@ def export_dot(graph) -> str:
     if isinstance(graph, ContextedDmg):
         selection = set(graph.selection)
         graph = graph.graph
-    lines = ["digraph G {"]
     if isinstance(graph, DirectedMixedGraph):
-        nodes = graph.nodes
-        edge_lines = [f'  "{t}" -> "{h}";' for t, h in graph.directed]
-        edge_lines += [f'  "{a}" -> "{b}" [dir=both];' for a, b in graph.bidirected]
+        records = _dmg_records(graph)
     elif isinstance(graph, MixedGraph):
-        nodes = graph.nodes
-        edge_lines = []
-        for e in graph.edges:
-            if e.is_undirected:
-                edge_lines.append(f'  "{e.a}" -> "{e.b}" [dir=none];')
-            elif e.is_bidirected:
-                edge_lines.append(f'  "{e.a}" -> "{e.b}" [dir=both];')
-            else:
-                edge_lines.append(f'  "{e.directed_tail}" -> "{e.directed_head}";')
+        records = map(_record, graph.edges)
     else:
         raise InputError(f"cannot export {type(graph).__name__}")
-    for v in nodes:
+    lines = ["digraph G {"]
+    for v in graph.nodes:
         attr = " [shape=box]" if v in selection else ""
         lines.append(f'  "{v}"{attr};')
-    lines.extend(sorted(edge_lines))
+    lines.extend(sorted(f'  "{a}" -> "{b}"{_DOT_ATTRS[k]};' for k, a, b in records))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ from cyclomag import (
     inducing_exists,
     inducing_paths,
     represent,
-    m_separated,
     marginalize,
     random_dmg,
     sigma_inducing_exists,

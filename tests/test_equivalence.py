@@ -5,7 +5,6 @@ import pytest
 from cyclomag import (
     ARROWHEAD,
     TAIL,
-    DiscriminatingPath,
     EquivalenceClause,
     GeneratorConfig,
     GraphDocument,

@@ -1,4 +1,5 @@
 import argparse
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from cyclomag import (
     ContextedDmg,
+    DirectedMixedGraph,
     GeneratorConfig,
     GraphDocument,
     InputError,
@@ -13,6 +15,7 @@ from cyclomag import (
     ParseError,
     export_dot,
     parse_graph,
+    parse_walk,
     random_dmg,
     serialize_graph,
 )
@@ -99,6 +102,67 @@ def test_mixed_document_rejects_selection():
 def test_dmg_document_rejects_undirected():
     with pytest.raises(ParseError):
         parse_graph("a -- b", "dmg")
+
+
+def test_dmg_document_value_rejects_undirected_record():
+    with pytest.raises(InputError, match="'--' edges are not allowed in a dmg document"):
+        GraphDocument("dmg", ("a", "b"), (), (("--", "a", "b"),))
+
+
+def test_mixed_document_value_rejects_selection():
+    with pytest.raises(InputError, match="selection nodes are not allowed in a mixed document"):
+        GraphDocument("mixed", ("a", "s"), ("s",), ())
+
+
+def test_document_value_rejects_reversed_arrow_record():
+    for kind in ("dmg", "mixed"):
+        with pytest.raises(InputError, match=f"'<-' edges are not allowed in a {kind} document"):
+            GraphDocument(kind, ("a", "b"), (), (("<-", "a", "b"),))
+
+
+# "a <arrow> b" read by every reader and written by every writer: the arrow
+# seen from b, the document record, and the DOT line.  "=>" is no arrow.
+ARROW_CASES = [
+    ("->", "<-", ("->", "a", "b"), '  "a" -> "b";'),
+    ("<-", "->", ("->", "b", "a"), '  "b" -> "a";'),
+    ("<->", "<->", ("<->", "a", "b"), '  "a" -> "b" [dir=both];'),
+    ("--", "--", ("--", "a", "b"), '  "a" -> "b" [dir=none];'),
+    ("=>", None, None, None),
+]
+
+
+@pytest.mark.parametrize("arrow, reverse, record, dot_line", ARROW_CASES)
+def test_each_arrow_through_every_reader_and_writer(arrow, reverse, record, dot_line):
+    spec = f"a {arrow} b"
+    if record is None:
+        for build in (MixedGraph.of, DirectedMixedGraph.of):
+            with pytest.raises(InputError, match=re.escape(f"bad edge spec: {spec!r}")):
+                build(spec)
+        for kind in ("dmg", "mixed"):
+            with pytest.raises(ParseError, match="unrecognised declaration"):
+                parse_graph(spec, kind)
+        return
+    h = MixedGraph.of(spec)
+    (e,) = h.edges
+    assert str(e) == spec
+    assert (e.render_from("a"), e.render_from("b")) == (arrow, reverse)
+    assert parse_walk(h, spec).edges == parse_walk(h, f"b {reverse} a").edges == (e,)
+    doc = parse_graph(spec, "mixed")
+    assert doc.edges == (record,) and doc.to_mixed() == h
+    assert serialize_graph(GraphDocument.from_mixed(h)) == "{1} {0} {2}\n".format(*record)
+    assert dot_line in export_dot(h).splitlines()
+    if arrow == "--":
+        with pytest.raises(InputError, match=re.escape("undirected edge not allowed here: 'a -- b'")):
+            DirectedMixedGraph.of(spec)
+        with pytest.raises(ParseError, match="undirected edges are not allowed in a dmg document"):
+            parse_graph(spec, "dmg")
+        return
+    g = DirectedMixedGraph.of(spec)
+    doc = parse_graph(spec, "dmg")
+    assert doc.edges == (record,) and doc.to_contexted().graph == g
+    assert serialize_graph(GraphDocument.from_contexted(ContextedDmg(g, ()))) == "{1} {0} {2}\n".format(*record)
+    assert dot_line in export_dot(g).splitlines()
+    assert g.incident_edges("a") == (e,) and parse_walk(g, f"b {reverse} a").edges == (e,)
 
 
 def test_unknown_declaration_rejected():

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from cyclomag import (
-    ContextedDmg,
     DirectedMixedGraph,
     InputError,
     MixedGraph,
