@@ -21,6 +21,7 @@ from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph
 from .relations import _shortest_walk
 from .separation import (
     DEFAULT_GRID_ORACLE_CAP,
+    DEFAULT_PATH_ORACLE_CAP,
     SeparationQuery,
     _check_cap,
     m_separated,
@@ -117,8 +118,10 @@ def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple
 
     ``for_node`` filters on the discriminated node.
     Exponential in the worst case: this listing backs ``cyclomag paths``
-    and the tests, while :func:`condition1` never enumerates.
+    and the tests, while :func:`condition1` never enumerates.  Graphs
+    above the path oracles' cap are refused.
     """
+    _check_cap(len(h.nodes), None, DEFAULT_PATH_ORACLE_CAP, "the discriminating path listing")
     if for_node is not None:
         h.require_nodes([for_node])
     found: list[DiscriminatingPath] = []

@@ -31,6 +31,7 @@ from .graphs import (
     NodeId,
     _ARROW_MARKS,
     _NAME_RE,
+    check_node_name,
 )
 
 # Edge records are (kind, a, b) with kind one of "->", "<->", "--";
@@ -49,14 +50,32 @@ class GraphDocument:
         rank = _KIND_RANK.get(self.kind)
         if rank is None:
             raise InputError(f"unknown document kind: {self.kind!r}")
-        stray = {rec[0] for rec in self.edges} - rank.keys()
+        # The checks parse_graph makes line by line, as set operations over
+        # the records, so that every document serialises to text that
+        # parses back to it.
+        kinds, tails, heads = tuple(zip(*self.edges)) or ((), (), ())
+        stray = set(kinds) - rank.keys()
         if stray:
             raise InputError(f"{min(stray)!r} edges are not allowed in a {self.kind} document")
         if self.selection and self.kind == "mixed":
             raise InputError("selection nodes are not allowed in a mixed document")
-        object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
+        nodes = {check_node_name(v) for v in self.nodes}
+        missing = set(tails).union(heads, self.selection) - nodes
+        if missing:
+            raise InputError(f"{min(missing)!r} is not among the document's nodes")
+        loops = {a for a, b in zip(tails, heads) if a == b}
+        if loops:
+            raise InputError(f"self-loop on {min(loops)!r}")
+        edges = {(k, b, a) if k != "->" and b < a else (k, a, b) for k, a, b in self.edges}
+        if self.kind == "mixed":
+            pairs = [(a, b) if a < b else (b, a) for _, a, b in edges]
+            if len(set(pairs)) < len(pairs):
+                pairs.sort()
+                a, b = next(p for p, q in zip(pairs, pairs[1:]) if p == q)
+                raise InputError(f"more than one edge between {a!r} and {b!r}")
+        object.__setattr__(self, "nodes", tuple(sorted(nodes)))
         object.__setattr__(self, "selection", tuple(sorted(set(self.selection))))
-        object.__setattr__(self, "edges", tuple(sorted(set(self.edges), key=lambda r: (rank[r[0]], r[1], r[2]))))
+        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda r: (rank[r[0]], r[1], r[2]))))
 
     def to_contexted(self) -> ContextedDmg:
         if self.kind != "dmg":

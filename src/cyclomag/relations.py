@@ -14,7 +14,7 @@ from collections import deque
 from typing import Iterable, Iterator, Union
 
 from .errors import InputError
-from .graphs import ARROW_HERE, ARROW_THERE, DirectedMixedGraph, MixedGraph, NodeId
+from .graphs import ARROW_HERE, DirectedMixedGraph, MixedGraph, NodeId
 from .walks import Walk
 
 Graph = Union[DirectedMixedGraph, MixedGraph]
@@ -84,11 +84,6 @@ def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:
     idx = h.index
     nbh = idx.und[idx.ids[v]]
     return all(nbh & ~idx.und[w] == 1 << w for w in idx.ids_in(nbh))
-
-
-def _directed_step(v: int, kind: int, w: int) -> bool:
-    """Steps of a directed path: a tail at ``v`` and an arrowhead at ``w``."""
-    return kind & (ARROW_HERE | ARROW_THERE) == ARROW_THERE
 
 
 def _anterior_step(v: int, kind: int, w: int) -> bool:

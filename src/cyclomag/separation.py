@@ -37,7 +37,6 @@ from .graphs import (
     NodeId,
 )
 from .relations import (
-    _directed_step,
     _shortest_walk,
     ancestors,
     anteriors,
@@ -192,44 +191,16 @@ def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> Separation
     """Reachability engine for sigma-separation.
 
     Returns a verdict carrying an open path witness whenever the sets
-    are connected.  Walk connectivity and path connectivity coincide, so
-    the witness is obtained by reducing the discovered walk to a path.
+    are connected.  The search returns a shortest open walk W, and W
+    never repeats a node.  Cutting out the stretch between two visits
+    of a node v gives a shorter walk, so v blocks it.  As a non-collider
+    in ``z``, v is blocked by a tail edge that W has at the same visit,
+    so W is blocked too.  As a collider outside Anc(z), v is left by W
+    over a tail v -> u; every later node descends from v, so none is in
+    Anc(z) or can be a collider, and W cannot come back to v.  So the
+    witness is always a path.
     """
     return _separation(g, query, _SIGMA)
-
-
-def _sigma_walk_to_path(g: DirectedMixedGraph, walk: Walk, scc) -> Walk:
-    """Reduce an open walk to an open path without losing openness.
-
-    Repeated visits always happen inside one strong component, so the
-    detour between the first and last visit of that component can be
-    replaced by a shortest directed path within it, oriented to match
-    the edge that follows.  Each pass removes at least one repeated
-    node, so the loop terminates.
-    """
-    guard = len(walk.nodes) + 2
-    while not walk.is_path:
-        guard -= 1
-        if guard < 0:  # pragma: no cover - the reduction provably converges
-            raise AssertionError("sigma walk-to-path reduction did not converge")
-        nodes = walk.nodes
-        seen: set = set()
-        rep = None
-        for v in nodes:
-            if v in seen:
-                rep = v
-                break
-            seen.add(v)
-        comp = scc[rep]
-        i = next(k for k, v in enumerate(nodes) if v in comp)
-        j = max(k for k, v in enumerate(nodes) if v in comp)
-        vi, vj = nodes[i], nodes[j]
-        if j == len(nodes) - 1 or walk.edges[j].mark_at(vj) is TAIL:
-            mid = _shortest_walk(g, vi, {vj}, _directed_step).edges
-        else:
-            mid = _shortest_walk(g, vj, {vi}, _directed_step).edges[::-1]
-        walk = Walk(nodes[0], walk.edges[:i] + mid + walk.edges[j:])
-    return walk
 
 
 def sigma_separated_oracle(
@@ -307,80 +278,11 @@ def _m_walk_open(walk: Walk, z: set, anc_z: frozenset) -> bool:
 def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     """Reachability engine for m-separation over walks.
 
-    The witness is reduced to a simple path by
-    :func:`_m_walk_to_path`, which always succeeds on graphs that pass
-    validity checking.  On an invalid graph where the reduction fails,
-    the open walk itself is returned, even when some open path exists.
-    Nothing is enumerated.
+    The witness is a shortest open walk.  On graphs that pass validity
+    checking it is a simple path; on an invalid graph it may repeat a
+    node, even when some open path exists.  Nothing is enumerated.
     """
     return _separation(h, query, _M)
-
-
-def _m_walk_to_path(h: MixedGraph, walk: Walk, z: set, anc_z: frozenset) -> Walk | None:
-    """Reduce an m-open walk to an m-open path.
-
-    Works by repeatedly merging the first and last visit of a repeated
-    node.  When the merge would put an arrowhead against an undirected
-    edge, the undirected run is bypassed through the shortcut edge that
-    triples of the form arrowhead-into-undirected force to exist in any
-    graph that passes validity checking.  Returns None when a needed
-    shortcut is missing (possible only on invalid graphs); the caller
-    then keeps the open walk.
-    """
-    guard = len(walk.edges) + 2
-    while not walk.is_path:
-        guard -= 1
-        if guard < 0:
-            return None
-        nodes = walk.nodes
-        n_last = len(nodes) - 1
-        seen: set = set()
-        rep = None
-        for v in nodes:
-            if v in seen:
-                rep = v
-                break
-            seen.add(v)
-        i = nodes.index(rep)
-        j = n_last - tuple(reversed(nodes)).index(rep)
-        if i == 0 and j == n_last:
-            return None
-        if i == 0:
-            walk = walk.subwalk(j, n_last)
-            continue
-        if j == n_last:
-            walk = walk.subwalk(0, i)
-            continue
-        e_in, e_out = walk.edges[i - 1], walk.edges[j]
-        m_in, m_out = e_in.mark_at(rep), e_out.mark_at(rep)
-        if e_in.is_undirected and m_out is ARROWHEAD:
-            k = i
-            while k > 0 and walk.edges[k - 1].is_undirected:
-                k -= 1
-            vk, vj1 = nodes[k], nodes[j + 1]
-            shortcut = h.edge(vk, vj1) if vk != vj1 else None
-            if shortcut is None or shortcut.mark_at(vk) is not ARROWHEAD:
-                return None
-            walk = Walk(nodes[0], walk.edges[:k] + (shortcut,) + walk.edges[j + 1 :])
-            continue
-        if m_in is ARROWHEAD and e_out.is_undirected:
-            r = j
-            while r < n_last and walk.edges[r].is_undirected:
-                r += 1
-            vi1, vr = nodes[i - 1], nodes[r]
-            shortcut = h.edge(vi1, vr) if vi1 != vr else None
-            if shortcut is None or shortcut.mark_at(vr) is not ARROWHEAD:
-                return None
-            walk = Walk(nodes[0], walk.edges[: i - 1] + (shortcut,) + walk.edges[r:])
-            continue
-        # Plain merge.  If the merged node becomes a collider it is an
-        # ancestor of z (an open walk that enters it with an arrowhead
-        # continues with directed edges until a collider that is one);
-        # if it stays a non-collider it avoided z at one occurrence.
-        if m_in is ARROWHEAD and m_out is ARROWHEAD and rep not in anc_z:
-            return None
-        walk = Walk(nodes[0], walk.edges[:i] + walk.edges[j:])
-    return walk if _m_walk_open(walk, z, anc_z) else None
 
 
 def m_separated_oracle(
@@ -523,13 +425,7 @@ def _separation(graph, query: SeparationQuery, crit: tuple) -> SeparationVerdict
     goal, parent = _search(idx, crit, sources, idx.mask(y) & ~z_mask, z_mask, anc_z)
     if goal is None:
         return SeparationVerdict(True)
-    walk = _reconstruct(idx, parent, goal)
-    if not walk.is_path and crit is _SIGMA:
-        walk = _sigma_walk_to_path(graph, walk, scc_index(graph))
-    elif not walk.is_path:
-        path = _m_walk_to_path(graph, walk, z, frozenset(idx.members(anc_z)))
-        walk = walk if path is None else path
-    return SeparationVerdict(False, walk)
+    return SeparationVerdict(False, _reconstruct(idx, parent, goal))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +449,10 @@ def sigma_inducing_paths(
     Qualifying paths have all colliders among the ancestors of the
     endpoints and ``s``, and every interior non-collider unblockable.
     End marks can be read off each returned walk via ``is_into``.
+    Exponential in the worst case, so graphs above the path oracles' cap
+    are refused with :class:`~cyclomag.errors.OracleCapError`.
     """
+    _check_cap(len(g.nodes), None, DEFAULT_PATH_ORACLE_CAP, "the sigma-inducing path listing")
     s = set(s)
     _check_inducing_args(g, s, a, b)
     scc = scc_index(g)
@@ -584,11 +483,16 @@ def sigma_inducing_exists(
 
 def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
     """Simple paths whose interior nodes are all colliders and all
-    ancestors of the endpoints (over the directed edges of ``h``)."""
+    ancestors of the endpoints (over the directed edges of ``h``).
+
+    Refuses graphs above the path oracles' cap, like
+    :func:`sigma_inducing_paths`.
+    """
     return tuple(_iter_inducing_paths(h, a, b))
 
 
 def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
+    _check_cap(len(h.nodes), None, DEFAULT_PATH_ORACLE_CAP, "the inducing path listing")
     _check_inducing_args(h, set(), a, b)
     anc_ends = ancestors(h, {a, b})
     # Open given every interior node exactly when each of them is a

@@ -120,6 +120,62 @@ def test_document_value_rejects_reversed_arrow_record():
             GraphDocument(kind, ("a", "b"), (), (("<-", "a", "b"),))
 
 
+@pytest.mark.parametrize(
+    "kind, nodes, selection, edges, message",
+    [
+        ("mixed", ("a", "b"), (), (("->", "a", "b"), ("<->", "a", "b")), "more than one edge between 'a' and 'b'"),
+        ("mixed", ("a", "b"), (), (("->", "a", "b"), ("->", "b", "a")), "more than one edge between 'a' and 'b'"),
+        ("dmg", ("a",), (), (("->", "a", "a"),), "self-loop on 'a'"),
+        ("mixed", ("a",), (), (("->", "a", "b"),), "'b' is not among the document's nodes"),
+        ("dmg", ("a",), ("zz",), (), "'zz' is not among the document's nodes"),
+        ("dmg", ("a", "1b"), (), (), "invalid node name: '1b'"),
+    ],
+)
+def test_document_value_rejects_what_the_parser_rejects(kind, nodes, selection, edges, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        GraphDocument(kind, nodes, selection, edges)
+
+
+def test_document_value_keeps_symmetric_records_first_name_first():
+    doc = GraphDocument("mixed", ("a", "b", "c"), (), (("<->", "b", "a"), ("<->", "a", "b"), ("--", "c", "b")))
+    assert doc.edges == (("<->", "a", "b"), ("--", "b", "c"))
+
+
+@st.composite
+def _document_args(draw):
+    """Records over the declared nodes in the kinds the document allows,
+    and now and then one fault: a name the parser rejects, an undeclared
+    endpoint or selection, a self-loop, or a forbidden edge kind."""
+    kind = draw(st.sampled_from(("dmg", "mixed")))
+    nodes = draw(st.lists(st.sampled_from(("a", "b", "c", "node", "selection")), min_size=2, max_size=5, unique=True))
+    pairs = st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True)
+    arrows = st.sampled_from(("->", "<->") if kind == "dmg" else ("->", "<->", "--"))
+    edges = [(draw(arrows), a, b) for a, b in draw(st.lists(pairs, max_size=6))]
+    selection = draw(st.lists(st.sampled_from(nodes), max_size=2)) if kind == "dmg" else []
+    fault = draw(st.sampled_from((None,) * 5 + ("1x", "zz", "selection", "self-loop", "kind")))
+    if fault == "1x":
+        nodes.append("1x")
+    elif fault == "zz":
+        edges.append(("->", nodes[0], "zz"))
+    elif fault == "selection":
+        selection.append("zz" if kind == "dmg" else nodes[0])
+    elif fault == "self-loop":
+        edges.append(("<->", nodes[0], nodes[0]))
+    elif fault == "kind":
+        edges.append(("--" if kind == "dmg" else "<-", nodes[0], nodes[1]))
+    return kind, tuple(nodes), tuple(selection), tuple(edges)
+
+
+@given(_document_args())
+@settings(max_examples=300)
+def test_every_document_value_round_trips(args):
+    try:
+        doc = GraphDocument(*args)
+    except InputError:
+        return
+    assert parse_graph(serialize_graph(doc), doc.kind) == doc
+
+
 # "a <arrow> b" read by every reader and written by every writer: the arrow
 # seen from b, the document record, and the DOT line.  "=>" is no arrow.
 ARROW_CASES = [

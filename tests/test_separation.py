@@ -162,6 +162,9 @@ def test_sigma_engine_oracle_differential_with_witness_checks():
                     assert engine.witness.is_path
                     assert sigma_open_walk(g, engine.witness, z)
                     assert sigma_open_path_segments(g, oracle.witness, z)
+                    # The witness is a shortest open walk, so no open path is shorter.
+                    paths = enumerate_simple_paths(g, a, b)
+                    assert len(engine.witness.edges) == min(len(p.edges) for p in paths if sigma_open_walk(g, p, z))
 
 
 def test_sigma_symmetry():
@@ -238,6 +241,8 @@ def test_m_engine_oracle_differential():
                 if not engine.separated:
                     assert engine.witness.is_path
                     assert m_open_walk(h, engine.witness, z)
+                    paths = enumerate_simple_paths(h, a, b)
+                    assert len(engine.witness.edges) == min(len(p.edges) for p in paths if m_open_walk(h, p, z))
 
 
 def test_m_walk_semantics_on_invalid_graph():
@@ -260,8 +265,8 @@ def test_m_separated_never_enumerates_paths(monkeypatch):
     monkeypatch.setattr(relations, "enumerate_simple_paths", refuse)
     h = MixedGraph.of("u -- v", "v -> x", "x <-> y", "y -> v", "v <-> w", "x -> q")
     queries = [(h, "u", "w", ["q"])]
-    # Random marks on every pair make mostly invalid graphs, where the
-    # walk-to-path reduction can fail and the open walk is the witness.
+    # Random marks on every pair make mostly invalid graphs, where a
+    # shortest open walk can repeat a node and is then the witness.
     rng = random.Random(0)
     while len(queries) < 3000:
         names = [f"n{i}" for i in range(rng.randint(3, 10))]
@@ -284,92 +289,6 @@ def test_m_separated_never_enumerates_paths(monkeypatch):
             assert m_open_walk(g, verdict.witness, z)
             walks += not verdict.witness.is_path
     assert walks >= 5
-
-
-# --- walk-to-path reductions (white box) --------------------------------
-
-
-def test_sigma_reduction_collapses_component_detour():
-    from cyclomag.relations import scc_index
-    from cyclomag.separation import _sigma_walk_to_path
-
-    walk = parse_walk(G, "c -> s <- b -> a -> b <-> d")
-    assert not walk.is_path and sigma_open_walk(G, walk, {"s"})
-    path = _sigma_walk_to_path(G, walk, scc_index(G))
-    assert path.is_path and path.render() == "c -> s <- b <-> d"
-    assert sigma_open_walk(G, path, {"s"})
-
-
-def test_sigma_reduction_reroutes_through_the_component():
-    from cyclomag.relations import scc_index
-    from cyclomag.separation import _sigma_walk_to_path
-    from fixtures import CYCLE_WITH_CHILD
-
-    g = CYCLE_WITH_CHILD.graph
-    walk = parse_walk(g, "d <- a -> c -> b -> a -> c")
-    assert not walk.is_path and sigma_open_walk(g, walk, set())
-    path = _sigma_walk_to_path(g, walk, scc_index(g))
-    assert path.is_path and path.nodes == ("d", "a", "c")
-    assert sigma_open_walk(g, path, set())
-
-
-def _shielded_fan():
-    # u -- v with both fans shielded by r; valid by construction.
-    h = MixedGraph.of("u -- v", "v <-> r", "u <-> r", "v -> t", "u -> t")
-    from cyclomag import validate
-
-    assert validate(h).valid
-    return h
-
-
-def test_m_reduction_plain_splice():
-    from cyclomag import ancestors
-    from cyclomag.separation import _m_walk_to_path
-
-    h = MixedGraph.of("u -> m", "v -> m", "u <-> w", "m -> q", "m -> z")
-    walk = parse_walk(h, "w <-> u -> m <- v -> m -> z")
-    assert not walk.is_path and m_open_walk(h, walk, {"q"})
-    path = _m_walk_to_path(h, walk, {"q"}, ancestors(h, {"q"}))
-    assert path is not None and path.is_path
-    assert path.nodes == ("w", "u", "m", "z")
-    assert m_open_walk(h, path, {"q"})
-
-
-def test_m_reduction_bypasses_undirected_run_left():
-    from cyclomag import ancestors
-    from cyclomag.separation import _m_walk_to_path
-
-    h = _shielded_fan()
-    walk = parse_walk(h, "v -- u -> t <- u <-> r")
-    assert not walk.is_path and m_open_walk(h, walk, {"t"})
-    path = _m_walk_to_path(h, walk, {"t"}, ancestors(h, {"t"}))
-    assert path is not None and path.nodes == ("v", "r")
-    assert m_open_walk(h, path, {"t"})
-
-
-def test_m_reduction_bypasses_undirected_run_right():
-    from cyclomag import ancestors
-    from cyclomag.separation import _m_walk_to_path
-
-    h = _shielded_fan()
-    walk = parse_walk(h, "r <-> u -> t <- u -- v")
-    assert not walk.is_path and m_open_walk(h, walk, {"t"})
-    path = _m_walk_to_path(h, walk, {"t"}, ancestors(h, {"t"}))
-    assert path is not None and path.nodes == ("r", "v")
-    assert m_open_walk(h, path, {"t"})
-
-
-def test_m_reduction_trims_endpoint_loops():
-    from cyclomag import ancestors
-    from cyclomag.separation import _m_walk_to_path
-
-    h = MixedGraph.of("a -- b", "b -- c", "a -> d", "b -> d")
-    walk = parse_walk(h, "c -- b -> d <- a -- b")
-    assert not walk.is_path and m_open_walk(h, walk, {"d"})
-    path = _m_walk_to_path(h, walk, {"d"}, ancestors(h, {"d"}))
-    assert path is not None and path.is_path
-    assert path.start == "c" and path.end == "b"
-    assert m_open_walk(h, path, {"d"})
 
 
 # --- oracle caps -------------------------------------------------------------
