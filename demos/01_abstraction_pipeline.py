@@ -8,7 +8,7 @@ records exactly which observed variables can never be separated and
 which ancestral relations survive.
 """
 
-from cyclomag import ContextedDmg, GraphDocument, marginalize, represent, serialize_graph
+from cyclomag import ContextedDmg, marginalize, represent, serialize_graph
 
 full_system = ContextedDmg.of(
     "a -> b",
@@ -20,15 +20,15 @@ full_system = ContextedDmg.of(
     selection=("s",),
 )
 print("full system (latent u, selection s):")
-print(serialize_graph(GraphDocument.from_contexted(full_system)))
+print(serialize_graph(full_system))
 
 projected = marginalize(full_system.graph, {"u"})
 print("after projecting the latent node out (u's fork becomes b <-> d):")
-print(serialize_graph(GraphDocument.from_contexted(ContextedDmg(projected, ("s",)))))
+print(serialize_graph(ContextedDmg(projected, ("s",))))
 
 summary = represent(ContextedDmg(projected, ("s",)))
 print("abstraction over the observed nodes:")
-print(serialize_graph(GraphDocument.from_mixed(summary)))
+print(serialize_graph(summary))
 
 print("reading the marks:")
 print(" * a -- b : each node is an ancestor of the other (the feedback loop)")

@@ -8,7 +8,6 @@ passes, `canonical_dmg` builds one concrete system it summarises.
 """
 
 from cyclomag import (
-    GraphDocument,
     MixedGraph,
     canonical_dmg,
     represent,
@@ -41,6 +40,6 @@ for name in ("undirected triangle with child", "open undirected fan"):
     h = candidates[name]
     witness_system = canonical_dmg(h)
     print(f"one system summarised by the {name}:")
-    print(serialize_graph(GraphDocument.from_contexted(witness_system)))
+    print(serialize_graph(witness_system))
     assert represent(witness_system) == h
     print("  (abstracting it again reproduces the input exactly)\n")

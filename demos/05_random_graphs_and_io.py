@@ -7,7 +7,6 @@ a seed pins the graph on every platform.
 
 from cyclomag import (
     GeneratorConfig,
-    GraphDocument,
     export_dot,
     parse_graph,
     random_dmg,
@@ -18,17 +17,17 @@ from cyclomag import (
 
 cfg = GeneratorConfig(n_nodes=5, p_directed=0.3, p_bidirected=0.15, n_selection=1, seed=42)
 system = random_dmg(cfg)
-text = serialize_graph(GraphDocument.from_contexted(system))
+text = serialize_graph(system)
 print(f"seed {cfg.seed} always gives:")
 print(text)
 
-assert parse_graph(text, "dmg").to_contexted() == system
+assert parse_graph(text, "dmg") == system
 print("the document round-trips through the parser exactly\n")
 
 summary = represent(system)
 assert validate(summary).valid
 print("its abstraction (valid by construction):")
-print(serialize_graph(GraphDocument.from_mixed(summary)))
+print(serialize_graph(summary))
 
 print("DOT rendering of the system (selection nodes drawn as boxes):")
 print(export_dot(system))

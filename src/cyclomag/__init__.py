@@ -45,7 +45,7 @@ from .graphs import (
     MixedGraph,
     NodeId,
 )
-from .io_text import GraphDocument, export_dot, parse_graph, serialize_graph
+from .io_text import export_dot, parse_graph, serialize_graph
 from .relations import (
     ancestors,
     anteriors,

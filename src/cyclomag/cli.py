@@ -28,7 +28,7 @@ from .equivalence import (
 from .errors import InputError, OracleCapError, ParseError, PreconditionError
 from .generators import GeneratorConfig, random_dmg
 from .graphs import ContextedDmg, MixedGraph
-from .io_text import GraphDocument, export_dot, parse_graph, serialize_graph
+from .io_text import export_dot, parse_graph, serialize_graph
 from .separation import (
     SeparationQuery,
     inducing_paths,
@@ -50,27 +50,26 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load(path: str, kind: str):
     try:
-        doc = parse_graph(_read(path), kind)
+        return parse_graph(_read(path), kind)
     except ParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return doc.to_mixed() if kind == "mixed" else doc.to_contexted()
 
 
 def _load_auto(path: str):
     """Mixed document first; anything mixed syntax rejects is read as dmg."""
     text = _read(path)
     try:
-        return parse_graph(text, "mixed").to_mixed()
+        return parse_graph(text, "mixed")
     except ParseError:
         try:
-            return parse_graph(text, "dmg").to_contexted()
+            return parse_graph(text, "dmg")
         except ParseError as exc:
             raise InputError(f"{path}: {exc}") from exc
 
@@ -119,7 +118,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_abstract(args) -> int:
     h = represent(_load(args.file, "dmg"))
-    sys.stdout.write(serialize_graph(GraphDocument.from_mixed(h)))
+    sys.stdout.write(serialize_graph(h))
     return 0
 
 
@@ -130,8 +129,7 @@ def _cmd_marginalize(args) -> int:
         if v in c.selection:
             raise InputError(f"cannot marginalize out selection node {v!r}")
     g = marginalize(c.graph, drop)
-    doc = GraphDocument.from_contexted(ContextedDmg(g, c.selection))
-    sys.stdout.write(serialize_graph(doc))
+    sys.stdout.write(serialize_graph(ContextedDmg(g, c.selection)))
     return 0
 
 
@@ -152,7 +150,7 @@ def _cmd_ssep(args) -> int:
 
 def _cmd_canonical(args) -> int:
     c = canonical_dmg(_load(args.file, "mixed"))
-    sys.stdout.write(serialize_graph(GraphDocument.from_contexted(c)))
+    sys.stdout.write(serialize_graph(c))
     return 0
 
 
@@ -217,7 +215,7 @@ def _cmd_random(args) -> int:
         seed=args.seed,
     )
     c = random_dmg(cfg, allow_selection_children=args.allow_selection_children)
-    sys.stdout.write(serialize_graph(GraphDocument.from_contexted(c)))
+    sys.stdout.write(serialize_graph(c))
     return 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -383,10 +383,12 @@ class _Graph:
         ids = self.index.ids
         return b in ids and bool(self.index.adj[ids[a]] >> ids[b] & 1)
 
-    def require_nodes(self, vs: Iterable[NodeId]) -> None:
+    def require_nodes(self, vs: Collection[NodeId]) -> None:
         for v in vs:
             if v not in self._incident:
-                raise InputError(f"unknown node: {v!r}")
+                # The least unknown node, so that the message never follows set order.
+                missing = [u for u in vs if u not in self._incident]
+                raise InputError(f"unknown node: {min(missing, key=str)!r}")
 
     def incident_edges(self, v: NodeId) -> tuple[MixedEdge, ...]:
         try:

@@ -14,13 +14,14 @@ A line of three tokens with an arrow in the middle is an edge, so
 ``node`` and ``selection`` can also name nodes.  A dmg document permits
 up to one edge of each type per node pair; a mixed document permits a
 single edge per pair and no selection lines.
-Serialisation is normalised (sorted, minimal node lines), so parsing a
-serialised document reproduces it exactly.
+
+A dmg document parses to a :class:`ContextedDmg` and a mixed one to a
+:class:`MixedGraph`; :func:`serialize_graph` writes any graph value as a
+document.  Serialisation is normalised (sorted, minimal node lines), so
+parsing a serialised graph gives back an equal graph value.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InputError, ParseError
 from .graphs import (
@@ -31,83 +32,14 @@ from .graphs import (
     NodeId,
     _ARROW_MARKS,
     _NAME_RE,
-    check_node_name,
 )
 
 # Edge records are (kind, a, b) with kind one of "->", "<->", "--";
 # "<->"/"--" records keep a < b, "->" records are tail first.
 EdgeRecord = tuple[str, NodeId, NodeId]
 
-
-@dataclass(frozen=True)
-class GraphDocument:
-    kind: str  # "dmg" | "mixed"
-    nodes: tuple[NodeId, ...]
-    selection: tuple[NodeId, ...]
-    edges: tuple[EdgeRecord, ...]
-
-    def __post_init__(self):
-        rank = _KIND_RANK.get(self.kind)
-        if rank is None:
-            raise InputError(f"unknown document kind: {self.kind!r}")
-        # The checks parse_graph makes line by line, as set operations over
-        # the records, so that every document serialises to text that
-        # parses back to it.
-        kinds, tails, heads = tuple(zip(*self.edges)) or ((), (), ())
-        stray = set(kinds) - rank.keys()
-        if stray:
-            raise InputError(f"{min(stray)!r} edges are not allowed in a {self.kind} document")
-        if self.selection and self.kind == "mixed":
-            raise InputError("selection nodes are not allowed in a mixed document")
-        nodes = {check_node_name(v) for v in self.nodes}
-        missing = set(tails).union(heads, self.selection) - nodes
-        if missing:
-            raise InputError(f"{min(missing)!r} is not among the document's nodes")
-        loops = {a for a, b in zip(tails, heads) if a == b}
-        if loops:
-            raise InputError(f"self-loop on {min(loops)!r}")
-        edges = {(k, b, a) if k != "->" and b < a else (k, a, b) for k, a, b in self.edges}
-        if self.kind == "mixed":
-            pairs = [(a, b) if a < b else (b, a) for _, a, b in edges]
-            if len(set(pairs)) < len(pairs):
-                pairs.sort()
-                a, b = next(p for p, q in zip(pairs, pairs[1:]) if p == q)
-                raise InputError(f"more than one edge between {a!r} and {b!r}")
-        object.__setattr__(self, "nodes", tuple(sorted(nodes)))
-        object.__setattr__(self, "selection", tuple(sorted(set(self.selection))))
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda r: (rank[r[0]], r[1], r[2]))))
-
-    def to_contexted(self) -> ContextedDmg:
-        if self.kind != "dmg":
-            raise InputError("not a dmg document")
-        directed = [(a, b) for k, a, b in self.edges if k == "->"]
-        bidirected = [(a, b) for k, a, b in self.edges if k == "<->"]
-        return ContextedDmg(
-            DirectedMixedGraph(self.nodes, tuple(directed), tuple(bidirected)),
-            self.selection,
-        )
-
-    def to_mixed(self) -> MixedGraph:
-        if self.kind != "mixed":
-            raise InputError("not a mixed document")
-        edges = []
-        for k, a, b in self.edges:
-            mark_a, mark_b = _ARROW_MARKS[k]
-            edges.append(MixedEdge(a, mark_a, b, mark_b))
-        return MixedGraph(self.nodes, tuple(edges))
-
-    @classmethod
-    def from_contexted(cls, c: ContextedDmg) -> "GraphDocument":
-        return cls("dmg", c.graph.nodes, c.selection, tuple(_dmg_records(c.graph)))
-
-    @classmethod
-    def from_mixed(cls, h: MixedGraph) -> "GraphDocument":
-        return cls("mixed", h.nodes, (), tuple(map(_record, h.edges)))
-
-
-# The edge kinds each document kind allows, ranked in serialisation
-# order: directed edges, then bidirected ones, then undirected ones.
-_KIND_RANK = {"dmg": {"->": 0, "<->": 1}, "mixed": {"->": 0, "<->": 1, "--": 2}}
+# Serialisation order of the edge kinds: directed, bidirected, undirected.
+_RANK = {"->": 0, "<->": 1, "--": 2}
 
 
 def _record(e: MixedEdge) -> EdgeRecord:
@@ -115,16 +47,31 @@ def _record(e: MixedEdge) -> EdgeRecord:
     return ("->", e.b, e.a) if arrow == "<-" else (arrow, e.a, e.b)
 
 
-def _dmg_records(g: DirectedMixedGraph) -> list[EdgeRecord]:
-    return [("->", t, h) for t, h in g.directed] + [("<->", a, b) for a, b in g.bidirected]
+def _records(graph) -> tuple[tuple[NodeId, ...], tuple[NodeId, ...], list[EdgeRecord]]:
+    """The nodes, selection nodes and edge records of any of the three
+    graph value types, the records sorted in document order."""
+    selection: tuple[NodeId, ...] = ()
+    if isinstance(graph, ContextedDmg):
+        selection = graph.selection
+        graph = graph.graph
+    if isinstance(graph, DirectedMixedGraph):
+        records = [("->", t, h) for t, h in graph.directed] + [("<->", a, b) for a, b in graph.bidirected]
+    elif isinstance(graph, MixedGraph):
+        records = sorted(map(_record, graph.edges), key=lambda r: (_RANK[r[0]], r[1], r[2]))
+    else:
+        raise InputError(f"cannot export {type(graph).__name__}")
+    return graph.nodes, selection, records
 
 
-def parse_graph(text: str, kind: str) -> GraphDocument:
-    """Parse a document of the given kind ("dmg" or "mixed").
+def parse_graph(text: str, kind: str) -> MixedGraph | ContextedDmg:
+    """Parse a document of the given kind: a :class:`MixedGraph` for
+    ``"mixed"``, a :class:`ContextedDmg` for ``"dmg"``.
 
-    Syntax errors raise :class:`ParseError` with line and column.
+    Syntax errors raise :class:`ParseError` with line and column; a dmg
+    document whose nodes are all selection nodes raises
+    :class:`InputError`.
     """
-    if kind not in _KIND_RANK:
+    if kind not in ("dmg", "mixed"):
         raise InputError(f"unknown document kind: {kind!r}")
     nodes: set[NodeId] = set()
     selection: set[NodeId] = set()
@@ -172,7 +119,11 @@ def parse_graph(text: str, kind: str) -> GraphDocument:
         else:
             raise _error(f"unrecognised declaration: {line.strip()!r}", lineno, raw)
 
-    return GraphDocument(kind, tuple(nodes), tuple(selection), tuple(edges))
+    if kind == "mixed":
+        return MixedGraph(tuple(nodes), tuple([MixedEdge(a, _ARROW_MARKS[k][0], b, _ARROW_MARKS[k][1]) for k, a, b in edges]))
+    directed = tuple([(a, b) for k, a, b in edges if k == "->"])
+    bidirected = tuple([(a, b) for k, a, b in edges if k == "<->"])
+    return ContextedDmg(DirectedMixedGraph(tuple(nodes), directed, bidirected), tuple(selection))
 
 
 def _error(msg: str, lineno: int, raw: str, tokens=(), i: int | None = None) -> ParseError:
@@ -185,14 +136,16 @@ def _error(msg: str, lineno: int, raw: str, tokens=(), i: int | None = None) -> 
     return ParseError(msg, lineno, column + 1)
 
 
-def serialize_graph(doc: GraphDocument) -> str:
-    """Normalised text: isolated nodes, then selections, then edges, sorted."""
-    mentioned = set(doc.selection)
-    for _, a, b in doc.edges:
+def serialize_graph(graph) -> str:
+    """Normalised document text of a graph value: isolated nodes, then
+    selections, then edges, sorted."""
+    nodes, selection, records = _records(graph)
+    mentioned = set(selection)
+    for _, a, b in records:
         mentioned.update((a, b))
-    lines = [f"node {v}" for v in doc.nodes if v not in mentioned]
-    lines += [f"selection {v}" for v in doc.selection]
-    for kind, a, b in doc.edges:
+    lines = [f"node {v}" for v in nodes if v not in mentioned]
+    lines += [f"selection {v}" for v in selection]
+    for kind, a, b in records:
         lines.append(f"{a} {kind} {b}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -206,19 +159,11 @@ def export_dot(graph) -> str:
     Directed edges are plain arrows, bidirected ones carry dir=both,
     undirected ones dir=none; selection nodes get a box shape.
     """
-    selection: set[NodeId] = set()
-    if isinstance(graph, ContextedDmg):
-        selection = set(graph.selection)
-        graph = graph.graph
-    if isinstance(graph, DirectedMixedGraph):
-        records = _dmg_records(graph)
-    elif isinstance(graph, MixedGraph):
-        records = map(_record, graph.edges)
-    else:
-        raise InputError(f"cannot export {type(graph).__name__}")
+    nodes, selection, records = _records(graph)
+    boxed = set(selection)
     lines = ["digraph G {"]
-    for v in graph.nodes:
-        attr = " [shape=box]" if v in selection else ""
+    for v in nodes:
+        attr = " [shape=box]" if v in boxed else ""
         lines.append(f'  "{v}"{attr};')
     lines.extend(sorted(f'  "{a}" -> "{b}"{_DOT_ATTRS[k]};' for k, a, b in records))
     lines.append("}")

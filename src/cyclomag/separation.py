@@ -68,7 +68,7 @@ def _check_cap(n_nodes: int, explicit: int | None, default: int, what: str) -> N
     if n_nodes > cap:
         raise OracleCapError(
             f"{what} is capped at {cap} nodes but the graph has {n_nodes}; "
-            f"pass cap= or set {ORACLE_CAP_ENV} to override"
+            f"set {ORACLE_CAP_ENV} to override"
         )
 
 

@@ -72,12 +72,6 @@ class Walk:
     def is_out_of(self, v: NodeId) -> bool:
         return not self.is_trivial and not self.is_into(v)
 
-    def subwalk(self, i: int, j: int) -> "Walk":
-        """Subwalk from node position i to node position j (inclusive)."""
-        if not 0 <= i <= j <= len(self.edges):
-            raise InputError(f"bad subwalk positions {i}, {j}")
-        return Walk(self._nodes[i], self.edges[i:j])
-
     def render(self) -> str:
         parts = [self.start]
         for u, e, w in zip(self._nodes, self.edges, self._nodes[1:]):

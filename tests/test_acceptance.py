@@ -10,7 +10,6 @@ import time
 from cyclomag import (
     ARROWHEAD,
     GeneratorConfig,
-    GraphDocument,
     MixedGraph,
     SeparationQuery,
     ViolationKind,
@@ -75,8 +74,7 @@ def _pass(label: str) -> None:
 
 def test_criterion_1_latent_selection_pipeline():
     t0 = time.monotonic()
-    doc = parse_graph(SELECTION_DG_TEXT, "dmg")
-    contexted = doc.to_contexted()
+    contexted = parse_graph(SELECTION_DG_TEXT, "dmg")
     assert contexted == SELECTION_DG
     projected = marginalize(contexted.graph, {"u"})
     assert projected == SELECTION_DMG.graph
@@ -266,8 +264,8 @@ def test_criterion_8_structural_property_suite_300():
 
 
 def test_criterion_9_io_roundtrip_and_snapshot():
-    fixture_docs = [
-        GraphDocument.from_contexted(c)
+    fixture_graphs = [
+        ("dmg", c)
         for c in (
             SELECTION_DG,
             SELECTION_DMG,
@@ -279,7 +277,7 @@ def test_criterion_9_io_roundtrip_and_snapshot():
             SELECTION_AND_CYCLE,
         )
     ] + [
-        GraphDocument.from_mixed(h)
+        ("mixed", h)
         for h in (
             SELECTION_ABSTRACTION,
             INDUCING_CHAIN,
@@ -290,11 +288,11 @@ def test_criterion_9_io_roundtrip_and_snapshot():
             DISC_COLLIDER,
         )
     ]
-    for doc in fixture_docs:
-        assert parse_graph(serialize_graph(doc), doc.kind) == doc
+    for kind, graph in fixture_graphs:
+        assert parse_graph(serialize_graph(graph), kind) == graph
     for seed in range(1000):
-        doc = GraphDocument.from_contexted(seeded_contexted(seed, max_n=7, max_s=2))
-        assert parse_graph(serialize_graph(doc), "dmg") == doc
+        c = seeded_contexted(seed, max_n=7, max_s=2)
+        assert parse_graph(serialize_graph(c), "dmg") == c
 
     snapshot = random_dmg(GeneratorConfig(5, 0.3, 0.15, 1, 42))
     assert snapshot.selection == ("v5",)

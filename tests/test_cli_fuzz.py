@@ -9,7 +9,7 @@ import io
 import signal
 import time
 
-from cyclomag import GeneratorConfig, GraphDocument, random_dmg, represent, serialize_graph
+from cyclomag import GeneratorConfig, random_dmg, represent, serialize_graph
 from cyclomag.cli import main
 
 BUDGET_S = 2.0
@@ -82,9 +82,9 @@ def test_every_subcommand_survives_hostile_input(tmp_path):
         calls += _commands(str(path), "a", "b")
     # The n=30 system and its abstraction: the exhaustive listings refuse them.
     c = random_dmg(GeneratorConfig(30, 2 / 30, 1 / 30, n_selection=3, seed=1))
-    for name, doc in (("n30.dmg", GraphDocument.from_contexted(c)), ("n30.mixed", GraphDocument.from_mixed(represent(c)))):
+    for name, graph in (("n30.dmg", c), ("n30.mixed", represent(c))):
         path = tmp_path / name
-        path.write_text(serialize_graph(doc), encoding="utf-8")
+        path.write_text(serialize_graph(graph), encoding="utf-8")
         calls += _commands(str(path), "v1", "v2")
     calls += [
         ["validate", str(tmp_path / "missing.txt")],

@@ -7,7 +7,6 @@ from cyclomag import (
     TAIL,
     EquivalenceClause,
     GeneratorConfig,
-    GraphDocument,
     InputError,
     MixedEdge,
     MixedGraph,
@@ -310,7 +309,7 @@ def test_long_discriminating_chain_is_told_apart(k, tmp_path, capsys):
     assert dp.target_is_collider(collider) and not dp.target_is_collider(non_collider)
     files = [tmp_path / "collider.mixed", tmp_path / "non_collider.mixed"]
     for path, h in zip(files, (collider, non_collider)):
-        path.write_text(serialize_graph(GraphDocument.from_mixed(h)), encoding="utf-8")
+        path.write_text(serialize_graph(h), encoding="utf-8")
     assert cli(["equiv", *map(str, files)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "equivalent: false"
 

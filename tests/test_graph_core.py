@@ -76,6 +76,21 @@ def test_selection_must_leave_an_observed_node():
         ContextedDmg(DirectedMixedGraph(("a",), (), ()), ("a",))
 
 
+def test_selection_node_must_be_in_the_graph():
+    with pytest.raises(InputError, match="selection node 'zz' is not in the graph"):
+        ContextedDmg(DirectedMixedGraph(("a", "b"), (), ()), ("zz",))
+
+
+def test_unknown_node_message_names_the_least_missing_node():
+    g = DirectedMixedGraph.of("a -> b")
+    # Set order follows the hash seed; the message must not.
+    for missing, least in ((set("qwertyuiop"), "'e'"), (["f", "d", "c"], "'c'"), ({"zz", 3}, "3")):
+        with pytest.raises(InputError, match=f"^unknown node: {least}$"):
+            g.require_nodes(missing)
+    with pytest.raises(InputError, match="^unknown node: 'e'$"):
+        ancestors(g, set("qwertyuiop") | {"a"})
+
+
 # --- strong components -------------------------------------------------------
 
 
