@@ -237,7 +237,10 @@ class GraphIndex:
       sets of each node as int bitmasks, built on first use.
       :func:`~cyclomag.abstraction.represent` decides adjacent and
       same-component pairs from ``adj`` and ``scc``, and runs one
-      separation search per observed pair that is neither.
+      separation search per observed pair that is neither.  Given a
+      nonempty conditioning set, the sigma search stays inside the
+      ``anc`` closure of the query and the m search inside its ``ant``
+      closure.
     * ``into``, ``spikes``, ``bi``, ``und``: the neighbours w of each node
       v with an arrowhead at w on an edge v - w, with one at v, over
       ``<->`` and over ``--``; bitmasks built on first use, on which the

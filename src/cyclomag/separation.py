@@ -191,14 +191,16 @@ def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> Separation
     """Reachability engine for sigma-separation.
 
     Returns a verdict carrying an open path witness whenever the sets
-    are connected.  The search returns a shortest open walk W, and W
-    never repeats a node.  Cutting out the stretch between two visits
-    of a node v gives a shorter walk, so v blocks it.  As a non-collider
-    in ``z``, v is blocked by a tail edge that W has at the same visit,
-    so W is blocked too.  As a collider outside Anc(z), v is left by W
-    over a tail v -> u; every later node descends from v, so none is in
-    Anc(z) or can be a collider, and W cannot come back to v.  So the
-    witness is always a path.
+    are connected.  Given a nonempty ``z`` the search stays inside
+    An(x | y | z), which holds every open walk, so the witness is the
+    one a search over the whole graph finds.  It is a shortest open walk W,
+    and W never repeats a node.  Cutting out the stretch between two
+    visits of a node v gives a shorter walk, so v blocks it.  As a
+    non-collider in ``z``, v is blocked by a tail edge that W has at the
+    same visit, so W is blocked too.  As a collider outside Anc(z), v is
+    left by W over a tail v -> u; every later node descends from v, so
+    none is in Anc(z) or can be a collider, and W cannot come back to v.
+    So the witness is always a path.
     """
     return _separation(g, query, _SIGMA)
 
@@ -280,7 +282,10 @@ def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
 
     The witness is a shortest open walk.  On graphs that pass validity
     checking it is a simple path; on an invalid graph it may repeat a
-    node, even when some open path exists.  Nothing is enumerated.
+    node, even when some open path exists.  Given a nonempty ``z`` the
+    search stays inside the anterior set Ant(x | y | z), which holds
+    every open walk, and finds the same witness as a search over the
+    whole graph.  Nothing is enumerated.
     """
     return _separation(h, query, _M)
 
@@ -311,6 +316,15 @@ def m_separated_oracle(
 # in z.  Every blocking rule is local to these, so breadth-first search
 # over the states decides exactly whether an open walk exists.  Rows are
 # read in incident-edge order, which fixes the witnesses.
+#
+# Every node of an open walk lies in the criterion's closure of
+# x | y | z: the ancestors under sigma, the anteriors under m (the two
+# agree on a directed mixed graph).  From a non-collider, the walk
+# leaves over a tail in one direction, and the criterion makes it go on
+# leaving over tails (an arrowhead meets no undirected edge under m)
+# until it ends in x | y or at a collider, which lies in Anc(z).  Given a
+# nonempty z the search therefore drops states outside that closure; an
+# empty z leaves every node live and builds no closure.
 _ARROW = 0
 _OUTSIDE, _IN_ANC, _IN_Z = 0, 1, 2
 
@@ -348,9 +362,11 @@ def _m_passes(shape: int, here: bool, undirected: bool, cross: bool, standing: i
     return standing != _IN_Z
 
 
-def _criterion(arrival, passes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _criterion(arrival, passes, closure: str) -> tuple[tuple[int, ...], tuple[int, ...], str]:
     """Per edge kind: the arrival shape, and a mask whose bit
-    4 * standing + shape is set where the edge may be taken."""
+    4 * standing + shape is set where the edge may be taken; then the
+    name of the :class:`~cyclomag.graphs.GraphIndex` closure that bounds
+    the search."""
     arrive, masks = [], []
     for kind in range(8):
         here, there, cross = bool(kind & ARROW_HERE), bool(kind & ARROW_THERE), bool(kind & CROSSES_SCC)
@@ -360,28 +376,37 @@ def _criterion(arrival, passes) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for standing, shape in product(range(3), range(3)):
             mask |= passes(shape, here, undirected, cross, standing) << (4 * standing + shape)
         masks.append(mask)
-    return tuple(arrive), tuple(masks)
+    return tuple(arrive), tuple(masks), closure
 
 
-_SIGMA = _criterion(_sigma_arrival, _sigma_passes)
-_M = _criterion(_m_arrival, _m_passes)
+_SIGMA = _criterion(_sigma_arrival, _sigma_passes, "anc")
+_M = _criterion(_m_arrival, _m_passes, "ant")
 
 
-def _search(idx: GraphIndex, crit: tuple, sources, goal: int, z: int, anc_z: int):
+def _search(idx: GraphIndex, crit: tuple, sources, goal: int, z: int, anc_z: int, live: int):
     """Breadth-first search from the ``sources`` ids over node bitmasks.
 
     Returns the first goal state reached, or None, and the parent map.
     The queue is first-in first-out, so testing states as they are
     pushed finds the same goal state, with the same parents, as testing
     them as they are popped.
+
+    States at nodes outside ``live`` are neither recorded nor queued,
+    and the witness does not change.  Call a state useful when some run
+    of moves takes it to a goal state.  A useful state that the search
+    reaches lies on an open walk, so its node is live; and a state with
+    a move into a useful state is useful too.  Dropped states are thus
+    all useless and never queue a useful one, so useful states are
+    queued in the same order with the same parents, and the first goal
+    state and its parent chain stay the same.  Goal nodes are live.
     """
-    rows, (arrive, passes) = idx.rows, crit
+    rows, (arrive, passes, _) = idx.rows, crit
     parent: dict[int, tuple] = {}
     queue: deque[int] = deque()
     for a in sources:
         for w, kind, e in rows[a]:
             st = w << 2 | arrive[kind]
-            if st not in parent:
+            if live >> w & 1 and st not in parent:
                 parent[st] = (None, e, a)
                 if goal >> w & 1:
                     return st, parent
@@ -392,7 +417,7 @@ def _search(idx: GraphIndex, crit: tuple, sources, goal: int, z: int, anc_z: int
         standing = _IN_Z if z >> v & 1 else anc_z >> v & 1  # else _IN_ANC (1) or _OUTSIDE (0)
         bit = 1 << (4 * standing + (st & 3))
         for w, kind, e in rows[v]:
-            if passes[kind] & bit:
+            if passes[kind] & bit and live >> w & 1:
                 nxt = w << 2 | arrive[kind]
                 if nxt not in parent:
                     parent[nxt] = (st, e, v)
@@ -414,15 +439,29 @@ def _reconstruct(idx: GraphIndex, parent: dict, goal: int) -> Walk:
 
 
 def _separation(graph, query: SeparationQuery, crit: tuple) -> SeparationVerdict:
-    x, y, z = _validated(graph, query)
-    overlap = sorted((x & y) - z)
-    if overlap:
-        return SeparationVerdict(False, Walk(overlap[0]))
     idx = graph.index
-    z_mask = idx.mask(z)
-    anc_z = idx.union(idx.anc, z_mask) if z else 0  # an empty z needs no ancestor sets
-    sources = sorted(idx.ids[a] for a in x - z)
-    goal, parent = _search(idx, crit, sources, idx.mask(y) & ~z_mask, z_mask, anc_z)
+    ids = idx.ids
+    try:
+        xs, ys, zs = ([ids[v] for v in side] for side in (query.x, query.y, query.z))
+    except KeyError:  # name the least unknown node, like every other entry point
+        graph.require_nodes(query.x | query.y | query.z)
+        raise
+    z = anc_z = 0
+    live = -1  # every bit set: given an empty z, every node is live and no closure is built
+    if zs:
+        anc, closure = idx.anc, getattr(idx, crit[2])
+        live = 0
+        for i in zs:
+            z |= 1 << i
+            anc_z |= anc[i]
+            live |= closure[i]
+        for i in xs + ys:
+            live |= closure[i]
+    overlap = (query.x & query.y) - query.z
+    if overlap:
+        return SeparationVerdict(False, Walk(min(overlap)))
+    sources = sorted(i for i in xs if not z >> i & 1)
+    goal, parent = _search(idx, crit, sources, sum(1 << i for i in ys) & ~z, z, anc_z, live)
     if goal is None:
         return SeparationVerdict(True)
     return SeparationVerdict(False, _reconstruct(idx, parent, goal))

@@ -5,7 +5,9 @@ whatever the graph: its representation is valid, the canonical
 reconstruction round-trips, and sigma-separation in the system given
 Z and the selection set agrees with m-separation in the representation
 given Z.  Projecting latent nodes out with ``marginalize`` keeps every
-sigma-separation among the nodes that remain.
+sigma-separation among the nodes that remain.  Cutting a graph down to
+the ancestors (sigma) or anteriors (m) of a query keeps its verdict and
+witness.
 """
 
 import itertools
@@ -14,8 +16,15 @@ import random
 import pytest
 
 from cyclomag import (
+    ARROWHEAD,
+    TAIL,
+    DirectedMixedGraph,
     GeneratorConfig,
+    MixedEdge,
+    MixedGraph,
     SeparationQuery,
+    ancestors,
+    anteriors,
     canonical_dmg,
     m_separated,
     marginalize,
@@ -83,3 +92,59 @@ def test_marginalize_preserves_sigma_separation_at_scale(n, seed, directed, bidi
         assert marginal == sigma_separated(c.graph, q).separated, (a, b, sorted(q.z))
         verdicts.add(marginal)
     assert verdicts == {True, False}
+
+
+def _induced(graph, keep):
+    if isinstance(graph, DirectedMixedGraph):
+        return DirectedMixedGraph(
+            tuple(v for v in graph.nodes if v in keep),
+            tuple((t, h) for t, h in graph.directed if t in keep and h in keep),
+            tuple((a, b) for a, b in graph.bidirected if a in keep and b in keep),
+        )
+    return MixedGraph(
+        tuple(v for v in graph.nodes if v in keep),
+        tuple(e for e in graph.edges if e.a in keep and e.b in keep),
+    )
+
+
+def _random_marks(n, seed):
+    """Random marks on random pairs: mostly not a valid abstraction."""
+    rng = random.Random(seed)
+    names = [f"v{i:02d}" for i in range(n)]
+    return MixedGraph(
+        tuple(names),
+        tuple(
+            MixedEdge(u, rng.choice((TAIL, ARROWHEAD)), v, rng.choice((TAIL, ARROWHEAD)))
+            for u, v in itertools.combinations(names, 2)
+            if rng.random() < 2.5 / n
+        ),
+    )
+
+
+def _render(verdict):
+    return verdict.separated, verdict.witness.render() if verdict.witness else None
+
+
+@pytest.mark.parametrize("n, seed, directed, bidirected, n_selection", SYSTEMS)
+def test_verdicts_survive_cutting_to_the_query_closure(n, seed, directed, bidirected, n_selection):
+    # Every open walk lies in An(x | y | z) under sigma and in
+    # Ant(x | y | z) under m, and those sets keep strong components and
+    # Anc(z) whole, so the induced subgraph answers the same.
+    c = _system(n, seed, directed, bidirected, n_selection)
+    marked = _random_marks(n, seed)
+    engines = [
+        (sigma_separated, ancestors, c.graph, c.observed, set(c.selection)),
+        (m_separated, anteriors, represent(c), c.observed, set()),
+        (m_separated, anteriors, marked, marked.nodes, set()),
+    ]
+    rng = random.Random(seed)
+    for separated, closure, graph, nodes, s in engines:
+        verdicts = set()
+        for _ in range(QUERIES):
+            x, y = (set(rng.sample(nodes, rng.choice((1, 1, 2)))) for _ in "xy")
+            z = set(rng.sample(nodes, rng.randint(0, len(nodes) // 3))) | s
+            q = SeparationQuery(x, y, z)
+            whole = separated(graph, q)
+            assert _render(separated(_induced(graph, closure(graph, x | y | z)), q)) == _render(whole), q
+            verdicts.add(whole.separated)
+        assert verdicts == {True, False}

@@ -11,6 +11,7 @@ from cyclomag import (
     SeparationQuery,
     Walk,
     ancestors,
+    anteriors,
     canonical_inducing_separator,
     enumerate_simple_paths,
     inducing_exists,
@@ -56,6 +57,61 @@ def test_query_requires_nonempty_sides():
 def test_unknown_nodes_rejected():
     with pytest.raises(InputError):
         sigma_separated(G, SeparationQuery("a", "nope"))
+
+
+@pytest.mark.parametrize("x, y, z", [("a nq", "b", "c"), ("a", "zz b", "mm"), ("a", "b", "c q zz")])
+def test_unknown_nodes_message_names_the_least_missing_node(x, y, z):
+    query = SeparationQuery(x.split(), y.split(), z.split())
+    least = min((set(x.split()) | set(y.split()) | set(z.split())) - set(G.nodes))
+    for separated, graph in ((sigma_separated, G), (m_separated, H)):
+        with pytest.raises(InputError, match=f"^unknown node: '{least}'$"):
+            separated(graph, query)
+
+
+# --- search bounds -----------------------------------------------------------
+
+
+class _RecordedRows:
+    """A stand-in for ``GraphIndex.rows`` that records the ids read."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return self.rows[i]
+
+
+# x <- w -> y and x -> k <- y, with a long chain of descendants below x
+# that no open walk can use.
+CHAIN = [f"d{i}" for i in range(12)]
+CHAIN_EDGES = ["w -> x", "w -> y", "x -> k", "y -> k", "x -> d0"] + [f"{u} -> {v}" for u, v in zip(CHAIN, CHAIN[1:])]
+
+
+@pytest.mark.parametrize("separated, closure, graph", [
+    (sigma_separated, ancestors, DirectedMixedGraph.of(*CHAIN_EDGES)),
+    (m_separated, anteriors, MixedGraph.of(*CHAIN_EDGES, "v -- w")),
+])
+def test_search_reads_no_row_outside_the_query_closure(separated, closure, graph):
+    queries = (({"w"}, True), ({"k"}, False), ({"w", "k"}, False))
+    # Build the index and its closures before the rows are wrapped.
+    lives = [closure(graph, {"x", "y"} | z) for z, _ in queries]
+    idx = graph.index
+    recorded = idx.rows = _RecordedRows(idx.rows)
+    for (z, verdict), live in zip(queries, lives):
+        recorded.read.clear()
+        assert separated(graph, SeparationQuery("x", "y", z)).separated is verdict
+        assert recorded.read and {idx.names[i] for i in recorded.read} <= live
+
+
+def test_empty_z_builds_no_closure():
+    # A one-shot query without z on a large document pays for no closure.
+    for separated, graph in (
+        (sigma_separated, DirectedMixedGraph.of(*CHAIN_EDGES)),
+        (m_separated, MixedGraph.of(*CHAIN_EDGES, "v -- w")),
+    ):
+        assert not separated(graph, SeparationQuery("d11", "y")).separated
+        assert "anc" not in graph.index.__dict__ and "ant" not in graph.index.__dict__
 
 
 # --- walk-level sigma criterion ----------------------------------------------
