@@ -13,8 +13,9 @@ each endpoint:
 All values are frozen after construction; every operation in the package
 is a pure function over them, so graphs can be shared freely across
 threads and used as dictionary keys.  Each graph builds its
-:class:`GraphIndex` of derived data on first use and keeps it on the
-instance; the index never affects equality or hashing.
+:class:`GraphIndex` of derived data from its edge list on first use and
+keeps it on the instance.  The index rows are the graph's only incidence
+structure, and the index never affects equality or hashing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator
 
 from .errors import InputError
 
@@ -222,9 +223,12 @@ class GraphIndex:
     * ``names`` and ``ids``: node ``i`` is ``names[i]``; ids follow the
       sorted node order, so ascending ids are ascending names.
     * ``rows[i]``: one ``(neighbour id, kind, edge)`` tuple per incident
-      edge, in :meth:`incident_edges` order.  The kind sets
-      ``ARROW_HERE`` and ``ARROW_THERE`` for arrowheads at the two ends
-      and ``CROSSES_SCC`` when the edge joins two strong components.
+      edge, built in one pass over the edge list and sorted by neighbour
+      id, then kind: neighbours by name, tails before arrowheads here,
+      then there.  The rows are the graph's only incidence structure.
+      The kind sets ``ARROW_HERE`` and ``ARROW_THERE`` for arrowheads at
+      the two ends and ``CROSSES_SCC`` when the edge joins two strong
+      components.
     * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted;
       ``pa`` and ``ch`` hold the same sets as bitmasks, built on first
       use.  :func:`~cyclomag.abstraction.marginalize` closes them over
@@ -247,25 +251,24 @@ class GraphIndex:
       pair tests of ``validate`` and ``condition1`` run.
     """
 
-    def __init__(self, nodes: tuple[NodeId, ...], incident: dict):
+    def __init__(self, nodes: tuple[NodeId, ...], edges: Iterable[MixedEdge]):
         ids = {v: i for i, v in enumerate(nodes)}
-        links = []
-        for v in nodes:
-            row = []
-            for e in incident[v]:
-                u, here, there = (e.b, e.mark_a, e.mark_b) if e.a == v else (e.a, e.mark_b, e.mark_a)
-                row.append((ids[u], ARROW_HERE * (here is ARROWHEAD) + ARROW_THERE * (there is ARROWHEAD)))
-            links.append(row)
-        parents = [tuple([w for w, kind in row if kind == ARROW_HERE]) for row in links]
-        children = [tuple([w for w, kind in row if kind == ARROW_THERE]) for row in links]
+        rows: list[list] = [[] for _ in nodes]
+        for e in edges:
+            i, j, head_a, head_b = ids[e.a], ids[e.b], e.mark_a is ARROWHEAD, e.mark_b is ARROWHEAD
+            rows[i].append((j, ARROW_HERE * head_a + ARROW_THERE * head_b, e))
+            rows[j].append((i, ARROW_HERE * head_b + ARROW_THERE * head_a, e))
+        for row in rows:
+            row.sort()  # no two edges at a node share (neighbour, kind), so edges are never compared
+        parents = [tuple([w for w, kind, _ in row if kind == ARROW_HERE]) for row in rows]
+        children = [tuple([w for w, kind, _ in row if kind == ARROW_THERE]) for row in rows]
         order, comp = _components(children, parents)
         rank: dict[int, int] = {}
         scc = [rank.setdefault(c, len(rank)) for c in comp]  # numbered by smallest member
         self.names = nodes
         self.ids = ids
         self.rows = [
-            tuple([(w, kind + CROSSES_SCC * (here != scc[w]), e) for (w, kind), e in zip(row, incident[v])])
-            for v, here, row in zip(nodes, scc, links)
+            tuple([(w, kind + CROSSES_SCC * (here != scc[w]), e) for w, kind, e in row]) for here, row in zip(scc, rows)
         ]
         self.parents = parents
         self.children = children
@@ -349,36 +352,18 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def _sorted_incidence(nodes: tuple[NodeId, ...], edges: Sequence[MixedEdge]) -> dict[NodeId, tuple[MixedEdge, ...]]:
-    """Each node's edges in traversal order, the order every edge list keeps.
-
-    Traversal from v visits neighbours in name order, breaking
-    parallel-edge ties by (mark here, mark there), tails before
-    arrowheads.
-    """
-    # Keys hold the edge's position rather than the edge: they sort as
-    # plain tuples, and the collector stops tracking them after one pass.
-    incident: dict[NodeId, list] = {n: [] for n in nodes}
-    for i, e in enumerate(edges):
-        head_a, head_b = e.mark_a is ARROWHEAD, e.mark_b is ARROWHEAD
-        incident[e.a].append((e.b, head_a, head_b, i))
-        incident[e.b].append((e.a, head_b, head_a, i))
-    return {n: tuple([edges[t[3]] for t in sorted(keys)]) for n, keys in incident.items()}
-
-
 class _Graph:
     """What both graph types share, including :attr:`index`.
 
-    The index is built on first access and kept on the instance.  It is
-    not a dataclass field, so it never takes part in equality, hashing or
-    ``repr``, and it holds no reference back to the graph.
+    The index is built from the edge list on first access and kept on
+    the instance; its rows are the only incidence, so a graph that is only
+    written or exported never builds one.  It is not a dataclass field,
+    so it never takes part in equality, hashing or ``repr``, and it holds
+    no reference back to the graph.
     """
 
     def __contains__(self, v: NodeId) -> bool:
-        return v in self._incident
-
-    def contains_edge(self, e: MixedEdge) -> bool:
-        return isinstance(e, MixedEdge) and e in self._incident.get(e.a, ())
+        return v in self._node_set
 
     def adjacent(self, a: NodeId, b: NodeId) -> bool:
         """True when an edge joins ``a`` and ``b``; raises for an unknown ``a``."""
@@ -388,20 +373,19 @@ class _Graph:
 
     def require_nodes(self, vs: Collection[NodeId]) -> None:
         for v in vs:
-            if v not in self._incident:
+            if v not in self._node_set:
                 # The least unknown node, so that the message never follows set order.
-                missing = [u for u in vs if u not in self._incident]
+                missing = [u for u in vs if u not in self._node_set]
                 raise InputError(f"unknown node: {min(missing, key=str)!r}")
 
     def incident_edges(self, v: NodeId) -> tuple[MixedEdge, ...]:
-        try:
-            return self._incident[v]
-        except KeyError:
-            raise InputError(f"unknown node: {v!r}") from None
+        """The edges at ``v``, in the order of its index row."""
+        self.require_nodes([v])
+        return tuple([e for _, _, e in self.index.rows[self.index.ids[v]]])
 
     @cached_property
     def index(self) -> GraphIndex:
-        return GraphIndex(self.nodes, self._incident)
+        return GraphIndex(self.nodes, self._edges())
 
     def parents(self, v: NodeId) -> tuple[NodeId, ...]:
         """Nodes u with a directed edge u -> v, sorted."""
@@ -427,11 +411,11 @@ class MixedGraph(_Graph):
     nodes: tuple[NodeId, ...]
     edges: tuple[MixedEdge, ...]
     _pair: dict = field(default=None, compare=False, repr=False)
-    _incident: dict = field(default=None, compare=False, repr=False)
+    _node_set: frozenset = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(sorted({check_node_name(n) for n in self.nodes}))
-        node_set = set(nodes)
+        node_set = frozenset(nodes)
         pair: dict[tuple[NodeId, NodeId], MixedEdge] = {}
         for e in self.edges:
             if not isinstance(e, MixedEdge):
@@ -442,11 +426,16 @@ class MixedGraph(_Graph):
             if key in pair:
                 raise InputError(f"more than one edge between {e.a!r} and {e.b!r}")
             pair[key] = e
-        edges = tuple(sorted(pair.values(), key=lambda e: (e.a, e.b)))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple([pair[key] for key in sorted(pair)]))
         object.__setattr__(self, "_pair", pair)
-        object.__setattr__(self, "_incident", _sorted_incidence(nodes, edges))
+        object.__setattr__(self, "_node_set", node_set)
+
+    def _edges(self) -> tuple[MixedEdge, ...]:
+        return self.edges
+
+    def contains_edge(self, e: MixedEdge) -> bool:
+        return isinstance(e, MixedEdge) and self._pair.get((e.a, e.b)) == e
 
     @classmethod
     def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "MixedGraph":
@@ -477,11 +466,11 @@ class DirectedMixedGraph(_Graph):
     nodes: tuple[NodeId, ...]
     directed: tuple[tuple[NodeId, NodeId], ...]
     bidirected: tuple[tuple[NodeId, NodeId], ...]
-    _incident: dict = field(default=None, compare=False, repr=False)
+    _node_set: frozenset = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(sorted({check_node_name(n) for n in self.nodes}))
-        node_set = set(nodes)
+        node_set = frozenset(nodes)
         directed, bidirected = set(), set()
         for pairs, kept, arrow in ((self.directed, directed, "->"), (self.bidirected, bidirected, "<->")):
             for a, b in pairs:
@@ -490,11 +479,16 @@ class DirectedMixedGraph(_Graph):
                 if a not in node_set or b not in node_set:
                     raise InputError(f"edge {a} {arrow} {b} uses undeclared node")
                 kept.add((a, b) if arrow == "->" else (min(a, b), max(a, b)))
-        edges = [MixedEdge.directed(t, h) for t, h in directed] + [MixedEdge.bidirected(a, b) for a, b in bidirected]
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "directed", tuple(sorted(directed)))
         object.__setattr__(self, "bidirected", tuple(sorted(bidirected)))
-        object.__setattr__(self, "_incident", _sorted_incidence(nodes, edges))
+        object.__setattr__(self, "_node_set", node_set)
+
+    def _edges(self) -> list[MixedEdge]:
+        return [MixedEdge.directed(*p) for p in self.directed] + [MixedEdge.bidirected(*p) for p in self.bidirected]
+
+    def contains_edge(self, e: MixedEdge) -> bool:
+        return isinstance(e, MixedEdge) and e.a in self._node_set and e in self.incident_edges(e.a)
 
     @classmethod
     def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "DirectedMixedGraph":

@@ -77,7 +77,7 @@ def parse_graph(text: str, kind: str) -> MixedGraph | ContextedDmg:
     selection: set[NodeId] = set()
     edges: set[EdgeRecord] = set()
     pairs: set[tuple[NodeId, NodeId]] = set()
-    match = _NAME_RE.match
+    match = _NAME_RE.match  # only on names not yet in nodes: those passed it
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -86,8 +86,9 @@ def parse_graph(text: str, kind: str) -> MixedGraph | ContextedDmg:
             continue
         if len(tokens) == 3 and tokens[1] in _ARROW_MARKS:
             a, op, b = tokens
-            if not (match(a) and match(b)):
-                i = 2 if match(a) else 0
+            a_ok = a in nodes or match(a)
+            if not (a_ok and (b in nodes or match(b))):
+                i = 2 if a_ok else 0
                 raise _error(f"invalid identifier {tokens[i]!r}", lineno, raw, tokens, i)
             if a == b:
                 raise _error(f"self-loop on {a!r}", lineno, raw, tokens, 0)
@@ -111,7 +112,7 @@ def parse_graph(text: str, kind: str) -> MixedGraph | ContextedDmg:
             if tokens[0] == "selection" and kind == "mixed":
                 raise _error("selection nodes are not allowed in a mixed document", lineno, raw, tokens, 0)
             v = tokens[1]
-            if not match(v):
+            if v not in nodes and not match(v):
                 raise _error(f"invalid identifier {v!r}", lineno, raw, tokens, 1)
             nodes.add(v)
             if tokens[0] == "selection":

@@ -29,7 +29,7 @@ from cyclomag import (
     sigma_separated,
     strongly_connected_components,
 )
-from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC
+from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC, GraphIndex
 from fixtures import (
     SELECTION_ABSTRACTION,
     SELECTION_DMG,
@@ -193,6 +193,52 @@ def test_incidence_order_and_index_kinds_follow_the_marks():
                 triples += 3 in Counter(e.other(v) for e in edges).values()
     # Three-way parallel-edge ties and all four edge kinds were seen.
     assert triples > 100 and kinds == 1 << 0 | 1 << 2 | 1 << 4 | 1 << 6
+
+
+def _edge_list(g):
+    return list({e for v in g.nodes for e in g.incident_edges(v)})
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_rows_do_not_depend_on_input_order(seed, rng):
+    def shuffled(xs, flip=lambda x: x):
+        return tuple(rng.sample([flip(x) if rng.random() < 0.5 else x for x in xs], len(xs)))
+
+    dmg, mixed = _incidence_graphs(seed)
+    # One pair carries all three dmg edges whatever the seed.
+    a, b = dmg.nodes[:2]
+    dmg = DirectedMixedGraph(dmg.nodes, dmg.directed + ((a, b), (b, a)), dmg.bidirected + ((a, b),))
+    rebuilt = (
+        DirectedMixedGraph(shuffled(dmg.nodes), shuffled(dmg.directed), shuffled(dmg.bidirected, lambda p: p[::-1])),
+        MixedGraph(shuffled(mixed.nodes), shuffled(mixed.edges, lambda e: MixedEdge(e.b, e.mark_b, e.a, e.mark_a))),
+    )
+    for g, same in zip((dmg, mixed), rebuilt):
+        assert same == g and same.index.rows == g.index.rows
+        assert GraphIndex(g.nodes, shuffled(_edge_list(g))).rows == g.index.rows
+        for v in g.nodes:
+            assert same.incident_edges(v) == g.incident_edges(v)
+    assert len(dmg.incident_edges(a)) >= 3 and {e.other(a) for e in dmg.incident_edges(a)[:3]} == {b}
+
+
+def test_contains_edge_on_both_graph_types():
+    for seed in range(40):
+        for g in _incidence_graphs(seed):
+            edges = set(_edge_list(g))
+            for e in edges:
+                assert g.contains_edge(e)
+                swapped = MixedEdge(e.a, e.mark_b, e.b, e.mark_a)
+                assert g.contains_edge(swapped) == (swapped in edges)
+    for g in (DirectedMixedGraph.of("a -> b", "b <-> c", nodes=("d",)), MixedGraph.of("a -> b", "b <-> c", "d -- c")):
+        assert g.contains_edge(MixedEdge.directed("a", "b"))
+        assert not g.contains_edge(MixedEdge.directed("b", "a"))  # marks swapped
+        assert not g.contains_edge(MixedEdge.undirected("a", "b"))
+        assert not g.contains_edge(MixedEdge.directed("a", "c"))  # no edge on the pair
+        assert not g.contains_edge(MixedEdge.directed("a", "zz"))
+        assert not g.contains_edge(MixedEdge.bidirected("yy", "zz"))
+        assert not g.contains_edge(("a", "b"))
+        with pytest.raises(InputError, match="^unknown node: 'zz'$"):
+            g.incident_edges("zz")
 
 
 def test_graph_is_collected_once_unreferenced():

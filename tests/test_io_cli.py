@@ -224,6 +224,34 @@ def test_parse_error_column_is_the_token_position(text, kind, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        # The other endpoint was seen before, so only the bad name is matched.
+        ("a -> b\na -> 1x", "dmg", "line 2, column 6: invalid identifier '1x'"),
+        ("a -> b\n 1x <- b", "mixed", "line 2, column 2: invalid identifier '1x'"),
+        ("a -> b\nb <-> x-y", "dmg", "line 2, column 7: invalid identifier 'x-y'"),
+        ("a -> b\n1a -> 2b", "dmg", "line 2, column 1: invalid identifier '1a'"),
+        # A bad name on a node line after valid edges.
+        ("a -> b\nnode 2c", "mixed", "line 2, column 6: invalid identifier '2c'"),
+        ("a -> b\nselection 9", "dmg", "line 2, column 11: invalid identifier '9'"),
+    ],
+)
+def test_names_already_seen_skip_the_name_check_but_errors_do_not_move(text, kind, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, kind)
+    assert str(err.value) == message
+
+
+def test_writing_a_parsed_graph_builds_no_index():
+    for text, kind in (("a -> b\nb <-> c\nselection s\nc -> s", "dmg"), ("a -> b\nb -- c\nc <-> d", "mixed")):
+        for write in (serialize_graph, export_dot):
+            parsed = parse_graph(text, kind)
+            graph = parsed.graph if kind == "dmg" else parsed
+            write(parsed)
+            assert "index" not in vars(graph)
+
+
 def test_roundtrip_on_seeded_graphs():
     for seed in range(150):
         c = seeded_contexted(seed, max_n=7)
