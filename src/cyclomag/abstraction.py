@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, PreconditionError
+from .errors import PreconditionError
 from .graphs import (
     ARROWHEAD,
     TAIL,
@@ -27,8 +27,15 @@ from .graphs import (
     MixedGraph,
     NodeId,
 )
-from .relations import _anterior_step, _shortest_walk, neighborhood_complete
-from .separation import _collider_connected, _shortest_inducing_path, sigma_inducing_exists
+from .relations import neighborhood_complete
+from .separation import (
+    _ANTERIOR,
+    _collider_connected,
+    _reconstruct,
+    _search,
+    _shortest_inducing_path,
+    sigma_inducing_exists,
+)
 from .separation import _iter_inducing_paths  # noqa: F401  unused; bench/tests checks the tracer wraps it here
 from .walks import Walk
 
@@ -81,8 +88,6 @@ def represent(c: ContextedDmg) -> MixedGraph:
     """
     g, s = c.graph, set(c.selection)
     observed = c.observed
-    if not observed:
-        raise InputError("at least one node must be observed")
     idx = g.index
     adj, anc, scc = idx.adj, idx.anc, idx.scc
     anc_s = idx.union(anc, idx.mask(s))
@@ -137,11 +142,12 @@ def validate(h: MixedGraph) -> ValidityReport:
     names, adj = h.nodes, idx.adj
 
     # Ancestral condition: an anterior path from a to b forbids any edge
-    # with an arrowhead at a between the two.
+    # with an arrowhead at a between the two.  The witness is the first
+    # shortest such path; all of them lie inside Ant(b).
     for ib, b in enumerate(names):
-        for a in idx.members(idx.ant[ib] & idx.into[ib]):
-            path = _shortest_walk(h, a, {b}, _anterior_step)
-            violations.append(Violation(ViolationKind.ANCESTRAL, (path, h.edge(a, b))))
+        for ia in idx.ids_in(idx.ant[ib] & idx.into[ib]):
+            path = _reconstruct(names, _search(idx.rows, _ANTERIOR, [ia << 2 | 1], 1 << ib, 0, 0, idx.ant[ib]))
+            violations.append(Violation(ViolationKind.ANCESTRAL, (path, h.edge(names[ia], b))))
 
     # Maximality: no inducing path may join a non-adjacent pair.  A mask
     # & -(2 << i) keeps the ids above i.

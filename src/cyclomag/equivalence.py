@@ -18,12 +18,14 @@ from typing import Iterable
 
 from .errors import InputError
 from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId
-from .relations import _shortest_walk
 from .separation import (
+    _COLLIDER_CHAIN,
     DEFAULT_GRID_ORACLE_CAP,
     DEFAULT_PATH_ORACLE_CAP,
     SeparationQuery,
     _check_cap,
+    _reconstruct,
+    _search,
     m_separated,
     sigma_separated,
 )
@@ -177,7 +179,8 @@ def condition1(h1: MixedGraph, h2: MixedGraph) -> EquivalenceReport:
     path shared by both graphs.  The first failure is reported: the
     smallest differing pair or triple, or, for the last clause, the
     first edge b - c in name order of (c, b) that closes a differing
-    path, with the first shortest such path in breadth-first order.
+    path, with the shortest such path whose nodes, read from b back to
+    a, come first in name order.
     With adjacencies equal, colliders can differ only at nodes where a
     mark differs, so the last two clauses look only there, and equal
     marks skip them.  Polynomial throughout; no path is enumerated.
@@ -213,45 +216,41 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -
     """A path that discriminates its target b in both graphs, b a collider in one only.
 
     The graphs share nodes and adjacencies, so their index rows line up
-    entry for entry and one lookup gives an edge's kinds in both.  For
-    each edge b - c, a breadth-first search from b walks the chain
-    v_n .. v_0 backwards to an outer node a.  Its first step needs
-    v_n -> c and an arrowhead at v_n in both graphs, and b a collider
-    after v_n in exactly one; later steps stay on parents of c in both
-    graphs over edges with arrowheads at both ends in both, or end at a
-    node not adjacent to c over an edge with an arrowhead at the chain
-    end in both.  Each test reads one edge, so the search finds a
-    shortest such path, and a shortest one is simple.  Only b in
-    ``moved``, where some mark differs, can close one.
+    entry for entry, and ``both`` keeps for each edge the arrowheads it
+    has in both graphs.  For each edge b - c, the chain v_n .. v_0 and
+    the outer node a form a collider chain read backwards from b.  Its
+    start v_n is a parent of c in both graphs, with an arrowhead at v_n
+    on b - v_n in both, after which b is a collider in exactly one.  The
+    chain goes on through parents of c in both graphs, over edges with
+    arrowheads at both ends in both, and ends at a node not adjacent to
+    c, over an edge with an arrowhead at the chain end in both.  So the
+    collider-chain search of :mod:`cyclomag.separation`, started at the
+    v_n, kept off b and confined to those parents and the nodes not
+    adjacent to c, finds a shortest such path, and a shortest one is
+    simple; b is then put back in front.  Only b in ``moved``, where
+    some mark differs, can close one.
     """
     idx1, idx2 = h1.index, h2.index
-    kinds = {}
-    for v, (row1, row2) in enumerate(zip(idx1.rows, idx2.rows)):
-        for (w, k1, _), (_, k2, _) in zip(row1, row2):
-            kinds[v, w] = k1, k2
     heads = ARROW_HERE | ARROW_THERE
-    everyone = (1 << len(idx1.names)) - 1
-    for c, name in enumerate(idx1.names):
+    both = [
+        tuple([(w, k1 & k2 & heads, e) for (w, k1, e), (_, k2, _) in zip(row1, row2)])
+        for row1, row2 in zip(idx1.rows, idx2.rows)
+    ]
+    names, everyone = idx1.names, (1 << len(idx1.names)) - 1
+    for c, name in enumerate(names):
         ends = list(idx1.ids_in(idx1.adj[c] & moved))
         if not ends:
             continue
         chain = idx1.pa[c] & idx2.pa[c]
         far = everyone & ~idx1.adj[c] & ~(1 << c)
-        targets = set(idx1.members(far))
         for b in ends:
-            into_b1, into_b2 = (k & ARROW_HERE for k in kinds[b, c])
-
-            def step(t: int, _: int, u: int) -> bool:
-                k1, k2 = kinds[t, u]
-                if t == b:
-                    return chain >> u & 1 and k1 & k2 & ARROW_THERE and bool(k1 & into_b1) != bool(k2 & into_b2)
-                if chain >> u & 1:
-                    return k1 & k2 & heads == heads
-                return far >> u & 1 and k1 & k2 & ARROW_HERE
-
-            walk = _shortest_walk(h1, idx1.names[b], targets, step)
+            # The neighbours v of b after which b is a collider: all of
+            # b's spikes when c is one of them, and none otherwise.
+            col1, col2 = (idx.spikes[b] if idx.spikes[b] >> c & 1 else 0 for idx in (idx1, idx2))
+            starts = [v << 2 for v in idx1.ids_in(chain & idx1.into[b] & idx2.into[b] & (col1 ^ col2))]
+            walk = _reconstruct(names, _search(both, _COLLIDER_CHAIN, starts, far, 0, 0, (chain | far) & ~(1 << b)))
             if walk is not None:
-                return DiscriminatingPath(walk.nodes[::-1] + (name,), idx1.names[b])
+                return DiscriminatingPath(walk.nodes[::-1] + (names[b], name), names[b])
     return None
 
 

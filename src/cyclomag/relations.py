@@ -6,18 +6,20 @@ workhorses of every other module.  Each graph answers them from its own
 components once and the per-node closures on first use, so a query is
 a union of cached sets.  All of them are reflexive where a length-zero
 walk makes sense, and all of them return frozen sets.
+
+:func:`enumerate_simple_paths` lists every path and backs the exhaustive
+oracles and listings.  Shortest walks are not searched here: every
+shortest-walk search, witnesses included, runs on the breadth-first
+search in :mod:`cyclomag.separation`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import InputError
-from .graphs import ARROW_HERE, DirectedMixedGraph, MixedGraph, NodeId
-from .walks import Walk
-
-Graph = Union[DirectedMixedGraph, MixedGraph]
+from .graphs import DirectedMixedGraph, MixedGraph, NodeId
+from .walks import Graph, Walk
 
 
 def strongly_connected_components(g: DirectedMixedGraph) -> tuple[frozenset[NodeId], ...]:
@@ -84,46 +86,6 @@ def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:
     idx = h.index
     nbh = idx.und[idx.ids[v]]
     return all(nbh & ~idx.und[w] == 1 << w for w in idx.ids_in(nbh))
-
-
-def _anterior_step(v: int, kind: int, w: int) -> bool:
-    """Steps of an anterior path: a tail at ``v``, over ``->`` or ``--``."""
-    return not kind & ARROW_HERE
-
-
-def _shortest_walk(graph: Graph, source: NodeId, targets: set, step) -> Walk | None:
-    """A shortest walk from ``source`` into ``targets`` whose every edge passes ``step``.
-
-    ``step(v, kind, w)`` decides whether the walk may go from id ``v`` to
-    id ``w`` over an edge with the given index-row kind.  The search is
-    breadth-first over nodes, first-in first-out, in incident-edge
-    order, so the walk is simple and its node sequence is the least in
-    name order among the shortest ones: the first shortest path that
-    :func:`enumerate_simple_paths` yields under the same rule.
-    """
-    idx = graph.index
-    goal = idx.mask(targets)
-    start = idx.ids[source]
-    parent = {start: None}
-    frontier = deque([start])
-    end = start if goal >> start & 1 else None
-    while end is None and frontier:
-        v = frontier.popleft()
-        for w, kind, e in idx.rows[v]:
-            if w in parent or not step(v, kind, w):
-                continue
-            parent[w] = (v, e)
-            if goal >> w & 1:
-                end = w
-                break
-            frontier.append(w)
-    if end is None:
-        return None
-    edges = []
-    while parent[end] is not None:
-        end, e = parent[end]
-        edges.append(e)
-    return Walk(source, tuple(reversed(edges)))
 
 
 def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]:

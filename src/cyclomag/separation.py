@@ -13,7 +13,9 @@ reachability engine over (node, incoming edge shape) states, and an
 exhaustive simple-path oracle used to audit the engine at desk scale.
 The two engines are one breadth-first search over the graph's
 :class:`~cyclomag.graphs.GraphIndex`, run with a different pair of
-transition rules.
+transition rules.  The same search, with two more rule pairs, finds the
+shortest anterior paths, inducing paths and discriminating paths that
+``validate`` and ``condition1`` return as witnesses.
 """
 
 from __future__ import annotations
@@ -36,13 +38,7 @@ from .graphs import (
     MixedGraph,
     NodeId,
 )
-from .relations import (
-    _shortest_walk,
-    ancestors,
-    anteriors,
-    enumerate_simple_paths,
-    scc_index,
-)
+from .relations import ancestors, anteriors, enumerate_simple_paths, scc_index
 from .walks import Walk, check_walk
 
 DEFAULT_PATH_ORACLE_CAP = 12
@@ -50,21 +46,15 @@ DEFAULT_GRID_ORACLE_CAP = 8
 ORACLE_CAP_ENV = "CYCLOMAG_ORACLE_CAP"
 
 
-def resolve_oracle_cap(explicit: int | None, default: int) -> int:
-    """Explicit argument wins, then the environment override, then the default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ORACLE_CAP_ENV)
-    if env is not None:
+def _check_cap(n_nodes: int, explicit: int | None, default: int, what: str) -> None:
+    """Refuse more than cap nodes: the explicit argument wins, then the environment override, then the default."""
+    cap = explicit
+    if cap is None:
+        env = os.environ.get(ORACLE_CAP_ENV)
         try:
-            return int(env)
+            cap = default if env is None else int(env)
         except ValueError:
             raise InputError(f"{ORACLE_CAP_ENV} must be an integer, got {env!r}") from None
-    return default
-
-
-def _check_cap(n_nodes: int, explicit: int | None, default: int, what: str) -> None:
-    cap = resolve_oracle_cap(explicit, default)
     if n_nodes > cap:
         raise OracleCapError(
             f"{what} is capped at {cap} nodes but the graph has {n_nodes}; "
@@ -202,7 +192,7 @@ def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> Separation
     none is in Anc(z) or can be a collider, and W cannot come back to v.
     So the witness is always a path.
     """
-    return _separation(g, query, _SIGMA)
+    return _separation(g, query, _SIGMA, "anc")
 
 
 def sigma_separated_oracle(
@@ -287,7 +277,7 @@ def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     every open walk, and finds the same witness as a search over the
     whole graph.  Nothing is enumerated.
     """
-    return _separation(h, query, _M)
+    return _separation(h, query, _M, "ant")
 
 
 def m_separated_oracle(
@@ -303,19 +293,26 @@ def m_separated_oracle(
 
 
 # ---------------------------------------------------------------------------
-# the shared reachability engine
+# the shared breadth-first search
 # ---------------------------------------------------------------------------
 
-# Both engines search one finite state space: a node together with the
-# shape of the edge the walk arrived on, encoded as 4 * node id + shape.
-# A criterion is two rules over an edge's kind (the bits of a graph index
-# row: arrowhead here, arrowhead there, crosses strong components).
-# ``arrival`` gives the shape the edge leaves at its far end; ``passes``
-# decides whether a walk that reached v with a given shape may leave over
-# the edge, given v's standing: outside Anc(z), in Anc(z) but not z, or
-# in z.  Every blocking rule is local to these, so breadth-first search
-# over the states decides exactly whether an open walk exists.  Rows are
-# read in incident-edge order, which fixes the witnesses.
+# Every shortest-walk search of the package runs on :func:`_search`: both
+# separation engines, and the anterior, inducing and discriminating path
+# witnesses of ``validate`` and ``condition1``.  It searches one finite
+# state space: a node together with the shape of the edge the walk
+# arrived on, encoded as 4 * node id + shape.  A criterion is two rules
+# over an edge's kind (the bits of a graph index row: arrowhead here,
+# arrowhead there, crosses strong components).  ``arrival`` gives the
+# shape the edge leaves at its far end; ``passes`` decides whether a walk
+# that reached v with a given shape may leave over the edge, given v's
+# standing: outside Anc(z), in Anc(z) but not z, or in z.  Every blocking
+# rule is local to these, so breadth-first search over the states decides
+# exactly whether an open walk exists.  Rows are read in incident-edge
+# order, which fixes the witnesses.
+#
+# The search starts from states, not nodes.  The engines start each
+# source in shape 1, a tail under both criteria, so it may leave over any
+# edge; a source lies outside z, so no rule blocks it there.
 #
 # Every node of an open walk lies in the criterion's closure of
 # x | y | z: the ancestors under sigma, the anteriors under m (the two
@@ -362,11 +359,9 @@ def _m_passes(shape: int, here: bool, undirected: bool, cross: bool, standing: i
     return standing != _IN_Z
 
 
-def _criterion(arrival, passes, closure: str) -> tuple[tuple[int, ...], tuple[int, ...], str]:
+def _criterion(arrival, passes) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per edge kind: the arrival shape, and a mask whose bit
-    4 * standing + shape is set where the edge may be taken; then the
-    name of the :class:`~cyclomag.graphs.GraphIndex` closure that bounds
-    the search."""
+    4 * standing + shape is set where the edge may be taken."""
     arrive, masks = [], []
     for kind in range(8):
         here, there, cross = bool(kind & ARROW_HERE), bool(kind & ARROW_THERE), bool(kind & CROSSES_SCC)
@@ -376,41 +371,47 @@ def _criterion(arrival, passes, closure: str) -> tuple[tuple[int, ...], tuple[in
         for standing, shape in product(range(3), range(3)):
             mask |= passes(shape, here, undirected, cross, standing) << (4 * standing + shape)
         masks.append(mask)
-    return tuple(arrive), tuple(masks), closure
+    return tuple(arrive), tuple(masks)
 
 
-_SIGMA = _criterion(_sigma_arrival, _sigma_passes, "anc")
-_M = _criterion(_m_arrival, _m_passes, "ant")
+_SIGMA = _criterion(_sigma_arrival, _sigma_passes)
+_M = _criterion(_m_arrival, _m_passes)
+
+# The witness searches condition on nothing (z = 0), so every node stands
+# outside Anc(z) and only the edge kind and the arrival shape decide.  An
+# anterior path leaves every node over a tail.  A collider chain leaves a
+# node it entered over an arrowhead only over an arrowhead at that node,
+# and is stuck at a node it entered over a tail (shape 2); a start in
+# shape 1 may leave over any edge.
+_ANTERIOR = _criterion(lambda *_: 1, lambda shape, here, *_: not here)
+_COLLIDER_CHAIN = _criterion(
+    lambda there, *_: _ARROW if there else 2, lambda shape, here, *_: shape == 1 or shape == _ARROW and here
+)
 
 
-def _search(idx: GraphIndex, crit: tuple, sources, goal: int, z: int, anc_z: int, live: int):
-    """Breadth-first search from the ``sources`` ids over node bitmasks.
+def _search(rows, crit: tuple, starts, goal: int, z: int, anc_z: int, live: int):
+    """Breadth-first search from the ``starts`` states over index ``rows``.
 
-    Returns the first goal state reached, or None, and the parent map.
+    Returns the first goal state reached, or None, and the parent map,
+    in which each start maps to None.  No caller starts at a goal node.
     The queue is first-in first-out, so testing states as they are
     pushed finds the same goal state, with the same parents, as testing
     them as they are popped.
 
-    States at nodes outside ``live`` are neither recorded nor queued,
-    and the witness does not change.  Call a state useful when some run
-    of moves takes it to a goal state.  A useful state that the search
-    reaches lies on an open walk, so its node is live; and a state with
-    a move into a useful state is useful too.  Dropped states are thus
-    all useless and never queue a useful one, so useful states are
-    queued in the same order with the same parents, and the first goal
-    state and its parent chain stay the same.  Goal nodes are live.
+    States at nodes outside ``live`` are neither recorded nor queued.
+    The witness searches confine their walks with it.  For the engines
+    it is the closure of the query, and the witness does not change.
+    Call a state useful when some run of moves takes it to a goal state.
+    A useful state that the search reaches lies on an open walk, so its
+    node is live; and a state with a move into a useful state is useful
+    too.  Dropped states are thus all useless and never queue a useful
+    one, so useful states are queued in the same order with the same
+    parents, and the first goal state and its parent chain stay the
+    same.  Goal nodes are live.
     """
-    rows, (arrive, passes, _) = idx.rows, crit
-    parent: dict[int, tuple] = {}
-    queue: deque[int] = deque()
-    for a in sources:
-        for w, kind, e in rows[a]:
-            st = w << 2 | arrive[kind]
-            if live >> w & 1 and st not in parent:
-                parent[st] = (None, e, a)
-                if goal >> w & 1:
-                    return st, parent
-                queue.append(st)
+    arrive, passes = crit
+    parent: dict[int, tuple | None] = dict.fromkeys(starts)
+    queue = deque(parent)
     while queue:
         st = queue.popleft()
         v = st >> 2
@@ -420,25 +421,27 @@ def _search(idx: GraphIndex, crit: tuple, sources, goal: int, z: int, anc_z: int
             if passes[kind] & bit and live >> w & 1:
                 nxt = w << 2 | arrive[kind]
                 if nxt not in parent:
-                    parent[nxt] = (st, e, v)
+                    parent[nxt] = (st, e)
                     if goal >> w & 1:
                         return nxt, parent
                     queue.append(nxt)
     return None, parent
 
 
-def _reconstruct(idx: GraphIndex, parent: dict, goal: int) -> Walk:
+def _reconstruct(names, found: tuple) -> Walk | None:
+    """The walk from a start to the goal state of a :func:`_search` result, or None."""
+    st, parent = found
+    if st is None:
+        return None
     edges_rev = []
-    st = goal
-    while True:
-        prev, e, frm = parent[st]
+    while parent[st] is not None:
+        st, e = parent[st]
         edges_rev.append(e)
-        if prev is None:
-            return Walk(idx.names[frm], tuple(reversed(edges_rev)))
-        st = prev
+    return Walk(names[st >> 2], tuple(reversed(edges_rev)))
 
 
-def _separation(graph, query: SeparationQuery, crit: tuple) -> SeparationVerdict:
+def _separation(graph, query: SeparationQuery, crit: tuple, closure: str) -> SeparationVerdict:
+    """Run an engine on the graph index; ``closure`` names the index sets that bound the search."""
     idx = graph.index
     ids = idx.ids
     try:
@@ -449,22 +452,21 @@ def _separation(graph, query: SeparationQuery, crit: tuple) -> SeparationVerdict
     z = anc_z = 0
     live = -1  # every bit set: given an empty z, every node is live and no closure is built
     if zs:
-        anc, closure = idx.anc, getattr(idx, crit[2])
+        anc, sets = idx.anc, getattr(idx, closure)
         live = 0
         for i in zs:
             z |= 1 << i
             anc_z |= anc[i]
-            live |= closure[i]
+            live |= sets[i]
         for i in xs + ys:
-            live |= closure[i]
+            live |= sets[i]
     overlap = (query.x & query.y) - query.z
     if overlap:
         return SeparationVerdict(False, Walk(min(overlap)))
-    sources = sorted(i for i in xs if not z >> i & 1)
-    goal, parent = _search(idx, crit, sources, sum(1 << i for i in ys) & ~z, z, anc_z, live)
-    if goal is None:
-        return SeparationVerdict(True)
-    return SeparationVerdict(False, _reconstruct(idx, parent, goal))
+    sources = [i << 2 | 1 for i in sorted(xs) if not z >> i & 1]
+    found = _search(idx.rows, crit, sources, sum(1 << i for i in ys) & ~z, z, anc_z, live)
+    walk = _reconstruct(idx.names, found)
+    return SeparationVerdict(walk is None, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -569,19 +571,15 @@ def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:
     """The first shortest member of :func:`inducing_paths`, or None.
 
     An interior node of an inducing path lies in Anc({a, b}) and has
-    arrowheads on both sides.  Both are tests of one edge at a time, so
-    a breadth-first search over nodes finds a shortest inducing path,
-    and a shortest one is simple.  Polynomial; nothing is enumerated.
+    arrowheads on both sides, so a shortest inducing path is a shortest
+    collider chain from ``a`` to ``b`` inside Anc({a, b}); a shortest one
+    is simple.  Polynomial; nothing is enumerated.
     """
     _check_inducing_args(h, set(), a, b)
     idx = h.index
     ia, ib = idx.ids[a], idx.ids[b]
-    anc_ends = idx.anc[ia] | idx.anc[ib]
-
-    def step(v: int, kind: int, w: int) -> bool:
-        return (v == ia or kind & ARROW_HERE) and (w == ib or kind & ARROW_THERE and anc_ends >> w & 1)
-
-    return _shortest_walk(h, a, {b}, step)
+    found = _search(idx.rows, _COLLIDER_CHAIN, [ia << 2 | 1], 1 << ib, 0, 0, idx.anc[ia] | idx.anc[ib])
+    return _reconstruct(idx.names, found)
 
 
 def canonical_inducing_separator(h: MixedGraph, a: NodeId, b: NodeId) -> frozenset:

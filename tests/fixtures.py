@@ -66,6 +66,27 @@ DISC_ONE_SIDED = (
     MixedGraph.of("a <-> v", "a -> b", "v <-> b", "v -> c", "b -> c"),
     MixedGraph.of("v -> a", "b -> a", "v <-> b", "v -> c", "b <-> c"),
 )
+# A valid pair with five differing discriminating paths: two targets b1,
+# b2 of c, each reached from two chain nodes q1, q2, and one more path at
+# d.  Trying c, b or the chain's first node in reverse order finds a
+# different one first.
+_SEVERAL = (
+    "a1 <-> q1",
+    "a2 <-> q2",
+    "q1 -> c",
+    "q2 -> c",
+    "q1 <-> b1",
+    "q2 <-> b1",
+    "q1 <-> b2",
+    "q2 <-> b2",
+    "a3 <-> q3",
+    "q3 -> d",
+    "q3 <-> e",
+)
+DISC_SEVERAL = (
+    MixedGraph.of(*_SEVERAL, "b1 <-> c", "b2 <-> c", "e <-> d"),
+    MixedGraph.of(*_SEVERAL, "b1 -> c", "b2 -> c", "e -> d"),
+)
 
 
 def seeded_contexted(seed: int, max_n: int = 6, max_s: int = 2) -> ContextedDmg:

@@ -15,9 +15,11 @@ from cyclomag import (
     PreconditionError,
     SeparationQuery,
     ViolationKind,
+    Walk,
     ancestors,
     anteriors,
     canonical_dmg,
+    enumerate_simple_paths,
     inducing_exists,
     inducing_paths,
     represent,
@@ -273,6 +275,13 @@ def test_witnesses_recheck_as_violations():
                 path, edge = v.witness
                 assert path.nodes[0] in anteriors(h, {path.nodes[-1]})
                 assert edge.mark_at(path.nodes[0]) is ARROWHEAD
+                # The first shortest all-tails path in enumeration order.
+                tails = (
+                    p
+                    for p in enumerate_simple_paths(h, path.start, path.end)
+                    if all(e.mark_at(u) is TAIL for u, e in zip(p.nodes, p.edges))
+                )
+                assert path == min(tails, key=lambda p: len(p.edges))
             elif v.kind is ViolationKind.SIGMA_COMPLETENESS:
                 a, b = v.witness[0], v.witness[1]
                 e = h.edge(a, b)
@@ -290,22 +299,56 @@ def test_witnesses_recheck_as_violations():
                 assert maximality.get((a, b)) == min(paths, key=lambda p: len(p.edges), default=None)
 
 
+def _least_shortest_path(h, a, b, may_step):
+    """The least node sequence in name order among the shortest paths from
+    ``a`` to ``b`` whose every step u -> w over e passes ``may_step(u, e, w)``:
+    the first shortest one that enumeration yields.
+
+    Level sets of the distance to ``b``, then the least next node one step
+    closer.  ``may_step`` tests each edge on its own, so a shortest walk is
+    a path.  It shares no search with the library.
+    """
+    dist, level = {b: 0}, [b]
+    while level and a not in dist:
+        nearer = []
+        for w in level:
+            for e in h.incident_edges(w):
+                u = e.other(w)
+                if u not in dist and may_step(u, e, w):
+                    dist[u] = dist[w] + 1
+                    nearer.append(u)
+        level = nearer
+    if a not in dist:
+        return None
+    nodes = [a]
+    while nodes[-1] != b:
+        u = nodes[-1]
+        steps = (e.other(u) for e in h.incident_edges(u) if may_step(u, e, e.other(u)))
+        nodes.append(min(w for w in steps if dist.get(w) == dist[u] - 1))
+    return Walk(a, tuple(h.edge(u, w) for u, w in zip(nodes, nodes[1:])))
+
+
 def _reference_validate(h):
     """``validate`` as per-pair loops over ``h.edge`` and ``h.adjacent``."""
     from cyclomag.abstraction import Violation, _violation_sort_key
-    from cyclomag.relations import _anterior_step, _shortest_walk, neighborhood
-    from cyclomag.separation import _shortest_inducing_path
+    from cyclomag.relations import neighborhood
 
     violations = []
     for b in h.nodes:
         for a in sorted(anteriors(h, {b}) - {b}):
             e = h.edge(a, b)
             if e is not None and e.mark_at(a) is ARROWHEAD:
-                path = _shortest_walk(h, a, {b}, _anterior_step)
+                path = _least_shortest_path(h, a, b, lambda u, e, w: e.mark_at(u) is TAIL)
                 violations.append(Violation(ViolationKind.ANCESTRAL, (path, e)))
     for a, b in itertools.combinations(h.nodes, 2):
         if not h.adjacent(a, b):
-            witness = _shortest_inducing_path(h, a, b)
+            anc_ends = ancestors(h, {a, b})
+
+            def collider_step(u, e, w):
+                into_w = w == b or (e.mark_at(w) is ARROWHEAD and w in anc_ends)
+                return (u == a or e.mark_at(u) is ARROWHEAD) and into_w
+
+            witness = _least_shortest_path(h, a, b, collider_step)
             if witness is not None:
                 violations.append(Violation(ViolationKind.MAXIMALITY, (witness,)))
     for b in h.nodes:
@@ -531,7 +574,7 @@ def test_roundtrip_on_seeded_graphs():
 def test_maximality_rule_never_fires_without_arrow_undirected_contact():
     # Graphs with no arrowhead-meets-undirected triple behave like plain
     # ancestral graphs: dropping the contact rule changes no verdict.
-    from cyclomag import ARROWHEAD, m_separated_oracle, enumerate_simple_paths
+    from cyclomag import ARROWHEAD, m_separated_oracle
 
     def has_contact(h):
         for b in h.nodes:

@@ -29,6 +29,7 @@ from fixtures import (
     CYCLE_WITH_CHILD,
     DISC_COLLIDER,
     DISC_ONE_SIDED,
+    DISC_SEVERAL,
     DISC_TAIL,
     HUB_CYCLE_A,
     HUB_CYCLE_B,
@@ -255,6 +256,8 @@ def _valid_single_mark_flips(h):
 def _witness_pairs():
     yield DISC_ONE_SIDED
     yield DISC_ONE_SIDED[::-1]
+    yield DISC_SEVERAL
+    yield DISC_SEVERAL[::-1]
     for seed in range(120):
         c1, c2 = seeded_mixed_pair(seed, max_n=5)
         yield represent(c1), represent(c2)
@@ -284,6 +287,16 @@ def test_condition_witnesses_reverify_in_both_graphs():
             assert is_discriminating(h1, dp.nodes, target)
             assert is_discriminating(h2, dp.nodes, target)
             assert dp.target_is_collider(h1) != dp.target_is_collider(h2)
+            # The least differing path by c, then b, then length, then its
+            # nodes read from b back to a.
+            differing = [
+                p
+                for first, second in ((h1, h2), (h2, h1))
+                for p in discriminating_paths(first)
+                if is_discriminating(second, p.nodes, p.target)
+                and p.target_is_collider(first) != p.target_is_collider(second)
+            ]
+            assert dp == min(differing, key=lambda p: (p.c, p.target, len(p.nodes), p.nodes[-2::-1]))
     assert {EquivalenceClause.ADJACENCY, EquivalenceClause.DISCRIMINATING_PATH} <= seen
 
 
