@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Collection, Iterable, Iterator
 
 from .errors import InputError
@@ -58,7 +58,7 @@ _ARROW_MARKS = {"--": (TAIL, TAIL), "->": (TAIL, ARROWHEAD), "<-": (ARROWHEAD, T
 _ARROWS = tuple(_ARROW_MARKS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class MixedEdge:
     """An edge of either graph type: one mark at each endpoint.
 
@@ -73,15 +73,16 @@ class MixedEdge:
     b: NodeId
     mark_b: EdgeMark
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise InputError(f"self-loop on {self.a!r}")
-        if self.a > self.b:
-            a, ma, b, mb = self.a, self.mark_a, self.b, self.mark_b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "mark_a", mb)
-            object.__setattr__(self, "b", a)
-            object.__setattr__(self, "mark_b", ma)
+    def __init__(self, a: NodeId, mark_a: EdgeMark, b: NodeId, mark_b: EdgeMark):
+        if a == b:
+            raise InputError(f"self-loop on {a!r}")
+        if a > b:
+            a, mark_a, b, mark_b = b, mark_b, a, mark_a
+        set_field = object.__setattr__  # the fields are frozen
+        set_field(self, "a", a)
+        set_field(self, "mark_a", mark_a)
+        set_field(self, "b", b)
+        set_field(self, "mark_b", mark_b)
 
     @classmethod
     def directed(cls, tail: NodeId, head: NodeId) -> "MixedEdge":
@@ -222,18 +223,19 @@ class GraphIndex:
 
     * ``names`` and ``ids``: node ``i`` is ``names[i]``; ids follow the
       sorted node order, so ascending ids are ascending names.
+    * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted,
+      collected in a first pass over the edge list and read by the strong
+      component search; ``pa`` and ``ch`` hold the same sets as bitmasks,
+      built on first use.  :func:`~cyclomag.abstraction.marginalize`
+      closes them over the latent nodes, and ``condition1`` reads ``pa``
+      for the chain nodes of a discriminating path.
     * ``rows[i]``: one ``(neighbour id, kind, edge)`` tuple per incident
-      edge, built in one pass over the edge list and sorted by neighbour
-      id, then kind: neighbours by name, tails before arrowheads here,
-      then there.  The rows are the graph's only incidence structure.
-      The kind sets ``ARROW_HERE`` and ``ARROW_THERE`` for arrowheads at
-      the two ends and ``CROSSES_SCC`` when the edge joins two strong
-      components.
-    * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted;
-      ``pa`` and ``ch`` hold the same sets as bitmasks, built on first
-      use.  :func:`~cyclomag.abstraction.marginalize` closes them over
-      the latent nodes, and ``condition1`` reads ``pa`` for the chain
-      nodes of a discriminating path.
+      edge, each built once with its final kind in a second pass, and
+      sorted by neighbour id, then kind: neighbours by name, tails before
+      arrowheads here, then there.  The rows are the graph's only
+      incidence structure.  The kind sets ``ARROW_HERE`` and
+      ``ARROW_THERE`` for arrowheads at the two ends and ``CROSSES_SCC``
+      when the edge joins two strong components.
     * ``scc[i]``: position of the node's strong component (over directed
       edges) in :func:`~cyclomag.relations.strongly_connected_components`.
     * ``adj``, ``anc``, ``desc``, ``ant``: the neighbours (over edges of
@@ -251,25 +253,30 @@ class GraphIndex:
       pair tests of ``validate`` and ``condition1`` run.
     """
 
-    def __init__(self, nodes: tuple[NodeId, ...], edges: Iterable[MixedEdge]):
+    def __init__(self, nodes: tuple[NodeId, ...], edges: Collection[MixedEdge]):
         ids = {v: i for i, v in enumerate(nodes)}
-        rows: list[list] = [[] for _ in nodes]
+        parents: list = [[] for _ in nodes]
+        children: list = [[] for _ in nodes]
         for e in edges:
-            i, j, head_a, head_b = ids[e.a], ids[e.b], e.mark_a is ARROWHEAD, e.mark_b is ARROWHEAD
-            rows[i].append((j, ARROW_HERE * head_a + ARROW_THERE * head_b, e))
-            rows[j].append((i, ARROW_HERE * head_b + ARROW_THERE * head_a, e))
-        for row in rows:
-            row.sort()  # no two edges at a node share (neighbour, kind), so edges are never compared
-        parents = [tuple([w for w, kind, _ in row if kind == ARROW_HERE]) for row in rows]
-        children = [tuple([w for w, kind, _ in row if kind == ARROW_THERE]) for row in rows]
+            if e.mark_a is not e.mark_b:
+                tail, head = (ids[e.a], ids[e.b]) if e.mark_b is ARROWHEAD else (ids[e.b], ids[e.a])
+                parents[head].append(tail)
+                children[tail].append(head)
+        parents = [tuple(sorted(p)) for p in parents]
+        children = [tuple(sorted(c)) for c in children]
         order, comp = _components(children, parents)
         rank: dict[int, int] = {}
         scc = [rank.setdefault(c, len(rank)) for c in comp]  # numbered by smallest member
+        rows: list[list] = [[] for _ in nodes]
+        for e in edges:
+            i, j, head_a, head_b = ids[e.a], ids[e.b], e.mark_a is ARROWHEAD, e.mark_b is ARROWHEAD
+            cross = CROSSES_SCC * (scc[i] != scc[j])
+            rows[i].append((j, ARROW_HERE * head_a + ARROW_THERE * head_b + cross, e))
+            rows[j].append((i, ARROW_HERE * head_b + ARROW_THERE * head_a + cross, e))
         self.names = nodes
         self.ids = ids
-        self.rows = [
-            tuple([(w, kind + CROSSES_SCC * (here != scc[w]), e) for w, kind, e in row]) for here, row in zip(scc, rows)
-        ]
+        # No two edges at a node share (neighbour, kind), so edges are never compared.
+        self.rows = [tuple(sorted(row)) for row in rows]
         self.parents = parents
         self.children = children
         self.scc = scc
@@ -416,16 +423,18 @@ class MixedGraph(_Graph):
     def __post_init__(self):
         nodes = tuple(sorted({check_node_name(n) for n in self.nodes}))
         node_set = frozenset(nodes)
-        pair: dict[tuple[NodeId, NodeId], MixedEdge] = {}
-        for e in self.edges:
-            if not isinstance(e, MixedEdge):
-                raise InputError(f"not a mixed edge: {e!r}")
-            if e.a not in node_set or e.b not in node_set:
-                raise InputError(f"edge {e} uses undeclared node")
-            key = (e.a, e.b)
-            if key in pair:
-                raise InputError(f"more than one edge between {e.a!r} and {e.b!r}")
-            pair[key] = e
+        edges = tuple(self.edges)
+        pair = {(e.a, e.b): e for e in edges if isinstance(e, MixedEdge)}
+        if len(pair) < len(edges) or not node_set.issuperset(chain.from_iterable(pair)):
+            seen = set()  # some edge is at fault: the first one in input order names it
+            for e in edges:
+                if not isinstance(e, MixedEdge):
+                    raise InputError(f"not a mixed edge: {e!r}")
+                if e.a not in node_set or e.b not in node_set:
+                    raise InputError(f"edge {e} uses undeclared node")
+                if (e.a, e.b) in seen:
+                    raise InputError(f"more than one edge between {e.a!r} and {e.b!r}")
+                seen.add((e.a, e.b))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", tuple([pair[key] for key in sorted(pair)]))
         object.__setattr__(self, "_pair", pair)

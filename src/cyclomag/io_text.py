@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from .errors import InputError, ParseError
 from .graphs import (
+    ARROWHEAD,
     ContextedDmg,
     DirectedMixedGraph,
     MixedEdge,
     MixedGraph,
     NodeId,
     _ARROW_MARKS,
+    _ARROWS,
     _NAME_RE,
 )
 
@@ -43,13 +45,13 @@ _RANK = {"->": 0, "<->": 1, "--": 2}
 
 
 def _record(e: MixedEdge) -> EdgeRecord:
-    arrow = e.render_from(e.a)
+    arrow = _ARROWS[2 * (e.mark_a is ARROWHEAD) + (e.mark_b is ARROWHEAD)]
     return ("->", e.b, e.a) if arrow == "<-" else (arrow, e.a, e.b)
 
 
 def _records(graph) -> tuple[tuple[NodeId, ...], tuple[NodeId, ...], list[EdgeRecord]]:
     """The nodes, selection nodes and edge records of any of the three
-    graph value types, the records sorted in document order."""
+    graph value types, a dmg's records in document order."""
     selection: tuple[NodeId, ...] = ()
     if isinstance(graph, ContextedDmg):
         selection = graph.selection
@@ -57,7 +59,7 @@ def _records(graph) -> tuple[tuple[NodeId, ...], tuple[NodeId, ...], list[EdgeRe
     if isinstance(graph, DirectedMixedGraph):
         records = [("->", t, h) for t, h in graph.directed] + [("<->", a, b) for a, b in graph.bidirected]
     elif isinstance(graph, MixedGraph):
-        records = sorted(map(_record, graph.edges), key=lambda r: (_RANK[r[0]], r[1], r[2]))
+        records = list(map(_record, graph.edges))
     else:
         raise InputError(f"cannot export {type(graph).__name__}")
     return graph.nodes, selection, records
@@ -73,55 +75,57 @@ def parse_graph(text: str, kind: str) -> MixedGraph | ContextedDmg:
     """
     if kind not in ("dmg", "mixed"):
         raise InputError(f"unknown document kind: {kind!r}")
+    dmg = kind == "dmg"
     nodes: set[NodeId] = set()
     selection: set[NodeId] = set()
-    edges: set[EdgeRecord] = set()
-    pairs: set[tuple[NodeId, NodeId]] = set()
+    # Records by themselves in a dmg document, by node pair in a mixed one.
+    edges: dict[tuple, EdgeRecord] = {}
     match = _NAME_RE.match  # only on names not yet in nodes: those passed it
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+    # Lines end at "\n" alone; a "\r" before it is whitespace to split().
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         tokens = line.split()
         if not tokens:
             continue
         if len(tokens) == 3 and tokens[1] in _ARROW_MARKS:
             a, op, b = tokens
-            a_ok = a in nodes or match(a)
-            if not (a_ok and (b in nodes or match(b))):
-                i = 2 if a_ok else 0
-                raise _error(f"invalid identifier {tokens[i]!r}", lineno, raw, tokens, i)
+            if a not in nodes:
+                if not match(a):
+                    raise _error(f"invalid identifier {a!r}", lineno, raw, tokens, 0)
+                nodes.add(a)
+            if b not in nodes:
+                if not match(b):
+                    raise _error(f"invalid identifier {b!r}", lineno, raw, tokens, 2)
+                nodes.add(b)
             if a == b:
                 raise _error(f"self-loop on {a!r}", lineno, raw, tokens, 0)
-            if op == "--" and kind == "dmg":
+            if dmg and op == "--":
                 raise _error("undirected edges are not allowed in a dmg document", lineno, raw, tokens, 1)
-            if op == "<-":
-                a, b = b, a
-                op = "->"
-            pair = (a, b) if a < b else (b, a)
-            rec = (op, a, b) if op == "->" else (op, *pair)
-            if rec in edges:
-                raise _error(f"duplicate edge {' '.join(tokens)}", lineno, raw, tokens, 1)
-            if kind == "mixed" and pair in pairs:
-                raise _error(f"more than one edge between {pair[0]!r} and {pair[1]!r}", lineno, raw, tokens, 1)
-            pairs.add(pair)
-            nodes.update(pair)
-            edges.add(rec)
+            rec = ("->", b, a) if op == "<-" else (op, a, b) if op == "->" or a < b else (op, b, a)
+            key = rec if dmg else ((a, b) if a < b else (b, a))
+            if key in edges:
+                if edges[key] == rec:
+                    raise _error(f"duplicate edge {' '.join(tokens)}", lineno, raw, tokens, 1)
+                raise _error(f"more than one edge between {key[0]!r} and {key[1]!r}", lineno, raw, tokens, 1)
+            edges[key] = rec
         elif tokens[0] in ("node", "selection"):
             if len(tokens) != 2:
                 raise _error(f"expected: {tokens[0]} <id>", lineno, raw)
-            if tokens[0] == "selection" and kind == "mixed":
+            if tokens[0] == "selection" and not dmg:
                 raise _error("selection nodes are not allowed in a mixed document", lineno, raw, tokens, 0)
             v = tokens[1]
-            if v not in nodes and not match(v):
-                raise _error(f"invalid identifier {v!r}", lineno, raw, tokens, 1)
-            nodes.add(v)
+            if v not in nodes:
+                if not match(v):
+                    raise _error(f"invalid identifier {v!r}", lineno, raw, tokens, 1)
+                nodes.add(v)
             if tokens[0] == "selection":
                 selection.add(v)
         else:
             raise _error(f"unrecognised declaration: {line.strip()!r}", lineno, raw)
 
-    if kind == "mixed":
-        return MixedGraph(tuple(nodes), tuple([MixedEdge(a, _ARROW_MARKS[k][0], b, _ARROW_MARKS[k][1]) for k, a, b in edges]))
+    if not dmg:
+        return MixedGraph(tuple(nodes), tuple([MixedEdge(a, _ARROW_MARKS[k][0], b, _ARROW_MARKS[k][1]) for k, a, b in edges.values()]))
     directed = tuple([(a, b) for k, a, b in edges if k == "->"])
     bidirected = tuple([(a, b) for k, a, b in edges if k == "<->"])
     return ContextedDmg(DirectedMixedGraph(tuple(nodes), directed, bidirected), tuple(selection))
@@ -141,6 +145,8 @@ def serialize_graph(graph) -> str:
     """Normalised document text of a graph value: isolated nodes, then
     selections, then edges, sorted."""
     nodes, selection, records = _records(graph)
+    if isinstance(graph, MixedGraph):  # a dmg's records come in document order
+        records.sort(key=lambda r: (_RANK[r[0]], r[1], r[2]))
     mentioned = set(selection)
     for _, a, b in records:
         mentioned.update((a, b))

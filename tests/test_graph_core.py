@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -69,6 +70,35 @@ def test_edges_normalised_to_sorted_endpoints():
     assert (e.a, e.b) == ("a", "b")
     assert e.directed_tail == "b" and e.directed_head == "a"
     assert str(e) == "a <- b"
+
+
+def test_mixed_edge_constructor_contract():
+    e, swapped = MixedEdge("a", TAIL, "b", ARROWHEAD), MixedEdge("b", ARROWHEAD, "a", TAIL)
+    assert e == swapped and hash(e) == hash(swapped)
+    assert (swapped.a, swapped.mark_a, swapped.b, swapped.mark_b) == ("a", TAIL, "b", ARROWHEAD)
+    assert MixedEdge("b", TAIL, "a", ARROWHEAD) != e  # the marks swap with the endpoints
+    assert repr(swapped) == "MixedEdge(a='a', mark_a=TAIL, b='b', mark_b=ARROWHEAD)"
+    with pytest.raises(InputError, match="^self-loop on 'a'$"):
+        MixedEdge("a", TAIL, "a", ARROWHEAD)
+    for name in ("a", "mark_a", "b", "mark_b"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, "z")
+    assert (e.a, e.mark_a, e.b, e.mark_b) == ("a", TAIL, "b", ARROWHEAD)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ((MixedEdge.directed("a", "zz"), ("a", "b")), "edge a -> zz uses undeclared node"),
+        ((("a", "b"), MixedEdge.directed("a", "zz")), "not a mixed edge: ('a', 'b')"),
+        ((MixedEdge.directed("zz", "a"), MixedEdge.directed("a", "b"), MixedEdge.bidirected("b", "a")), "edge a <- zz uses undeclared node"),
+        ((MixedEdge.directed("a", "b"), MixedEdge.bidirected("b", "a"), MixedEdge.directed("zz", "a")), "more than one edge between 'a' and 'b'"),
+    ],
+)
+def test_mixed_graph_names_the_first_faulty_edge_in_input_order(edges, message):
+    with pytest.raises(InputError) as err:
+        MixedGraph(("a", "b"), edges)
+    assert str(err.value) == message
 
 
 def test_selection_must_leave_an_observed_node():
@@ -195,6 +225,31 @@ def test_incidence_order_and_index_kinds_follow_the_marks():
     assert triples > 100 and kinds == 1 << 0 | 1 << 2 | 1 << 4 | 1 << 6
 
 
+def _big_mixed_graph(n, seed):
+    """A sparse mixed graph on n nodes, about 1.4 edges per node of every
+    kind, and a directed cycle through five more nodes."""
+    rng = random.Random(seed)
+    names = [f"g{i}" for i in rng.sample(range(10 * n), n)]
+    pairs = sorted({tuple(sorted(rng.sample(names, 2))) for _ in range(int(1.4 * n))})
+    marks = (TAIL, ARROWHEAD)
+    edges = [MixedEdge(a, rng.choice(marks), b, rng.choice(marks)) for a, b in pairs]
+    cycle = [f"c{i}" for i in range(5)]
+    edges += [MixedEdge.directed(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    edges += [MixedEdge.directed(cycle[0], names[0]), MixedEdge.bidirected(cycle[2], names[1])]
+    return MixedGraph(tuple(names + cycle), tuple(edges))
+
+
+def test_index_parents_and_children_are_the_directed_neighbours_in_the_rows():
+    graphs = [g for seed in range(150) for g in _incidence_graphs(seed)] + [_big_mixed_graph(2000, 7)]
+    for g in graphs:
+        idx = g.index
+        assert idx.parents == [tuple(w for w, kind, _ in row if kind & ~CROSSES_SCC == ARROW_HERE) for row in idx.rows]
+        assert idx.children == [tuple(w for w, kind, _ in row if kind & ~CROSSES_SCC == ARROW_THERE) for row in idx.rows]
+    big = graphs[-1].index
+    assert len(set(big.scc)) <= len(big.names) - 4  # the planted cycle is one component
+    assert sum(map(len, big.parents)) > 1000
+
+
 def _edge_list(g):
     return list({e for v in g.nodes for e in g.incident_edges(v)})
 
@@ -215,7 +270,8 @@ def test_rows_do_not_depend_on_input_order(seed, rng):
     )
     for g, same in zip((dmg, mixed), rebuilt):
         assert same == g and same.index.rows == g.index.rows
-        assert GraphIndex(g.nodes, shuffled(_edge_list(g))).rows == g.index.rows
+        again = GraphIndex(g.nodes, shuffled(_edge_list(g)))
+        assert (again.rows, again.parents, again.children) == (g.index.rows, g.index.parents, g.index.children)
         for v in g.nodes:
             assert same.incident_edges(v) == g.incident_edges(v)
     assert len(dmg.incident_edges(a)) >= 3 and {e.other(a) for e in dmg.incident_edges(a)[:3]} == {b}

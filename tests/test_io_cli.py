@@ -243,6 +243,48 @@ def test_names_already_seen_skip_the_name_check_but_errors_do_not_move(text, kin
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, kind, message, line, column",
+    [
+        # The name check comes before the self-loop check.
+        ("1a -> 1a", "mixed", "invalid identifier '1a'", 1, 1),
+        # The self-loop check comes before the dmg undirected-edge check.
+        ("a -- a", "dmg", "self-loop on 'a'", 1, 1),
+        ("b <- b", "mixed", "self-loop on 'b'", 1, 1),
+        # An exact repeat is a duplicate before it is a second edge on the pair.
+        ("a -> b\nb <- a", "mixed", "duplicate edge b <- a", 2, 3),
+        ("a -> b\nb <- a", "dmg", "duplicate edge b <- a", 2, 3),
+        ("a -> b\na <-> b", "mixed", "more than one edge between 'a' and 'b'", 2, 3),
+        # The document-kind check comes before the name check.
+        ("selection 1x", "mixed", "selection nodes are not allowed in a mixed document", 1, 1),
+        # The token count comes before everything else on a node line.
+        ("node a b", "dmg", "expected: node <id>", 1, 1),
+        ("1x -> b  # note", "mixed", "invalid identifier '1x'", 1, 1),
+        ("node 1x # note", "dmg", "invalid identifier '1x'", 1, 6),
+    ],
+)
+def test_the_first_check_on_a_line_decides_its_error(text, kind, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, kind)
+    assert (str(err.value), err.value.line, err.value.column) == (f"line {line}, column {column}: {message}", line, column)
+
+
+@pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_a_line(brk):
+    # Other Unicode line breaks are whitespace inside one line, as editors and grep -n count them.
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"a -> b\n\nc -> d{brk}1x -> c", "mixed")
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert "unrecognised declaration" in str(err.value)
+
+
+def test_carriage_return_line_ends_keep_line_numbers():
+    with pytest.raises(ParseError) as err:
+        parse_graph("a -> b\r\n# c\r\n1x -> c\r\n", "mixed")
+    assert str(err.value) == "line 3, column 1: invalid identifier '1x'"
+    assert parse_graph("a -> b\r\nnode c\r\n", "dmg") == parse_graph("a -> b\nnode c\n", "dmg")
+
+
 def test_writing_a_parsed_graph_builds_no_index():
     for text, kind in (("a -> b\nb <-> c\nselection s\nc -> s", "dmg"), ("a -> b\nb -- c\nc <-> d", "mixed")):
         for write in (serialize_graph, export_dot):
