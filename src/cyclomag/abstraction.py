@@ -53,24 +53,13 @@ def marginalize(g: DirectedMixedGraph, w: Iterable[NodeId]) -> DirectedMixedGrap
     idx = g.index
     latent = idx.mask(w)
     keep = [i for i in range(len(idx.names)) if not latent >> i & 1]
-
-    def reach(i: int, sets: list[int]) -> int:
-        # Nodes one or more steps along ``sets`` from i, stepping on only
-        # from latent nodes.
-        out, frontier = 0, 1 << i
-        while frontier:
-            step = idx.union(sets, frontier) & ~out
-            out |= step
-            frontier = step & latent
-        return out
-
     # The tops of a are a and its latent sources.  Chains from a and b
     # meet when their tops share a latent apex or a bidirected edge
     # joins them.
-    tops = {a: reach(a, idx.pa) & latent | 1 << a for a in keep}
+    tops = {a: idx.closure(idx.pa, 1 << a, latent) & latent | 1 << a for a in keep}
     meets = {a: tops[a] & latent | idx.union(idx.bi, tops[a]) for a in keep}
     names = idx.names
-    directed = [(names[a], names[b]) for a in keep for b in idx.ids_in(reach(a, idx.ch) & ~latent & ~(1 << a))]
+    directed = [(names[a], names[b]) for a in keep for b in idx.ids_in(idx.closure(idx.ch, 1 << a, latent) & ~(latent | 1 << a))]
     bidirected = [(names[a], names[b]) for a, b in combinations(keep, 2) if meets[a] & tops[b]]
     return DirectedMixedGraph(tuple(names[a] for a in keep), tuple(directed), tuple(bidirected))
 

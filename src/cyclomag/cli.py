@@ -39,13 +39,9 @@ from .separation import (
 from .walks import Walk
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep usage problems on exit code 1
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _read(path: str) -> str:
@@ -284,10 +280,7 @@ def cli(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, InputError) as exc:
+    except InputError as exc:  # usage and parse errors included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PreconditionError, OracleCapError) as exc:

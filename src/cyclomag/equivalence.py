@@ -75,10 +75,13 @@ class DiscriminatingPath:
         return self.nodes[-1]
 
     def target_is_collider(self, h: MixedGraph) -> bool:
-        b = self.target
-        left = h.edge(self.nodes[-3], b)
-        right = h.edge(b, self.c)
-        return left.mark_at(b) is ARROWHEAD and right.mark_at(b) is ARROWHEAD
+        b, marks = self.target, []
+        for v in (self.nodes[-3], self.c):
+            e = h.edge(b, v)
+            if e is None:
+                raise InputError(f"no edge between {b!r} and {v!r}")
+            marks.append(e.mark_at(b))
+        return marks[0] is ARROWHEAD and marks[1] is ARROWHEAD
 
     def render(self) -> str:
         return " ".join(self.nodes)
@@ -123,7 +126,7 @@ def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple
     and the tests, while :func:`condition1` never enumerates.  Graphs
     above the path oracles' cap are refused.
     """
-    _check_cap(len(h.nodes), None, DEFAULT_PATH_ORACLE_CAP, "the discriminating path listing")
+    _check_cap(len(h.nodes), DEFAULT_PATH_ORACLE_CAP, "the discriminating path listing")
     if for_node is not None:
         h.require_nodes([for_node])
     found: list[DiscriminatingPath] = []
@@ -257,9 +260,7 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -
 CounterExample = tuple[NodeId, NodeId, frozenset]
 
 
-def m_markov_equivalent_oracle(
-    h1: MixedGraph, h2: MixedGraph, cap: int | None = None
-) -> tuple[bool, CounterExample | None]:
+def m_markov_equivalent_oracle(h1: MixedGraph, h2: MixedGraph) -> tuple[bool, CounterExample | None]:
     """Exhaustive equivalence check over all singleton pairs and all sets.
 
     Pairwise singleton queries carry the same information as set
@@ -268,19 +269,11 @@ def m_markov_equivalent_oracle(
     """
     if h1.nodes != h2.nodes:
         raise InputError("equivalence needs a shared node set")
-    _check_cap(len(h1.nodes), cap, DEFAULT_GRID_ORACLE_CAP, "the m-equivalence oracle")
-    for a, b in combinations(h1.nodes, 2):
-        rest = [v for v in h1.nodes if v not in (a, b)]
-        for z in _subsets(rest):
-            q = SeparationQuery((a,), (b,), z)
-            if m_separated(h1, q).separated != m_separated(h2, q).separated:
-                return False, (a, b, frozenset(z))
-    return True, None
+    _check_cap(len(h1.nodes), DEFAULT_GRID_ORACLE_CAP, "the m-equivalence oracle")
+    return _grid(h1.nodes, frozenset(), lambda q: m_separated(h1, q).separated != m_separated(h2, q).separated)
 
 
-def sigma_markov_equivalent_oracle(
-    g1: ContextedDmg, g2: ContextedDmg, cap: int | None = None
-) -> tuple[bool, CounterExample | None]:
+def sigma_markov_equivalent_oracle(g1: ContextedDmg, g2: ContextedDmg) -> tuple[bool, CounterExample | None]:
     """Exhaustive sigma-equivalence of two contexted graphs.
 
     Both graphs must share nodes and selection set; conditioning sets
@@ -288,19 +281,21 @@ def sigma_markov_equivalent_oracle(
     """
     if g1.graph.nodes != g2.graph.nodes or g1.selection != g2.selection:
         raise InputError("equivalence needs a shared node set and selection set")
-    _check_cap(len(g1.graph.nodes), cap, DEFAULT_GRID_ORACLE_CAP, "the sigma-equivalence oracle")
-    s = set(g1.selection)
-    observed = g1.observed
-    for a, b in combinations(observed, 2):
-        rest = [v for v in observed if v not in (a, b)]
-        for z in _subsets(rest):
-            q = SeparationQuery((a,), (b,), set(z) | s)
-            if sigma_separated(g1.graph, q).separated != sigma_separated(g2.graph, q).separated:
-                return False, (a, b, frozenset(z))
+    _check_cap(len(g1.graph.nodes), DEFAULT_GRID_ORACLE_CAP, "the sigma-equivalence oracle")
+    s, d1, d2 = frozenset(g1.selection), g1.graph, g2.graph
+    return _grid(g1.observed, s, lambda q: sigma_separated(d1, q).separated != sigma_separated(d2, q).separated)
+
+
+def _grid(nodes: tuple[NodeId, ...], s: frozenset, differ) -> tuple[bool, CounterExample | None]:
+    """``(False, (a, b, Z))`` for the first query of a and b given Z | s where ``differ`` holds, else ``(True, None)``.
+
+    Pairs a < b of the sorted ``nodes`` come in order, and for each pair
+    the subsets Z of the other nodes in binary counting order.
+    """
+    for a, b in combinations(nodes, 2):
+        rest = [v for v in nodes if v not in (a, b)]
+        for mask in range(1 << len(rest)):
+            z = frozenset(rest[i] for i in range(len(rest)) if mask >> i & 1)
+            if differ(SeparationQuery((a,), (b,), z | s)):
+                return False, (a, b, z)
     return True, None
-
-
-def _subsets(items):
-    items = sorted(items)
-    for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)

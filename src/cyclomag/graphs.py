@@ -76,6 +76,8 @@ class MixedEdge:
     def __init__(self, a: NodeId, mark_a: EdgeMark, b: NodeId, mark_b: EdgeMark):
         if a == b:
             raise InputError(f"self-loop on {a!r}")
+        if not (mark_a is TAIL or mark_a is ARROWHEAD) or not (mark_b is TAIL or mark_b is ARROWHEAD):
+            raise InputError(f"edge marks must be TAIL or ARROWHEAD, got {mark_a!r} and {mark_b!r}")
         if a > b:
             a, mark_a, b, mark_b = b, mark_b, a, mark_a
         set_field = object.__setattr__  # the fields are frozen
@@ -340,6 +342,15 @@ class GraphIndex:
         out = 0
         for m in compress(sets, _flags(mask)):
             out |= m
+        return out
+
+    def closure(self, sets: list[int], frontier: int, through: int) -> int:
+        """Nodes one or more steps along ``sets`` from ``frontier``, stepping on only from nodes in ``through``."""
+        out = 0
+        while frontier:
+            step = self.union(sets, frontier) & ~out
+            out |= step
+            frontier = step & through
         return out
 
     def members(self, mask: int) -> tuple[NodeId, ...]:

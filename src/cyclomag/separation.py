@@ -46,15 +46,15 @@ DEFAULT_GRID_ORACLE_CAP = 8
 ORACLE_CAP_ENV = "CYCLOMAG_ORACLE_CAP"
 
 
-def _check_cap(n_nodes: int, explicit: int | None, default: int, what: str) -> None:
-    """Refuse more than cap nodes: the explicit argument wins, then the environment override, then the default."""
-    cap = explicit
-    if cap is None:
-        env = os.environ.get(ORACLE_CAP_ENV)
-        try:
-            cap = default if env is None else int(env)
-        except ValueError:
-            raise InputError(f"{ORACLE_CAP_ENV} must be an integer, got {env!r}") from None
+def _check_cap(n_nodes: int, default: int, what: str) -> None:
+    """Refuse more than cap nodes: ``CYCLOMAG_ORACLE_CAP`` when it is set, else ``default``.
+
+    Every exhaustive oracle and listing checks here, so the variable is their one override."""
+    env = os.environ.get(ORACLE_CAP_ENV)
+    try:
+        cap = default if env is None else int(env)
+    except ValueError:
+        raise InputError(f"{ORACLE_CAP_ENV} must be an integer, got {env!r}") from None
     if n_nodes > cap:
         raise OracleCapError(
             f"{what} is capped at {cap} nodes but the graph has {n_nodes}; "
@@ -92,11 +92,6 @@ class SeparationQuery:
 class SeparationVerdict:
     separated: bool
     witness: Walk | None = None
-
-
-def _validated(graph, query: SeparationQuery):
-    graph.require_nodes(query.x | query.y | query.z)
-    return set(query.x), set(query.y), set(query.z)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +190,7 @@ def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> Separation
     return _separation(g, query, _SIGMA, "anc")
 
 
-def sigma_separated_oracle(
-    g: DirectedMixedGraph, query: SeparationQuery, cap: int | None = None
-) -> SeparationVerdict:
+def sigma_separated_oracle(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationVerdict:
     """Exhaustive oracle: scan every simple path with the segment criterion.
 
     Sound because an open walk exists iff an open path does.  Intended
@@ -209,13 +202,14 @@ def sigma_separated_oracle(
         lit = {scc[v] for v in ancestors(g, z)}
         return lambda path: _sigma_segments_open(path, z, scc, lit)
 
-    return _path_oracle(g, query, cap, "the sigma path oracle", open_given)
+    return _path_oracle(g, query, "the sigma path oracle", open_given)
 
 
-def _path_oracle(graph, query: SeparationQuery, cap: int | None, what: str, open_given) -> SeparationVerdict:
+def _path_oracle(graph, query: SeparationQuery, what: str, open_given) -> SeparationVerdict:
     """The first open simple path in name order; ``open_given(z)`` builds the per-path test once."""
-    _check_cap(len(graph.nodes), cap, DEFAULT_PATH_ORACLE_CAP, what)
-    x, y, z = _validated(graph, query)
+    _check_cap(len(graph.nodes), DEFAULT_PATH_ORACLE_CAP, what)
+    x, y, z = query.x, query.y, query.z
+    graph.require_nodes(x | y | z)
     overlap = sorted((x & y) - z)
     if overlap:
         return SeparationVerdict(False, Walk(overlap[0]))
@@ -280,16 +274,14 @@ def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     return _separation(h, query, _M, "ant")
 
 
-def m_separated_oracle(
-    h: MixedGraph, query: SeparationQuery, cap: int | None = None
-) -> SeparationVerdict:
+def m_separated_oracle(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     """Exhaustive oracle: scan every simple path with the walk criterion."""
 
     def open_given(z):
         anc_z = ancestors(h, z)
         return lambda path: _m_walk_open(path, z, anc_z)
 
-    return _path_oracle(h, query, cap, "the m path oracle", open_given)
+    return _path_oracle(h, query, "the m path oracle", open_given)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +485,7 @@ def sigma_inducing_paths(
     Exponential in the worst case, so graphs above the path oracles' cap
     are refused with :class:`~cyclomag.errors.OracleCapError`.
     """
-    _check_cap(len(g.nodes), None, DEFAULT_PATH_ORACLE_CAP, "the sigma-inducing path listing")
+    _check_cap(len(g.nodes), DEFAULT_PATH_ORACLE_CAP, "the sigma-inducing path listing")
     s = set(s)
     _check_inducing_args(g, s, a, b)
     scc = scc_index(g)
@@ -533,7 +525,7 @@ def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
 
 
 def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
-    _check_cap(len(h.nodes), None, DEFAULT_PATH_ORACLE_CAP, "the inducing path listing")
+    _check_cap(len(h.nodes), DEFAULT_PATH_ORACLE_CAP, "the inducing path listing")
     _check_inducing_args(h, set(), a, b)
     anc_ends = ancestors(h, {a, b})
     # Open given every interior node exactly when each of them is a
@@ -559,12 +551,8 @@ def _collider_connected(idx: GraphIndex, ia: int, ib: int) -> bool:
     A chain through a or b can be cut short there, so T keeps them.
     """
     inside = idx.anc[ia] | idx.anc[ib]
-    goal = idx.into[ib]
-    reached = frontier = idx.into[ia] & inside
-    while frontier and not reached & goal:
-        frontier = idx.union(idx.bi, frontier) & inside & ~reached
-        reached |= frontier
-    return bool(reached & goal)
+    start = idx.into[ia] & inside
+    return bool((start | idx.closure(idx.bi, start, inside)) & inside & idx.into[ib])
 
 
 def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:

@@ -5,6 +5,7 @@ import pytest
 from cyclomag import (
     ARROWHEAD,
     TAIL,
+    DiscriminatingPath,
     EquivalenceClause,
     GeneratorConfig,
     InputError,
@@ -86,6 +87,14 @@ def test_collider_variant_enumerated():
     dps = discriminating_paths(DISC_COLLIDER)
     assert [dp.nodes for dp in dps] == [("a", "q", "b", "c")]
     assert dps[0].target_is_collider(DISC_COLLIDER)
+
+
+def test_target_is_collider_names_a_missing_edge():
+    h = MixedGraph.of("a -> b", "c -> d")
+    with pytest.raises(InputError, match="^no edge between 'c' and 'b'$"):
+        DiscriminatingPath(("a", "b", "c", "d"), "c").target_is_collider(h)
+    with pytest.raises(InputError, match="^no edge between 'b' and 'd'$"):
+        DiscriminatingPath(("a", "c", "b", "d"), "b").target_is_collider(MixedGraph.of("a -> c", "c -> b", nodes=("d",)))
 
 
 def test_all_adjacent_graph_has_no_discriminating_paths():
@@ -207,11 +216,13 @@ def test_sigma_oracle_requires_matching_selection():
         )
 
 
-def test_oracle_caps():
+def test_oracle_caps(monkeypatch):
     big = MixedGraph(tuple(f"n{i}" for i in range(9)), ())
+    monkeypatch.delenv("CYCLOMAG_ORACLE_CAP", raising=False)
     with pytest.raises(OracleCapError):
         m_markov_equivalent_oracle(big, big)
-    ok, _ = m_markov_equivalent_oracle(big, big, cap=9)
+    monkeypatch.setenv("CYCLOMAG_ORACLE_CAP", "9")
+    ok, _ = m_markov_equivalent_oracle(big, big)
     assert ok
 
 

@@ -80,6 +80,9 @@ def test_mixed_edge_constructor_contract():
     assert repr(swapped) == "MixedEdge(a='a', mark_a=TAIL, b='b', mark_b=ARROWHEAD)"
     with pytest.raises(InputError, match="^self-loop on 'a'$"):
         MixedEdge("a", TAIL, "a", ARROWHEAD)
+    for marks in (("tail", "arrowhead"), (TAIL, "arrowhead"), (None, ARROWHEAD), (TAIL, True)):
+        with pytest.raises(InputError, match="^edge marks must be TAIL or ARROWHEAD, got "):
+            MixedEdge("a", marks[0], "b", marks[1])
     for name in ("a", "mark_a", "b", "mark_b"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(e, name, "z")

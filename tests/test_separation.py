@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cyclomag import (
+    ContextedDmg,
     DirectedMixedGraph,
     InputError,
     MixedGraph,
@@ -13,9 +14,11 @@ from cyclomag import (
     ancestors,
     anteriors,
     canonical_inducing_separator,
+    discriminating_paths,
     enumerate_simple_paths,
     inducing_exists,
     inducing_paths,
+    m_markov_equivalent_oracle,
     m_open_walk,
     m_separated,
     m_separated_oracle,
@@ -23,11 +26,13 @@ from cyclomag import (
     represent,
     sigma_inducing_exists,
     sigma_inducing_paths,
+    sigma_markov_equivalent_oracle,
     sigma_open_path_segments,
     sigma_open_walk,
     sigma_separated,
     sigma_separated_oracle,
 )
+from cyclomag.separation import DEFAULT_GRID_ORACLE_CAP, DEFAULT_PATH_ORACLE_CAP
 from fixtures import (
     INDUCING_CHAIN,
     SELECTION_ABSTRACTION,
@@ -360,12 +365,6 @@ def test_oracle_cap_enforced():
         sigma_separated_oracle(g, SeparationQuery("n00", "n01"))
 
 
-def test_oracle_cap_explicit_override():
-    g = _big_graph()
-    q = SeparationQuery("n00", "n01")
-    assert sigma_separated_oracle(g, q, cap=13).separated
-
-
 def test_oracle_cap_env_override(monkeypatch):
     g = _big_graph()
     q = SeparationQuery("n00", "n01")
@@ -374,6 +373,41 @@ def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("CYCLOMAG_ORACLE_CAP", "junk")
     with pytest.raises(InputError):
         sigma_separated_oracle(g, q)
+
+
+def _empty_mixed(n):
+    return MixedGraph(tuple(f"n{i:02d}" for i in range(n)), ())
+
+
+_Q = SeparationQuery("n00", "n01")
+_EXHAUSTIVE = {  # each entry point with its default cap and a call on an edgeless graph of n nodes
+    "sigma_separated_oracle": (DEFAULT_PATH_ORACLE_CAP, lambda n: sigma_separated_oracle(_big_graph(n), _Q)),
+    "m_separated_oracle": (DEFAULT_PATH_ORACLE_CAP, lambda n: m_separated_oracle(_empty_mixed(n), _Q)),
+    "m_markov_equivalent_oracle": (
+        DEFAULT_GRID_ORACLE_CAP,
+        lambda n: m_markov_equivalent_oracle(_empty_mixed(n), _empty_mixed(n)),
+    ),
+    "sigma_markov_equivalent_oracle": (
+        DEFAULT_GRID_ORACLE_CAP,
+        lambda n: sigma_markov_equivalent_oracle(ContextedDmg(_big_graph(n), ()), ContextedDmg(_big_graph(n), ())),
+    ),
+    "inducing_paths": (DEFAULT_PATH_ORACLE_CAP, lambda n: inducing_paths(_empty_mixed(n), "n00", "n01")),
+    "sigma_inducing_paths": (DEFAULT_PATH_ORACLE_CAP, lambda n: sigma_inducing_paths(_big_graph(n), (), "n00", "n01")),
+    "discriminating_paths": (DEFAULT_PATH_ORACLE_CAP, lambda n: discriminating_paths(_empty_mixed(n))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXHAUSTIVE))
+def test_every_exhaustive_call_has_one_cap_knob(name, monkeypatch):
+    default, call = _EXHAUSTIVE[name]
+    monkeypatch.delenv("CYCLOMAG_ORACLE_CAP", raising=False)
+    with pytest.raises(OracleCapError, match=f"capped at {default} nodes but the graph has {default + 1}"):
+        call(default + 1)
+    monkeypatch.setenv("CYCLOMAG_ORACLE_CAP", str(default + 1))
+    call(default + 1)
+    monkeypatch.setenv("CYCLOMAG_ORACLE_CAP", "junk")
+    with pytest.raises(InputError, match="CYCLOMAG_ORACLE_CAP must be an integer, got 'junk'"):
+        call(default + 1)
 
 
 # --- sigma-inducing paths ----------------------------------------------------
