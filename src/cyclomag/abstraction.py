@@ -31,7 +31,6 @@ from .relations import neighborhood_complete
 from .separation import (
     _ANTERIOR,
     _collider_connected,
-    _reconstruct,
     _search,
     _shortest_inducing_path,
     sigma_inducing_exists,
@@ -135,7 +134,7 @@ def validate(h: MixedGraph) -> ValidityReport:
     # shortest such path; all of them lie inside Ant(b).
     for ib, b in enumerate(names):
         for ia in idx.ids_in(idx.ant[ib] & idx.into[ib]):
-            path = _reconstruct(names, _search(idx.rows, _ANTERIOR, [ia << 2 | 1], 1 << ib, 0, 0, idx.ant[ib]))
+            path = _search(idx.rows, names, _ANTERIOR, [ia], 1 << ib, idx.ant[ib])
             violations.append(Violation(ViolationKind.ANCESTRAL, (path, h.edge(names[ia], b))))
 
     # Maximality: no inducing path may join a non-adjacent pair.  A mask

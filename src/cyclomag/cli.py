@@ -82,20 +82,10 @@ def _print_verdict(verdict) -> None:
         print(f"witness: {verdict.witness.render()}")
 
 
-def _render_witness_item(item) -> str:
-    if isinstance(item, (Walk, DiscriminatingPath)):
-        return item.render()
-    if isinstance(item, frozenset):
-        return "{" + ", ".join(sorted(item)) + "}"
-    return str(item)
-
-
-def _render_witness(witness) -> str:
-    if isinstance(witness, tuple) and all(isinstance(x, str) for x in witness):
+def _render_witness(witness: tuple) -> str:
+    if all(isinstance(x, str) for x in witness):
         return "(" + ", ".join(witness) + ")"
-    if isinstance(witness, tuple):
-        return "; ".join(_render_witness_item(x) for x in witness)
-    return _render_witness_item(witness)
+    return "; ".join(x.render() if isinstance(x, (Walk, DiscriminatingPath)) else str(x) for x in witness)
 
 
 def _dp_walk(h: MixedGraph, dp: DiscriminatingPath) -> Walk:

@@ -19,12 +19,12 @@ from typing import Iterable
 from .errors import InputError
 from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId
 from .separation import (
+    _ARROW,
     _COLLIDER_CHAIN,
     DEFAULT_GRID_ORACLE_CAP,
     DEFAULT_PATH_ORACLE_CAP,
     SeparationQuery,
     _check_cap,
-    _reconstruct,
     _search,
     m_separated,
     sigma_separated,
@@ -250,8 +250,8 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -
             # The neighbours v of b after which b is a collider: all of
             # b's spikes when c is one of them, and none otherwise.
             col1, col2 = (idx.spikes[b] if idx.spikes[b] >> c & 1 else 0 for idx in (idx1, idx2))
-            starts = [v << 2 for v in idx1.ids_in(chain & idx1.into[b] & idx2.into[b] & (col1 ^ col2))]
-            walk = _reconstruct(names, _search(both, _COLLIDER_CHAIN, starts, far, 0, 0, (chain | far) & ~(1 << b)))
+            starts = idx1.ids_in(chain & idx1.into[b] & idx2.into[b] & (col1 ^ col2))
+            walk = _search(both, names, _COLLIDER_CHAIN, starts, far, (chain | far) & ~(1 << b), shape=_ARROW)
             if walk is not None:
                 return DiscriminatingPath(walk.nodes[::-1] + (names[b], name), names[b])
     return None

@@ -7,10 +7,10 @@ components once and the per-node closures on first use, so a query is
 a union of cached sets.  All of them are reflexive where a length-zero
 walk makes sense, and all of them return frozen sets.
 
-:func:`enumerate_simple_paths` lists every path and backs the exhaustive
-oracles and listings.  Shortest walks are not searched here: every
-shortest-walk search, witnesses included, runs on the breadth-first
-search in :mod:`cyclomag.separation`.
+:func:`enumerate_simple_paths` lists every path; the two path
+oracles and the two inducing-path listings scan it.  Shortest walks
+are not searched here: every shortest-walk search, witnesses included,
+runs on the breadth-first search in :mod:`cyclomag.separation`.
 """
 
 from __future__ import annotations
@@ -93,8 +93,10 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]
 
     Paths come out in lexicographic order of their node sequences, with
     parallel edges of a directed mixed graph breaking ties by edge type,
-    so the stream is deterministic.  This enumerator is the single
-    substrate behind all exhaustive oracles in the package.
+    so the stream is deterministic.  The path oracles and the
+    inducing-path listings scan it; the equivalence grids sweep the
+    engines instead, and :func:`~cyclomag.equivalence.discriminating_paths`
+    grows its own chains.
     """
     if a == b:
         raise InputError("path endpoints must differ")

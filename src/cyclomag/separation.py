@@ -216,8 +216,6 @@ def _path_oracle(graph, query: SeparationQuery, what: str, open_given) -> Separa
     is_open = open_given(z)
     for a in sorted(x - z):
         for b in sorted(y - z):
-            if a == b:
-                continue
             for path in enumerate_simple_paths(graph, a, b):
                 if is_open(path):
                     return SeparationVerdict(False, path)
@@ -302,9 +300,11 @@ def m_separated_oracle(h: MixedGraph, query: SeparationQuery) -> SeparationVerdi
 # exactly whether an open walk exists.  Rows are read in incident-edge
 # order, which fixes the witnesses.
 #
-# The search starts from states, not nodes.  The engines start each
-# source in shape 1, a tail under both criteria, so it may leave over any
-# edge; a source lies outside z, so no rule blocks it there.
+# Callers pass start nodes and get a walk.  Each start is entered in
+# shape 1, a tail under every criterion, so it may leave over any edge;
+# an engine's source lies outside z, so no rule blocks it there.  Only
+# the discriminating chain enters its starts over an arrowhead.  A start
+# that is itself a goal is the walk of length zero at it.
 #
 # Every node of an open walk lies in the criterion's closure of
 # x | y | z: the ancestors under sigma, the anteriors under m (the two
@@ -381,14 +381,16 @@ _COLLIDER_CHAIN = _criterion(
 )
 
 
-def _search(rows, crit: tuple, starts, goal: int, z: int, anc_z: int, live: int):
-    """Breadth-first search from the ``starts`` states over index ``rows``.
+def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, anc_z: int = 0, *, shape: int = 1):
+    """The first shortest walk from the ``starts`` node ids to a ``goal`` node, or None.
 
-    Returns the first goal state reached, or None, and the parent map,
-    in which each start maps to None.  No caller starts at a goal node.
-    The queue is first-in first-out, so testing states as they are
-    pushed finds the same goal state, with the same parents, as testing
-    them as they are popped.
+    The search runs over index ``rows`` under criterion ``crit``, with
+    each start entered in ``shape``, and names its nodes by ``names``.
+    Starts are tried in the order given, so the first start that is a
+    goal node is returned as a walk of length zero.  The queue is
+    first-in first-out, so testing states as they are pushed finds the
+    same goal state, with the same parents, as testing them as they are
+    popped.
 
     States at nodes outside ``live`` are neither recorded nor queued.
     The witness searches confine their walks with it.  For the engines
@@ -401,8 +403,12 @@ def _search(rows, crit: tuple, starts, goal: int, z: int, anc_z: int, live: int)
     parents, and the first goal state and its parent chain stay the
     same.  Goal nodes are live.
     """
+    parent: dict[int, tuple | None] = {}
+    for v in starts:
+        if goal >> v & 1:
+            return Walk(names[v])
+        parent[v << 2 | shape] = None
     arrive, passes = crit
-    parent: dict[int, tuple | None] = dict.fromkeys(starts)
     queue = deque(parent)
     while queue:
         st = queue.popleft()
@@ -413,23 +419,15 @@ def _search(rows, crit: tuple, starts, goal: int, z: int, anc_z: int, live: int)
             if passes[kind] & bit and live >> w & 1:
                 nxt = w << 2 | arrive[kind]
                 if nxt not in parent:
-                    parent[nxt] = (st, e)
                     if goal >> w & 1:
-                        return nxt, parent
+                        edges = [e]
+                        while parent[st] is not None:
+                            st, e = parent[st]
+                            edges.append(e)
+                        return Walk(names[st >> 2], tuple(reversed(edges)))
+                    parent[nxt] = (st, e)
                     queue.append(nxt)
-    return None, parent
-
-
-def _reconstruct(names, found: tuple) -> Walk | None:
-    """The walk from a start to the goal state of a :func:`_search` result, or None."""
-    st, parent = found
-    if st is None:
-        return None
-    edges_rev = []
-    while parent[st] is not None:
-        st, e = parent[st]
-        edges_rev.append(e)
-    return Walk(names[st >> 2], tuple(reversed(edges_rev)))
+    return None
 
 
 def _separation(graph, query: SeparationQuery, crit: tuple, closure: str) -> SeparationVerdict:
@@ -452,12 +450,8 @@ def _separation(graph, query: SeparationQuery, crit: tuple, closure: str) -> Sep
             live |= sets[i]
         for i in xs + ys:
             live |= sets[i]
-    overlap = (query.x & query.y) - query.z
-    if overlap:
-        return SeparationVerdict(False, Walk(min(overlap)))
-    sources = [i << 2 | 1 for i in sorted(xs) if not z >> i & 1]
-    found = _search(idx.rows, crit, sources, sum(1 << i for i in ys) & ~z, z, anc_z, live)
-    walk = _reconstruct(idx.names, found)
+    sources = [i for i in sorted(xs) if not z >> i & 1]
+    walk = _search(idx.rows, idx.names, crit, sources, sum(1 << i for i in ys) & ~z, live, z, anc_z)
     return SeparationVerdict(walk is None, walk)
 
 
@@ -566,8 +560,7 @@ def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:
     _check_inducing_args(h, set(), a, b)
     idx = h.index
     ia, ib = idx.ids[a], idx.ids[b]
-    found = _search(idx.rows, _COLLIDER_CHAIN, [ia << 2 | 1], 1 << ib, 0, 0, idx.anc[ia] | idx.anc[ib])
-    return _reconstruct(idx.names, found)
+    return _search(idx.rows, idx.names, _COLLIDER_CHAIN, [ia], 1 << ib, idx.anc[ia] | idx.anc[ib])
 
 
 def canonical_inducing_separator(h: MixedGraph, a: NodeId, b: NodeId) -> frozenset:
@@ -578,5 +571,6 @@ def canonical_inducing_separator(h: MixedGraph, a: NodeId, b: NodeId) -> frozens
     The set consists of the anteriors of the two endpoints, the
     endpoints themselves excluded.
     """
+    _check_inducing_args(h, set(), a, b)
     return frozenset(anteriors(h, {a, b}) - {a, b})
 

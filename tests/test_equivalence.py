@@ -114,6 +114,14 @@ def test_is_discriminating_positive_and_negative():
     sparse = MixedGraph.of("a <-> q", "q -> c", nodes=("b",))
     assert not is_discriminating(sparse, ("a", "q", "b", "c"), "b")
     assert not is_discriminating(DISC_TAIL, ("a", "q", "b", "c"), "q")
+    # too short or repeating a node: False from the predicate, and the
+    # value refuses a short sequence or a target out of place
+    assert not is_discriminating(DISC_TAIL, ("q", "b", "c"), "b")
+    assert not is_discriminating(DISC_TAIL, ("q", "a", "q", "b", "c"), "b")
+    with pytest.raises(InputError, match="^a discriminating path has at least four nodes$"):
+        DiscriminatingPath(("q", "b", "c"), "b")
+    with pytest.raises(InputError, match="^the discriminated node is the second-to-last one$"):
+        DiscriminatingPath(("a", "q", "b", "c"), "q")
 
 
 def test_longer_discriminating_path():
@@ -177,6 +185,8 @@ def test_condition_detects_discriminating_difference():
 def test_condition_requires_same_nodes():
     with pytest.raises(InputError):
         condition1(MixedGraph.of("a -> b"), MixedGraph.of("a -> c"))
+    with pytest.raises(InputError, match="^equivalence needs a shared node set$"):
+        m_markov_equivalent_oracle(MixedGraph.of("a -> b"), MixedGraph.of("a -> c"))
 
 
 # --- exhaustive oracles ---------------------------------------------------

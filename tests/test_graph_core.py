@@ -31,6 +31,7 @@ from cyclomag import (
     strongly_connected_components,
 )
 from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC, GraphIndex
+from cyclomag.walks import Walk, check_walk
 from fixtures import (
     SELECTION_ABSTRACTION,
     SELECTION_DMG,
@@ -83,6 +84,13 @@ def test_mixed_edge_constructor_contract():
     for marks in (("tail", "arrowhead"), (TAIL, "arrowhead"), (None, ARROWHEAD), (TAIL, True)):
         with pytest.raises(InputError, match="^edge marks must be TAIL or ARROWHEAD, got "):
             MixedEdge("a", marks[0], "b", marks[1])
+    bi = MixedEdge.bidirected("a", "b")
+    for end in ("directed_tail", "directed_head"):
+        with pytest.raises(InputError, match="^a <-> b is not a directed edge$"):
+            getattr(bi, end)
+    for read in (e.mark_at, e.other):
+        with pytest.raises(InputError, match="^'c' is not an endpoint of a -> b$"):
+            read("c")
     for name in ("a", "mark_a", "b", "mark_b"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(e, name, "z")
@@ -248,6 +256,11 @@ def test_index_parents_and_children_are_the_directed_neighbours_in_the_rows():
         idx = g.index
         assert idx.parents == [tuple(w for w, kind, _ in row if kind & ~CROSSES_SCC == ARROW_HERE) for row in idx.rows]
         assert idx.children == [tuple(w for w, kind, _ in row if kind & ~CROSSES_SCC == ARROW_THERE) for row in idx.rows]
+    for g, parents, children in (
+        (DirectedMixedGraph.of("a -> b", "b -> a", "b -> c", "c <-> a"), ("a",), ("a", "c")),
+        (MixedGraph.of("a -> b", "d -> b", "b -- c"), ("a", "d"), ()),
+    ):
+        assert (g.parents("b"), g.children("b")) == (parents, children)
     big = graphs[-1].index
     assert len(set(big.scc)) <= len(big.names) - 4  # the planted cycle is one component
     assert sum(map(len, big.parents)) > 1000
@@ -414,6 +427,20 @@ def test_parse_walk_rejects_missing_edges_and_bad_syntax():
         parse_walk(g, "a -> b ->")  # dangling arrow
     with pytest.raises(InputError):
         parse_walk(g, "a -- b")  # no undirected edges in this graph
+
+
+def test_walk_rejects_a_broken_chain_a_non_endpoint_and_a_foreign_edge():
+    g = DirectedMixedGraph.of("a -> b", "b <-> c")
+    ab, bc = MixedEdge.directed("a", "b"), MixedEdge.bidirected("b", "c")
+    with pytest.raises(InputError, match="^edge b <-> c does not continue the walk at 'a'$"):
+        Walk("a", (bc,))
+    walk = Walk("a", (ab, bc))
+    assert walk.is_out_of("a") and walk.is_into("c")
+    with pytest.raises(InputError, match="^'b' is not an endpoint of the walk$"):
+        walk.is_into("b")
+    assert check_walk(g, walk) is walk
+    with pytest.raises(InputError, match="^walk edge b -> c is not in the graph$"):
+        check_walk(g, Walk("a", (ab, MixedEdge.directed("b", "c"))))
 
 
 # --- simple path enumeration -------------------------------------------------

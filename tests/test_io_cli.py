@@ -24,7 +24,7 @@ from cyclomag import (
 )
 import cyclomag
 from cyclomag import cli as cli_module
-from cyclomag.cli import cli
+from cyclomag.cli import cli, main
 from fixtures import (
     INDUCING_CHAIN,
     SELECTION_DG,
@@ -199,6 +199,13 @@ def test_unknown_declaration_rejected():
         parse_graph("edge a b", "dmg")
     with pytest.raises(ParseError):
         parse_graph("a => b", "mixed")
+    with pytest.raises(InputError, match="^unknown document kind: 'bogus'$"):
+        parse_graph("a -> b", "bogus")
+
+
+def test_writer_rejects_a_value_that_is_no_graph():
+    with pytest.raises(InputError, match="^cannot export object$"):
+        serialize_graph(object())
 
 
 def test_bad_identifier_rejected():
@@ -422,6 +429,8 @@ def test_cli_pipeline_matches_library(files, capsys):
     code, out, _ = run(capsys, "abstract", dmg)
     assert code == 0
     assert out == serialize_graph(SELECTION_ABSTRACTION)
+    code, out, err = run(capsys, "marginalize", dg, "--drop", "s")
+    assert (code, out, err) == (1, "", "error: cannot marginalize out selection node 's'\n")
 
 
 def test_cli_validate_reports_witness(files, capsys):
@@ -473,6 +482,12 @@ def test_cli_equiv(files, capsys):
     assert "clause: DiscriminatingPath" in out
     code, out, _ = run(capsys, "equiv", t1, t2, "--oracle")
     assert code == 0 and out.splitlines()[0] == "equivalent: false"
+    dmg = files("g.dmg", serialize_graph(SELECTION_DMG))
+    code, out, err = run(capsys, "equiv", t1, dmg)
+    assert (code, out, err) == (1, "", "error: cannot compare a mixed document with a dmg document\n")
+    bad = files("bad.mixed", serialize_graph(INDUCING_CHAIN))
+    code, out, err = run(capsys, "equiv", t1, bad)
+    assert (code, out, err) == (2, "", f"error: {bad} is not a valid input graph\n")
 
 
 def test_cli_equiv_dmg_documents(files, capsys):
@@ -574,6 +589,8 @@ def test_cli_error_names_the_same_node_under_every_hash_seed(files):
 def test_cli_usage_error(capsys):
     code, _, err = run(capsys, "msep")
     assert code == 1 and "error" in err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 # --- the parser is built once ---------------------------------------------

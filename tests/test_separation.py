@@ -441,6 +441,10 @@ def test_sigma_inducing_rejects_selection_endpoints():
         sigma_inducing_exists(G, {"s"}, "s", "a")
     with pytest.raises(InputError):
         sigma_inducing_paths(G, {"s"}, "a", "a")
+    h = MixedGraph.of("a -> b", "c -> b", "b -- d")
+    for call in (inducing_exists, inducing_paths, canonical_inducing_separator):
+        with pytest.raises(InputError, match="^inducing-path endpoints must differ$"):
+            call(h, "b", "b")
 
 
 def test_sigma_inducing_exists_matches_enumeration():
