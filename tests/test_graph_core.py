@@ -435,7 +435,8 @@ def test_walk_rejects_a_broken_chain_a_non_endpoint_and_a_foreign_edge():
     with pytest.raises(InputError, match="^edge b <-> c does not continue the walk at 'a'$"):
         Walk("a", (bc,))
     walk = Walk("a", (ab, bc))
-    assert walk.is_out_of("a") and walk.is_into("c")
+    assert walk.is_out_of("a") and walk.is_into("c") and str(walk) == "a -> b <-> c"
+    assert not Walk("a").is_into("a")
     with pytest.raises(InputError, match="^'b' is not an endpoint of the walk$"):
         walk.is_into("b")
     assert check_walk(g, walk) is walk
