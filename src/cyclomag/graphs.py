@@ -12,16 +12,17 @@ each endpoint:
 
 All values are frozen after construction; every operation in the package
 is a pure function over them, so graphs can be shared freely across
-threads and used as dictionary keys.  Each graph builds its
-:class:`GraphIndex` of derived data from its edge list on first use and
-keeps it on the instance.  The index rows are the graph's only incidence
-structure, and the index never affects equality or hashing.
+threads and used as dictionary keys.  The node checks, ``of`` and
+``contains_edge`` live once, on ``_Graph``.  Each graph builds its
+:class:`GraphIndex` from its edge list on first use and keeps it on the
+instance; its rows are the graph's only incidence structure, and it never
+affects equality or hashing.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
@@ -149,14 +150,6 @@ class MixedEdge:
 
     def __str__(self) -> str:
         return f"{self.a} {self.render_from(self.a)} {self.b}"
-
-
-def _parse_edge_spec(spec: str) -> tuple[NodeId, NodeId, tuple[EdgeMark, EdgeMark]]:
-    """``(u, v, (mark at u, mark at v))`` of a spec like ``"u <- v"``."""
-    parts = spec.split()
-    if len(parts) != 3 or parts[1] not in _ARROW_MARKS:
-        raise InputError(f"bad edge spec: {spec!r}")
-    return parts[0], parts[2], _ARROW_MARKS[parts[1]]
 
 
 def _components(succ: list, pred: list) -> tuple[list[int], list[int]]:
@@ -371,14 +364,39 @@ def _flags(mask: int) -> bytes:
 
 
 class _Graph:
-    """What both graph types share, including :attr:`index`.
+    """What both graph types share: the node checks, :meth:`of`,
+    :meth:`contains_edge` and :attr:`index`.
 
-    The index is built from the edge list on first access and kept on
-    the instance; its rows are the only incidence, so a graph that is only
-    written or exported never builds one.  It is not a dataclass field,
-    so it never takes part in equality, hashing or ``repr``, and it holds
-    no reference back to the graph.
+    :meth:`of` is the one reader of edge specs.  The index is built from
+    the edge list on first access and kept on the instance; its rows are
+    the only incidence structure, so a graph that is only written or
+    exported never builds one.  Neither the index nor the node set is a
+    dataclass field, so neither takes part in equality, hashing or
+    ``repr``, and the index holds no reference back to the graph.
     """
+
+    def _set_nodes(self) -> frozenset:
+        """Check the node names, sort them and keep their set, which is returned."""
+        node_set = frozenset(map(check_node_name, self.nodes))
+        object.__setattr__(self, "nodes", tuple(sorted(node_set)))
+        object.__setattr__(self, "_node_set", node_set)
+        return node_set
+
+    @classmethod
+    def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "_Graph":
+        """Build from specs like ``"a -> b"``, ``"b <- a"``, ``"a <-> b"`` and, on a mixed graph, ``"a -- b"``."""
+        node_set = set(nodes)
+
+        def records():  # read lazily, so each type raises its edge errors in spec order
+            for spec in edge_specs:
+                parts = spec.split()
+                if len(parts) != 3 or parts[1] not in _ARROW_MARKS:
+                    raise InputError(f"bad edge spec: {spec!r}")
+                node_set.update(parts[::2])
+                yield (spec, parts[0], parts[2], *_ARROW_MARKS[parts[1]])
+
+        edges = cls._spec_edges(records())  # the type's edge fields; reads every spec, so node_set is complete
+        return cls(tuple(node_set), *edges)
 
     def __contains__(self, v: NodeId) -> bool:
         return v in self._node_set
@@ -388,6 +406,9 @@ class _Graph:
         self.require_nodes([a])
         ids = self.index.ids
         return b in ids and bool(self.index.adj[ids[a]] >> ids[b] & 1)
+
+    def contains_edge(self, e: MixedEdge) -> bool:
+        return isinstance(e, MixedEdge) and e.a in self._node_set and e in self.incident_edges(e.a)
 
     def require_nodes(self, vs: Collection[NodeId]) -> None:
         for v in vs:
@@ -421,19 +442,13 @@ class _Graph:
 
 @dataclass(frozen=True)
 class MixedGraph(_Graph):
-    """Mixed graph with at most one edge per node pair and no self-loops.
-
-    Derived data lives in :attr:`index`, outside equality and hashing.
-    """
+    """Mixed graph with at most one edge per node pair and no self-loops."""
 
     nodes: tuple[NodeId, ...]
     edges: tuple[MixedEdge, ...]
-    _pair: dict = field(default=None, compare=False, repr=False)
-    _node_set: frozenset = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        nodes = tuple(sorted({check_node_name(n) for n in self.nodes}))
-        node_set = frozenset(nodes)
+        node_set = self._set_nodes()
         edges = tuple(self.edges)
         pair = {(e.a, e.b): e for e in edges if isinstance(e, MixedEdge)}
         if len(pair) < len(edges) or not node_set.issuperset(chain.from_iterable(pair)):
@@ -446,84 +461,57 @@ class MixedGraph(_Graph):
                 if (e.a, e.b) in seen:
                     raise InputError(f"more than one edge between {e.a!r} and {e.b!r}")
                 seen.add((e.a, e.b))
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", tuple([pair[key] for key in sorted(pair)]))
-        object.__setattr__(self, "_pair", pair)
-        object.__setattr__(self, "_node_set", node_set)
 
     def _edges(self) -> tuple[MixedEdge, ...]:
         return self.edges
 
-    def contains_edge(self, e: MixedEdge) -> bool:
-        return isinstance(e, MixedEdge) and self._pair.get((e.a, e.b)) == e
-
-    @classmethod
-    def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "MixedGraph":
-        """Build from specs like ``"a -> b"``, ``"a -- b"``, ``"a <-> b"``."""
-        node_set = set(nodes)
-        edges = []
-        for spec in edge_specs:
-            u, v, (mark_u, mark_v) = _parse_edge_spec(spec)
-            node_set.update((u, v))
-            edges.append(MixedEdge(u, mark_u, v, mark_v))
-        return cls(tuple(node_set), tuple(edges))
+    @staticmethod
+    def _spec_edges(records) -> tuple:
+        return (tuple([MixedEdge(u, mark_u, v, mark_v) for _, u, v, mark_u, mark_v in records]),)
 
     def edge(self, a: NodeId, b: NodeId) -> MixedEdge | None:
         """The edge between ``a`` and ``b``, or None; raises for an unknown ``a``."""
-        e = self._pair.get((a, b) if a < b else (b, a))
-        if e is None:
-            self.require_nodes([a])
-        return e
+        self.require_nodes([a])
+        j = self.index.ids.get(b)
+        return next((e for w, _, e in self.index.rows[self.index.ids[a]] if w == j), None)
 
 
 @dataclass(frozen=True)
 class DirectedMixedGraph(_Graph):
-    """Directed mixed graph; cycles and parallel edges of distinct type allowed.
-
-    Derived data lives in :attr:`index`, outside equality and hashing.
-    """
+    """Directed mixed graph; cycles and parallel edges of distinct type allowed."""
 
     nodes: tuple[NodeId, ...]
     directed: tuple[tuple[NodeId, NodeId], ...]
     bidirected: tuple[tuple[NodeId, NodeId], ...]
-    _node_set: frozenset = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        nodes = tuple(sorted({check_node_name(n) for n in self.nodes}))
-        node_set = frozenset(nodes)
+        node_set = self._set_nodes()
         directed, bidirected = set(), set()
-        for pairs, kept, arrow in ((self.directed, directed, "->"), (self.bidirected, bidirected, "<->")):
-            for a, b in pairs:
+        for pairs, kept, arrow, kind in ((self.directed, directed, "->", "directed"), (self.bidirected, bidirected, "<->", "bidirected")):
+            for p in pairs:
+                if type(p) is not tuple or len(p) != 2 or not isinstance(p[0], str) or not isinstance(p[1], str):
+                    raise InputError(f"not a {kind} edge: {p!r}")
+                a, b = p
                 if a == b:
                     raise InputError(f"self-loop on {a!r}")
                 if a not in node_set or b not in node_set:
                     raise InputError(f"edge {a} {arrow} {b} uses undeclared node")
                 kept.add((a, b) if arrow == "->" else (min(a, b), max(a, b)))
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "directed", tuple(sorted(directed)))
         object.__setattr__(self, "bidirected", tuple(sorted(bidirected)))
-        object.__setattr__(self, "_node_set", node_set)
 
     def _edges(self) -> list[MixedEdge]:
         return [MixedEdge.directed(*p) for p in self.directed] + [MixedEdge.bidirected(*p) for p in self.bidirected]
 
-    def contains_edge(self, e: MixedEdge) -> bool:
-        return isinstance(e, MixedEdge) and e.a in self._node_set and e in self.incident_edges(e.a)
-
-    @classmethod
-    def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "DirectedMixedGraph":
-        """Build from specs like ``"a -> b"``, ``"b <- a"``, ``"a <-> b"``."""
-        node_set = set(nodes)
-        directed = []
-        bidirected = []
-        for spec in edge_specs:
-            u, v, (mark_u, mark_v) = _parse_edge_spec(spec)
-            node_set.update((u, v))
+    @staticmethod
+    def _spec_edges(records) -> tuple:
+        directed, bidirected = [], []
+        for spec, u, v, mark_u, mark_v in records:
             if mark_u is mark_v is TAIL:
                 raise InputError(f"undirected edge not allowed here: {spec!r}")
-            pairs = bidirected if mark_u is mark_v else directed
-            pairs.append((v, u) if mark_v is TAIL else (u, v))  # tail first
-        return cls(tuple(node_set), tuple(directed), tuple(bidirected))
+            (bidirected if mark_u is mark_v else directed).append((v, u) if mark_v is TAIL else (u, v))  # tail first
+        return tuple(directed), tuple(bidirected)
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,9 @@ def sigma_open_walk(g: DirectedMixedGraph, walk: Walk, z: Iterable[NodeId]) -> b
     of its on-walk out-edges stay inside its strong component.
     """
     z = set(z)
-    g.require_nodes(z)
+    anc_z = ancestors(g, z)  # checks the nodes of z before the walk
     check_walk(g, walk)
-    return _sigma_walk_open(walk, z, ancestors(g, z), scc_index(g))
+    return _sigma_walk_open(walk, z, anc_z, scc_index(g))
 
 
 def _sigma_walk_open(walk: Walk, z: set, anc_z: frozenset, scc: dict) -> bool:
@@ -144,12 +144,12 @@ def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[Node
     ancestors of ``z``.  Agrees with :func:`sigma_open_walk` on paths.
     """
     z = set(z)
-    g.require_nodes(z)
+    anc_z = ancestors(g, z)  # checks the nodes of z before the path
     check_walk(g, path)
     if not path.is_path:
         raise InputError("the segment criterion is defined for simple paths only")
     scc = scc_index(g)
-    return _sigma_segments_open(path, z, scc, {scc[v] for v in ancestors(g, z)})
+    return _sigma_segments_open(path, z, scc, {scc[v] for v in anc_z})
 
 
 def _sigma_segments_open(path: Walk, z: set, scc: dict, lit: set) -> bool:
@@ -213,13 +213,16 @@ def _path_oracle(graph, query: SeparationQuery, what: str, open_given) -> Separa
     overlap = sorted((x & y) - z)
     if overlap:
         return SeparationVerdict(False, Walk(overlap[0]))
-    is_open = open_given(z)
-    for a in sorted(x - z):
-        for b in sorted(y - z):
-            for path in enumerate_simple_paths(graph, a, b):
-                if is_open(path):
-                    return SeparationVerdict(False, path)
-    return SeparationVerdict(True)
+    path = next(_open_paths(graph, product(sorted(x - z), sorted(y - z)), open_given(z)), None)
+    return SeparationVerdict(path is None, path)
+
+
+def _open_paths(graph, pairs: Iterable[tuple[NodeId, NodeId]], is_open) -> Iterator[Walk]:
+    """The simple paths that pass ``is_open``, pair by pair, each pair's in enumeration order."""
+    for a, b in pairs:
+        for path in enumerate_simple_paths(graph, a, b):
+            if is_open(path):
+                yield path
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +238,9 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
     edges, and no arrowhead meets an undirected edge along the walk.
     """
     z = set(z)
-    h.require_nodes(z)
+    anc_z = ancestors(h, z)  # checks the nodes of z before the walk
     check_walk(h, walk)
-    return _m_walk_open(walk, z, ancestors(h, z))
+    return _m_walk_open(walk, z, anc_z)
 
 
 def _m_walk_open(walk: Walk, z: set, anc_z: frozenset) -> bool:
@@ -436,9 +439,8 @@ def _separation(graph, query: SeparationQuery, crit: tuple, closure: str) -> Sep
     ids = idx.ids
     try:
         xs, ys, zs = ([ids[v] for v in side] for side in (query.x, query.y, query.z))
-    except KeyError:  # name the least unknown node, like every other entry point
+    except KeyError:  # some query node is unknown, so this raises and names the least one
         graph.require_nodes(query.x | query.y | query.z)
-        raise
     z = anc_z = 0
     live = -1  # every bit set: given an empty z, every node is live and no closure is built
     if zs:
@@ -460,12 +462,14 @@ def _separation(graph, query: SeparationQuery, crit: tuple, closure: str) -> Sep
 # ---------------------------------------------------------------------------
 
 
-def _check_inducing_args(graph, s: set, a: NodeId, b: NodeId) -> None:
+def _check_inducing_args(graph, s: set, a: NodeId, b: NodeId) -> tuple[GraphIndex, int, int]:
     graph.require_nodes(s | {a, b})
     if a == b:
         raise InputError("inducing-path endpoints must differ")
     if a in s or b in s:
         raise InputError("inducing-path endpoints may not be selection nodes")
+    idx = graph.index
+    return idx, idx.ids[a], idx.ids[b]
 
 
 def sigma_inducing_paths(
@@ -485,8 +489,7 @@ def sigma_inducing_paths(
     scc = scc_index(g)
     anc_ends = ancestors(g, {a, b} | s)
     # Open given all of its interior nodes, with colliders allowed anywhere in anc_ends.
-    paths = enumerate_simple_paths(g, a, b)
-    return tuple(p for p in paths if _sigma_walk_open(p, set(p.nodes[1:-1]), anc_ends, scc))
+    return tuple(_open_paths(g, [(a, b)], lambda p: _sigma_walk_open(p, set(p.nodes[1:-1]), anc_ends, scc)))
 
 
 def sigma_inducing_exists(
@@ -501,9 +504,7 @@ def sigma_inducing_exists(
     check polynomial.
     """
     s = set(s)
-    _check_inducing_args(g, s, a, b)
-    idx = g.index
-    ia, ib = idx.ids[a], idx.ids[b]
+    idx, ia, ib = _check_inducing_args(g, s, a, b)
     z = (idx.anc[ia] | idx.anc[ib] | idx.union(idx.anc, idx.mask(s))) & ~(1 << ia | 1 << ib)
     return not sigma_separated(g, SeparationQuery((a,), (b,), idx.members(z))).separated
 
@@ -524,16 +525,12 @@ def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
     anc_ends = ancestors(h, {a, b})
     # Open given every interior node exactly when each of them is a
     # collider in anc_ends: a collider never meets an undirected edge.
-    for path in enumerate_simple_paths(h, a, b):
-        if _m_walk_open(path, set(path.nodes[1:-1]), anc_ends):
-            yield path
+    yield from _open_paths(h, [(a, b)], lambda p: _m_walk_open(p, set(p.nodes[1:-1]), anc_ends))
 
 
 def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:
     """Nonemptiness of :func:`inducing_paths`: an edge, or :func:`_collider_connected`."""
-    _check_inducing_args(h, set(), a, b)
-    idx = h.index
-    ia, ib = idx.ids[a], idx.ids[b]
+    idx, ia, ib = _check_inducing_args(h, set(), a, b)
     return bool(idx.adj[ia] >> ib & 1) or _collider_connected(idx, ia, ib)
 
 
@@ -557,9 +554,7 @@ def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:
     collider chain from ``a`` to ``b`` inside Anc({a, b}); a shortest one
     is simple.  Polynomial; nothing is enumerated.
     """
-    _check_inducing_args(h, set(), a, b)
-    idx = h.index
-    ia, ib = idx.ids[a], idx.ids[b]
+    idx, ia, ib = _check_inducing_args(h, set(), a, b)
     return _search(idx.rows, idx.names, _COLLIDER_CHAIN, [ia], 1 << ib, idx.anc[ia] | idx.anc[ib])
 
 

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from cyclomag.separation import ORACLE_CAP_ENV
+
+# Property tests run without hypothesis' per-example deadline, so a slow or
+# loaded host cannot fail them; example counts stay as each test sets them.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 
 @pytest.fixture(autouse=True)

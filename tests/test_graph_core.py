@@ -112,6 +112,35 @@ def test_mixed_graph_names_the_first_faulty_edge_in_input_order(edges, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "directed, bidirected, message",
+    [
+        (("ab",), (), "not a directed edge: 'ab'"),
+        ((("a",),), (), "not a directed edge: ('a',)"),
+        ((("a", "b"),), (("a", "b", "a"),), "not a bidirected edge: ('a', 'b', 'a')"),
+        ((("a", "b"),), ((["a"], "b"),), "not a bidirected edge: (['a'], 'b')"),
+    ],
+)
+def test_dmg_rejects_an_entry_that_is_not_a_pair_of_names(directed, bidirected, message):
+    with pytest.raises(InputError) as err:
+        DirectedMixedGraph(("a", "b"), directed, bidirected)
+    assert str(err.value) == message
+
+
+def test_of_builders_share_one_spec_reader():
+    for build in (MixedGraph.of, DirectedMixedGraph.of, ContextedDmg.of):
+        with pytest.raises(InputError, match="^bad edge spec: 'a b'$"):
+            build("a -> c", "a b")
+    # The dmg rejects an undirected spec before its constructor sees the self-loop.
+    with pytest.raises(InputError, match="^undirected edge not allowed here: 'a -- a'$"):
+        DirectedMixedGraph.of("a -- a")
+    # A mixed graph builds each edge as it reads its spec; a dmg checks its edges after the last spec.
+    with pytest.raises(InputError, match="^self-loop on 'a'$"):
+        MixedGraph.of("a -> a", "x y")
+    with pytest.raises(InputError, match="^bad edge spec: 'x y'$"):
+        DirectedMixedGraph.of("a -> a", "x y")
+
+
 def test_selection_must_leave_an_observed_node():
     with pytest.raises(InputError):
         ContextedDmg(DirectedMixedGraph(("a",), (), ()), ("a",))
@@ -311,6 +340,14 @@ def test_contains_edge_on_both_graph_types():
         assert not g.contains_edge(("a", "b"))
         with pytest.raises(InputError, match="^unknown node: 'zz'$"):
             g.incident_edges("zz")
+    # edge() on a graph that was never indexed: each call gets a fresh one.
+    specs = ("a -> b", "b <-> c")
+    for a, b in (("a", "b"), ("b", "a")):
+        assert MixedGraph.of(*specs).edge(a, b) == MixedEdge.directed("a", "b")
+    assert MixedGraph.of(*specs).edge("a", "c") is None
+    assert MixedGraph.of(*specs).edge("a", "zz") is None
+    with pytest.raises(InputError, match="^unknown node: 'zz'$"):
+        MixedGraph.of(*specs).edge("zz", "a")
 
 
 def test_graph_is_collected_once_unreferenced():

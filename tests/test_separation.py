@@ -6,7 +6,9 @@ import pytest
 from cyclomag import (
     ContextedDmg,
     DirectedMixedGraph,
+    GeneratorConfig,
     InputError,
+    MixedEdge,
     MixedGraph,
     OracleCapError,
     SeparationQuery,
@@ -23,6 +25,7 @@ from cyclomag import (
     m_separated,
     m_separated_oracle,
     parse_walk,
+    random_dmg,
     represent,
     sigma_inducing_exists,
     sigma_inducing_paths,
@@ -165,6 +168,15 @@ def test_segments_reject_non_path():
         sigma_open_path_segments(G, walk, set())
 
 
+def test_walk_predicates_check_z_before_the_walk():
+    foreign = Walk("b", (MixedEdge.directed("b", "qq"),))
+    for predicate, graph in ((sigma_open_walk, G), (sigma_open_path_segments, G), (m_open_walk, H)):
+        with pytest.raises(InputError, match="^unknown node: 'zz'$"):
+            predicate(graph, foreign, {"zz", "a"})
+        with pytest.raises(InputError, match="^walk edge b -> qq is not in the graph$"):
+            predicate(graph, foreign, {"a"})
+
+
 def test_segments_agree_with_walk_rule_everywhere():
     for seed in range(60):
         g = seeded_contexted(seed, max_n=5, max_s=0).graph
@@ -240,6 +252,42 @@ def test_sigma_symmetry():
                 sigma_separated(g, SeparationQuery((a,), (b,), z)).separated
                 == sigma_separated(g, SeparationQuery((b,), (a,), z)).separated
             )
+
+
+def test_path_oracles_return_the_first_open_path_by_pair_then_enumeration_order():
+    checked = 0
+    for seed in range(150):
+        c = seeded_contexted(seed, max_n=7, max_s=0)
+        if len(c.graph.nodes) < 5:
+            continue
+        for graph, oracle, is_open in (
+            (c.graph, sigma_separated_oracle, sigma_open_walk),
+            (represent(c), m_separated_oracle, m_open_walk),
+        ):
+            nodes = graph.nodes
+            x, y = {nodes[2], nodes[0]}, {nodes[3], nodes[1]}
+            for z in all_subsets(nodes[4:]):
+                expected = next(
+                    (p for a in sorted(x) for b in sorted(y) for p in enumerate_simple_paths(graph, a, b) if is_open(graph, p, z)),
+                    None,
+                )
+                verdict = oracle(graph, SeparationQuery(x, y, z))
+                assert verdict.witness == expected and verdict.separated == (expected is None)
+                checked += expected is not None
+    assert checked > 100
+    # The listings keep the enumeration order too, on dense systems where it is not by length.
+    for seed in range(30):
+        c = random_dmg(GeneratorConfig(6, 0.35, 0.35, 1, seed), allow_selection_children=True)
+        rng = random.Random(seed)
+        specs = [f"{a} {rng.choice(('->', '<-', '<->'))} {b}" for a, b in itertools.combinations(c.graph.nodes, 2) if rng.random() < 0.6]
+        h, s = MixedGraph.of(*specs, nodes=c.graph.nodes), set(c.selection)
+        for a, b in itertools.permutations(c.observed, 2):
+            for listing, every in (
+                (sigma_inducing_paths(c.graph, s, a, b), list(enumerate_simple_paths(c.graph, a, b))),
+                (inducing_paths(h, a, b), list(enumerate_simple_paths(h, a, b))),
+            ):
+                positions = [every.index(p) for p in listing]
+                assert positions == sorted(positions)
 
 
 def test_sigma_set_queries_reduce_to_pairs():
