@@ -26,6 +26,7 @@ from .graphs import (
     MixedEdge,
     MixedGraph,
     NodeId,
+    _as_nodes,
 )
 from .relations import neighborhood_complete
 from .separation import (
@@ -33,7 +34,7 @@ from .separation import (
     _collider_connected,
     _search,
     _shortest_inducing_path,
-    sigma_inducing_exists,
+    _sigma_inducing,
 )
 from .separation import _iter_inducing_paths  # noqa: F401  unused; bench/tests checks the tracer wraps it here
 from .walks import Walk
@@ -47,7 +48,7 @@ def marginalize(g: DirectedMixedGraph, w: Iterable[NodeId]) -> DirectedMixedGrap
     two such directed chains meet head-to-head at a common source or at
     a bidirected edge inside ``w``.
     """
-    w = set(w)
+    w = _as_nodes(w)
     g.require_nodes(w)
     idx = g.index
     latent = idx.mask(w)
@@ -67,23 +68,24 @@ def represent(c: ContextedDmg) -> MixedGraph:
     """Abstract a directed mixed graph with selection nodes.
 
     Two observed nodes become adjacent exactly when they cannot be
-    separated by any admissible conditioning set.  No set blocks an edge,
-    or a directed path inside a strong component, so pairs that are
-    adjacent or share a component are decided from the graph index;
-    every other pair costs one :func:`sigma_inducing_exists` search.  The
-    mark at an endpoint is a tail when that endpoint is an ancestor of
-    the other one or of the selection set, and an arrowhead otherwise.
+    separated by any admissible conditioning set.  Sigma-separation is
+    d-separation in the graph's acyclification, and no set without the
+    two nodes separates a pair adjacent there, so those pairs are decided
+    from the index mask ``acy``.  Every other pair costs one
+    :func:`~cyclomag.separation.sigma_separated` query, the one that
+    :func:`~cyclomag.separation.sigma_inducing_exists` runs; Anc(S) is
+    computed once for all of them.  The mark at an endpoint is a tail
+    when that endpoint is an ancestor of the other one or of the
+    selection set, and an arrowhead otherwise.
     """
-    g, s = c.graph, set(c.selection)
-    observed = c.observed
+    g, observed = c.graph, c.observed
     idx = g.index
-    adj, anc, scc = idx.adj, idx.anc, idx.scc
-    anc_s = idx.union(anc, idx.mask(s))
+    ids, acy, anc = idx.ids, idx.acy, idx.anc
+    anc_s = idx.union(anc, idx.mask(c.selection))
     edges = []
     for a, b in combinations(observed, 2):
-        ia, ib = idx.ids[a], idx.ids[b]
-        joined = adj[ia] >> ib & 1 or scc[ia] == scc[ib]
-        if not joined and not sigma_inducing_exists(g, s, a, b):
+        ia, ib = ids[a], ids[b]
+        if not acy[ia] >> ib & 1 and not _sigma_inducing(g, anc_s, ia, ib):
             continue
         mark_a = TAIL if (anc[ib] | anc_s) >> ia & 1 else ARROWHEAD
         mark_b = TAIL if (anc[ia] | anc_s) >> ib & 1 else ARROWHEAD

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InputError
-from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId
+from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId, _as_nodes
 from .separation import (
     _ARROW,
     _COLLIDER_CHAIN,
@@ -36,7 +36,7 @@ Triple = tuple[NodeId, NodeId, NodeId]
 def unshielded_colliders(h: MixedGraph, centres: Iterable[NodeId] | None = None) -> frozenset[Triple]:
     """All triples (a, b, c), a < c, with both edges into b and a, c non-adjacent;
     with ``centres`` given, only those whose b is one of them."""
-    centres = h.nodes if centres is None else tuple(centres)
+    centres = h.nodes if centres is None else _as_nodes(centres)
     h.require_nodes(centres)
     idx, out = h.index, set()
     for b in centres:

@@ -41,6 +41,13 @@ def check_node_name(name: str) -> str:
     return name
 
 
+def _as_nodes(vs) -> frozenset:
+    """The node set named by ``vs``: a bare string is one node, anything else an iterable of nodes."""
+    if isinstance(vs, str):
+        return frozenset((vs,))
+    return frozenset(vs)
+
+
 class EdgeMark(Enum):
     TAIL = "tail"
     ARROWHEAD = "arrowhead"
@@ -235,10 +242,7 @@ class GraphIndex:
       edges) in :func:`~cyclomag.relations.strongly_connected_components`.
     * ``adj``, ``anc``, ``desc``, ``ant``: the neighbours (over edges of
       every kind) and the reflexive ancestor, descendant and anterior
-      sets of each node as int bitmasks, built on first use.
-      :func:`~cyclomag.abstraction.represent` decides adjacent and
-      same-component pairs from ``adj`` and ``scc``, and runs one
-      separation search per observed pair that is neither.  Given a
+      sets of each node as int bitmasks, built on first use.  Given a
       nonempty conditioning set, the sigma search stays inside the
       ``anc`` closure of the query and the m search inside its ``ant``
       closure.
@@ -246,6 +250,14 @@ class GraphIndex:
       v with an arrowhead at w on an edge v - w, with one at v, over
       ``<->`` and over ``--``; bitmasks built on first use, on which the
       pair tests of ``validate`` and ``condition1`` run.
+    * ``acy``: each node's neighbours in the acyclification of a directed
+      mixed graph, itself included, as bitmasks built on first use: its
+      component, the parents of its component, the components of its
+      children and those of its component's bidirected neighbours.
+      Sigma-separation is d-separation in the acyclification, so no set
+      without the two nodes separates such a pair;
+      :func:`~cyclomag.abstraction.represent` decides those pairs from
+      ``acy`` and runs one separation search per other observed pair.
     """
 
     def __init__(self, nodes: tuple[NodeId, ...], edges: Collection[MixedEdge]):
@@ -307,6 +319,28 @@ class GraphIndex:
     @cached_property
     def und(self) -> list[int]:
         return self._neighbours(ARROW_HERE | ARROW_THERE, 0)
+
+    @cached_property
+    def acy(self) -> list[int]:
+        """Each node's neighbours in the acyclification, itself included.
+
+        The acyclification makes each strong component a clique, lets an
+        edge j -> i reach every node of sc(i), and lets u <-> v join every
+        node of sc(u) to every node of sc(v).  Undirected edges are not read.
+        """
+        scc = self.scc
+        comp = [0] * len(scc)  # members of each component, by number
+        for i, k in enumerate(scc):
+            comp[k] |= 1 << i
+        shared = comp[:]  # per component: itself, its parents, its bidirected neighbours' components
+        own = [0] * len(scc)  # per node: its children's components
+        for i, row in enumerate(self.rows):
+            for w, kind, _ in row:
+                if kind & ARROW_HERE:
+                    shared[scc[i]] |= comp[scc[w]] if kind & ARROW_THERE else 1 << w
+                elif kind & ARROW_THERE:
+                    own[i] |= comp[scc[w]]
+        return [own[i] | shared[k] for i, k in enumerate(scc)]
 
     @cached_property
     def anc(self) -> list[int]:
@@ -385,7 +419,7 @@ class _Graph:
     @classmethod
     def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "_Graph":
         """Build from specs like ``"a -> b"``, ``"b <- a"``, ``"a <-> b"`` and, on a mixed graph, ``"a -- b"``."""
-        node_set = set(nodes)
+        node_set = set(_as_nodes(nodes))
 
         def records():  # read lazily, so each type raises its edge errors in spec order
             for spec in edge_specs:
@@ -522,7 +556,7 @@ class ContextedDmg:
     selection: tuple[NodeId, ...]
 
     def __post_init__(self):
-        selection = tuple(sorted(set(self.selection)))
+        selection = tuple(sorted(_as_nodes(self.selection)))
         for s in selection:
             if s not in self.graph:
                 raise InputError(f"selection node {s!r} is not in the graph")
@@ -532,8 +566,8 @@ class ContextedDmg:
 
     @classmethod
     def of(cls, *edge_specs: str, selection: Iterable[NodeId] = (), nodes: Iterable[NodeId] = ()) -> "ContextedDmg":
-        selection = tuple(selection)
-        return cls(DirectedMixedGraph.of(*edge_specs, nodes=tuple(nodes) + selection), selection)
+        selection = _as_nodes(selection)
+        return cls(DirectedMixedGraph.of(*edge_specs, nodes=_as_nodes(nodes) | selection), selection)
 
     @property
     def observed(self) -> tuple[NodeId, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import InputError
-from .graphs import DirectedMixedGraph, MixedGraph, NodeId
+from .graphs import DirectedMixedGraph, MixedGraph, NodeId, _as_nodes
 from .walks import Graph, Walk
 
 
@@ -43,7 +43,7 @@ def scc_index(g: DirectedMixedGraph) -> dict[NodeId, frozenset[NodeId]]:
 
 
 def _closure(graph: Graph, targets: Iterable[NodeId], which: str) -> frozenset[NodeId]:
-    targets = set(targets)
+    targets = _as_nodes(targets)
     graph.require_nodes(targets)
     idx = graph.index
     return frozenset(idx.members(idx.union(getattr(idx, which), idx.mask(targets))))

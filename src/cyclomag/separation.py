@@ -21,7 +21,6 @@ shortest anterior paths, inducing paths and discriminating paths that
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
@@ -37,6 +36,7 @@ from .graphs import (
     GraphIndex,
     MixedGraph,
     NodeId,
+    _as_nodes,
 )
 from .relations import ancestors, anteriors, enumerate_simple_paths, scc_index
 from .walks import Walk, check_walk
@@ -62,30 +62,27 @@ def _check_cap(n_nodes: int, default: int, what: str) -> None:
         )
 
 
-def _as_nodes(v) -> frozenset:
-    if isinstance(v, str):
-        return frozenset((v,))
-    return frozenset(v)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class SeparationQuery:
     """A separation question: is ``x`` separated from ``y`` given ``z``?
 
-    Members of ``x`` or ``y`` that also lie in ``z`` are permitted; they
-    simply contribute no open walks because walk endpoints are blockable.
+    Each set may be given as one bare node name.  Members of ``x`` or
+    ``y`` that also lie in ``z`` are permitted; they simply contribute no
+    open walks because walk endpoints are blockable.
     """
 
     x: frozenset
     y: frozenset
-    z: frozenset = frozenset()
+    z: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_nodes(self.x))
-        object.__setattr__(self, "y", _as_nodes(self.y))
-        object.__setattr__(self, "z", _as_nodes(self.z))
-        if not self.x or not self.y:
+    def __init__(self, x, y, z=frozenset()):
+        x, y, z = _as_nodes(x), _as_nodes(y), _as_nodes(z)  # all three before the emptiness check
+        if not x or not y:
             raise InputError("query sets x and y must be nonempty")
+        set_field = object.__setattr__  # the fields are frozen
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def sigma_open_walk(g: DirectedMixedGraph, walk: Walk, z: Iterable[NodeId]) -> b
     blockable; an interior non-collider is unblockable exactly when all
     of its on-walk out-edges stay inside its strong component.
     """
-    z = set(z)
+    z = _as_nodes(z)
     anc_z = ancestors(g, z)  # checks the nodes of z before the walk
     check_walk(g, walk)
     return _sigma_walk_open(walk, z, anc_z, scc_index(g))
@@ -143,7 +140,7 @@ def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[Node
     a segment contains a collider while its whole component misses the
     ancestors of ``z``.  Agrees with :func:`sigma_open_walk` on paths.
     """
-    z = set(z)
+    z = _as_nodes(z)
     anc_z = ancestors(g, z)  # checks the nodes of z before the path
     check_walk(g, path)
     if not path.is_path:
@@ -237,7 +234,7 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
     ``z``, every collider is an ancestor of ``z`` over the directed
     edges, and no arrowhead meets an undirected edge along the walk.
     """
-    z = set(z)
+    z = _as_nodes(z)
     anc_z = ancestors(h, z)  # checks the nodes of z before the walk
     check_walk(h, walk)
     return _m_walk_open(walk, z, anc_z)
@@ -390,10 +387,10 @@ def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, 
     The search runs over index ``rows`` under criterion ``crit``, with
     each start entered in ``shape``, and names its nodes by ``names``.
     Starts are tried in the order given, so the first start that is a
-    goal node is returned as a walk of length zero.  The queue is
-    first-in first-out, so testing states as they are pushed finds the
-    same goal state, with the same parents, as testing them as they are
-    popped.
+    goal node is returned as a walk of length zero.  The queue is a list
+    read in order while it grows, so it is first-in first-out, and
+    testing states as they are pushed finds the same goal state, with
+    the same parents, as testing them as they are popped.
 
     States at nodes outside ``live`` are neither recorded nor queued.
     The witness searches confine their walks with it.  For the engines
@@ -412,9 +409,8 @@ def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, 
             return Walk(names[v])
         parent[v << 2 | shape] = None
     arrive, passes = crit
-    queue = deque(parent)
-    while queue:
-        st = queue.popleft()
+    queue = list(parent)
+    for st in queue:  # the queue grows while it is read, first in, first out
         v = st >> 2
         standing = _IN_Z if z >> v & 1 else anc_z >> v & 1  # else _IN_ANC (1) or _OUTSIDE (0)
         bit = 1 << (4 * standing + (st & 3))
@@ -484,7 +480,7 @@ def sigma_inducing_paths(
     are refused with :class:`~cyclomag.errors.OracleCapError`.
     """
     _check_cap(len(g.nodes), DEFAULT_PATH_ORACLE_CAP, "the sigma-inducing path listing")
-    s = set(s)
+    s = _as_nodes(s)
     _check_inducing_args(g, s, a, b)
     scc = scc_index(g)
     anc_ends = ancestors(g, {a, b} | s)
@@ -501,12 +497,20 @@ def sigma_inducing_exists(
     after conditioning on all ancestors of the endpoints and ``s``
     (other than the endpoints themselves) together with ``s``.  That
     equivalence holds on every directed mixed graph, which keeps this
-    check polynomial.
+    check polynomial: one :func:`sigma_separated` query, after the
+    arguments are checked here once.
     """
-    s = set(s)
+    s = _as_nodes(s)
     idx, ia, ib = _check_inducing_args(g, s, a, b)
-    z = (idx.anc[ia] | idx.anc[ib] | idx.union(idx.anc, idx.mask(s))) & ~(1 << ia | 1 << ib)
-    return not sigma_separated(g, SeparationQuery((a,), (b,), idx.members(z))).separated
+    return _sigma_inducing(g, idx.union(idx.anc, idx.mask(s)), ia, ib)
+
+
+def _sigma_inducing(g: DirectedMixedGraph, anc_s: int, ia: int, ib: int) -> bool:
+    """:func:`sigma_inducing_exists` for checked node ids, given the mask of Anc(s)."""
+    idx = g.index
+    names, anc = idx.names, idx.anc
+    z = (anc[ia] | anc[ib] | anc_s) & ~(1 << ia | 1 << ib)
+    return not sigma_separated(g, SeparationQuery((names[ia],), (names[ib],), idx.members(z))).separated
 
 
 def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:

@@ -25,6 +25,7 @@ from cyclomag import (
     represent,
     marginalize,
     random_dmg,
+    scc_index,
     sigma_inducing_exists,
     sigma_separated,
     validate,
@@ -151,7 +152,7 @@ def _dense_cycles(seed: int) -> ContextedDmg:
 
 
 def test_represent_matches_engine_on_every_pair():
-    # represent decides adjacent and same-component pairs from the index;
+    # represent decides the pairs its acyclification joins from the index;
     # the engine alone must agree on every pair, and the marks must
     # follow ancestry of the other endpoint or of the selection set.
     systems = []
@@ -175,22 +176,59 @@ def test_represent_matches_engine_on_every_pair():
     assert len(systems) >= 300 and two_cycles >= 40
 
 
+def _record_sigma_queries(monkeypatch) -> list:
+    """Patch the sigma engine to log the x and y of every query, and return the log."""
+    from cyclomag import separation
+
+    searched, engine = [], separation.sigma_separated
+
+    def record(g, query):
+        searched.append((*sorted(query.x), *sorted(query.y)))
+        return engine(g, query)
+
+    monkeypatch.setattr(separation, "sigma_separated", record)
+    return searched
+
+
 def test_represent_searches_only_separable_candidates(monkeypatch):
-    from cyclomag import abstraction
-
-    searched = []
-
-    def record(g, s, a, b):
-        searched.append(a + b)
-        return sigma_inducing_exists(g, s, a, b)
-
-    monkeypatch.setattr(abstraction, "sigma_inducing_exists", record)
+    searched = _record_sigma_queries(monkeypatch)
     # A 4-cycle (a, c and b, d share its component without an edge), the
     # edge d -> e, and the collider d -> e <- f.
     c = ContextedDmg.of("a -> b", "b -> c", "c -> d", "d -> a", "d -> e", "f -> e")
     h = represent(c)
-    assert sorted(searched) == ["ae", "af", "be", "bf", "ce", "cf", "df"]
+    assert sorted("".join(pair) for pair in searched) == ["ae", "af", "be", "bf", "ce", "cf", "df"]
     assert h == MixedGraph.of("a -- b", "b -- c", "c -- d", "a -- d", "a -- c", "b -- d", "d -> e", "f -> e")
+
+
+def _acyclification_pairs(g: DirectedMixedGraph) -> set:
+    """The adjacent pairs of the acyclification, built by its three rules."""
+    comp = scc_index(g)
+    pairs = {frozenset((u, v)) for u in g.nodes for v in comp[u]}  # each component a clique
+    pairs |= {frozenset((t, v)) for t, h in g.directed for v in comp[h]}  # t -> h reaches all of sc(h)
+    pairs |= {frozenset((u, v)) for a, b in g.bidirected for u in comp[a] for v in comp[b]}  # sc(a) x sc(b)
+    return {p for p in pairs if len(p) == 2}
+
+
+def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monkeypatch):
+    systems = [_dense_cycles(seed) for seed in range(40)]
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(4, 16)
+        cfg = GeneratorConfig(n, rng.uniform(1.0, 2.5) / n, rng.uniform(0.5, 1.5) / n, rng.randint(0, n // 4), seed)
+        systems.append(random_dmg(cfg, allow_selection_children=seed % 2 == 1))
+    searched = _record_sigma_queries(monkeypatch)
+    cyclic = 0
+    for c in systems:
+        g = c.graph
+        idx = g.index
+        joined = _acyclification_pairs(g)
+        for u in g.nodes:  # each node's own mask, itself included
+            assert set(idx.members(idx.acy[idx.ids[u]])) == {u} | {v for p in joined if u in p for v in p}, u
+        cyclic += 1 < len(set(idx.scc)) < len(g.nodes)  # a cycle beside other components
+        searched.clear()
+        represent(c)
+        assert sorted(searched) == [pair for pair in itertools.combinations(c.observed, 2) if frozenset(pair) not in joined]
+    assert cyclic >= 40
 
 
 # --- validity checking --------------------------------------------------

@@ -20,15 +20,22 @@ from cyclomag import (
     anteriors,
     descendants,
     enumerate_simple_paths,
+    m_open_walk,
     m_separated,
+    marginalize,
     neighborhood,
     neighborhood_complete,
     parse_walk,
     represent,
     scc_index,
     SeparationQuery,
+    sigma_inducing_exists,
+    sigma_inducing_paths,
+    sigma_open_path_segments,
+    sigma_open_walk,
     sigma_separated,
     strongly_connected_components,
+    unshielded_colliders,
 )
 from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC, GraphIndex
 from cyclomag.walks import Walk, check_walk
@@ -159,6 +166,42 @@ def test_unknown_node_message_names_the_least_missing_node():
             g.require_nodes(missing)
     with pytest.raises(InputError, match="^unknown node: 'e'$"):
         ancestors(g, set("qwertyuiop") | {"a"})
+
+
+# The collider a -> ab <- c above ab -> b: the name ab is not the set {a, b}.
+_AB = ("a -> ab", "c -> ab", "ab -> b")
+_AB_DMG = DirectedMixedGraph.of(*_AB)
+_AB_MIXED = MixedGraph.of(*_AB)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda vs: ancestors(_AB_DMG, vs),
+        lambda vs: descendants(_AB_DMG, vs),
+        lambda vs: anteriors(_AB_MIXED, vs),
+        lambda vs: marginalize(_AB_DMG, vs),
+        lambda vs: ContextedDmg(_AB_DMG, vs),
+        lambda vs: ContextedDmg.of(*_AB, selection=vs),
+        lambda vs: ContextedDmg.of("a -> b", nodes=vs),
+        lambda vs: DirectedMixedGraph.of("a -> b", nodes=vs),
+        lambda vs: MixedGraph.of("a -- b", nodes=vs),
+        lambda vs: sigma_inducing_exists(_AB_DMG, vs, "a", "c"),
+        lambda vs: sigma_inducing_paths(_AB_DMG, vs, "a", "c"),
+        lambda vs: sigma_open_walk(_AB_DMG, parse_walk(_AB_DMG, "a -> ab <- c"), vs),
+        lambda vs: sigma_open_path_segments(_AB_DMG, parse_walk(_AB_DMG, "a -> ab <- c"), vs),
+        lambda vs: m_open_walk(_AB_MIXED, parse_walk(_AB_MIXED, "a -> ab <- c"), vs),
+        lambda vs: unshielded_colliders(_AB_MIXED, vs),
+    ],
+    ids=[
+        "ancestors", "descendants", "anteriors", "marginalize", "ContextedDmg", "ContextedDmg.of-selection",
+        "ContextedDmg.of-nodes", "DirectedMixedGraph.of-nodes", "MixedGraph.of-nodes", "sigma_inducing_exists",
+        "sigma_inducing_paths", "sigma_open_walk", "sigma_open_path_segments", "m_open_walk",
+        "unshielded_colliders",
+    ],
+)
+def test_a_bare_string_names_one_node(call):
+    assert call("ab") == call(["ab"])
 
 
 # --- strong components -------------------------------------------------------

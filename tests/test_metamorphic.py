@@ -7,7 +7,10 @@ Z and the selection set agrees with m-separation in the representation
 given Z.  Projecting latent nodes out with ``marginalize`` keeps every
 sigma-separation among the nodes that remain.  Cutting a graph down to
 the ancestors (sigma) or anteriors (m) of a query keeps its verdict and
-witness.
+witness.  The abstraction commutes with marginalising and conditioning:
+a system and the canonical reconstruction of its representation have
+the same representation after any latent set is projected out and any
+extra selection set added.
 """
 
 import itertools
@@ -18,6 +21,7 @@ import pytest
 from cyclomag import (
     ARROWHEAD,
     TAIL,
+    ContextedDmg,
     DirectedMixedGraph,
     GeneratorConfig,
     MixedEdge,
@@ -148,3 +152,29 @@ def test_verdicts_survive_cutting_to_the_query_closure(n, seed, directed, bidire
             assert _render(separated(_induced(graph, closure(graph, x | y | z)), q)) == _render(whole), q
             verdicts.add(whole.separated)
         assert verdicts == {True, False}
+
+
+def _projected(c, latent, extra):
+    """The representation of ``c`` with ``latent`` marginalised and ``extra`` added to the selection."""
+    return represent(ContextedDmg(marginalize(c.graph, latent), c.selection + tuple(extra)))
+
+
+# Small seeded systems whose selection nodes may have children, beside SYSTEMS.
+_SMALL = [(n, seed, 1.6, 0.8, n // 5) for seed, n in enumerate(range(5, 25), start=10)]
+
+
+@pytest.mark.parametrize("n, seed, directed, bidirected, n_selection", SYSTEMS + _SMALL)
+def test_abstraction_commutes_with_marginalising_and_conditioning(n, seed, directed, bidirected, n_selection):
+    # d shares only its representation with c, so each side runs its own
+    # searches; the first draw has no latent set, the second no extra
+    # selection, and one observed node always stays.
+    cfg = GeneratorConfig(n, directed / n, bidirected / n, n_selection, seed)
+    c = random_dmg(cfg, allow_selection_children=n < 50)
+    d = canonical_dmg(represent(c))
+    rng = random.Random(seed)
+    observed = list(c.observed)
+    for k in range(3):
+        latent = [] if k == 0 else rng.sample(observed, rng.randint(1, len(observed) // 10 + 1))
+        rest = [v for v in observed if v not in latent]
+        extra = [] if k == 1 else rng.sample(rest, rng.randint(1 if k == 0 else 0, min(3, len(rest) - 1)))
+        assert _projected(c, latent, extra) == _projected(d, latent, extra), (sorted(latent), sorted(extra))

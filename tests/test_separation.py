@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -60,6 +63,41 @@ def test_query_accepts_strings_and_iterables():
 def test_query_requires_nonempty_sides():
     with pytest.raises(InputError):
         SeparationQuery((), "b")
+
+
+def test_query_is_a_frozen_slotted_value():
+    q = SeparationQuery("a", ["b", "c"], {"d"})
+    same = SeparationQuery({"a"}, ("c", "b"), "d")
+    assert q == same and hash(q) == hash(same) and q != SeparationQuery("a", "b", "d")
+    assert SeparationQuery(x="a", y="b", z="c") == SeparationQuery("a", "b", ["c"])
+    assert repr(SeparationQuery("a", "b")) == "SeparationQuery(x=frozenset({'a'}), y=frozenset({'b'}), z=frozenset())"
+    for twin in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q), dataclasses.replace(q)):
+        assert twin == q and hash(twin) == hash(q)
+    assert not hasattr(q, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.x = frozenset("e")
+
+
+# x, y and z are each read as a node set, in that order, before the
+# emptiness check, so the first unreadable one decides the error.
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (((), "b", 5), TypeError),
+        ((5, (), ()), TypeError),
+        (((), 5), TypeError),
+        ((None, "b"), TypeError),
+        ((["a", ["b"]], "c"), TypeError),
+        (((), [["b"]]), TypeError),
+        (((), "b"), InputError),
+        (("a", []), InputError),
+        ((), TypeError),
+        (("a", "b", "c", "d"), TypeError),
+    ],
+)
+def test_query_rejects_bad_sets_in_argument_order(args, error):
+    with pytest.raises(error):
+        SeparationQuery(*args)
 
 
 def test_unknown_nodes_rejected():
