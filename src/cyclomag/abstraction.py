@@ -142,10 +142,10 @@ def validate(h: MixedGraph) -> ValidityReport:
     # Maximality: no inducing path may join a non-adjacent pair.  A mask
     # & -(2 << i) keeps the ids above i.
     everyone = (1 << len(names)) - 1
-    for ia, a in enumerate(names):
+    for ia in range(len(names)):
         for ib in idx.ids_in(everyone & ~adj[ia] & -(2 << ia)):
             if _collider_connected(idx, ia, ib):
-                violations.append(Violation(ViolationKind.MAXIMALITY, (_shortest_inducing_path(h, a, names[ib]),)))
+                violations.append(Violation(ViolationKind.MAXIMALITY, (_shortest_inducing_path(idx, ia, ib),)))
 
     # Completeness of arrowhead-adjacent undirected fans.  A spike is never
     # an undirected neighbour (one edge per pair), and b's non-adjacent

@@ -19,8 +19,7 @@ from typing import Iterable
 from .errors import InputError
 from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId, _as_nodes
 from .separation import (
-    _ARROW,
-    _COLLIDER_CHAIN,
+    _DISCRIMINATING,
     DEFAULT_GRID_ORACLE_CAP,
     DEFAULT_PATH_ORACLE_CAP,
     SeparationQuery,
@@ -227,9 +226,9 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -
     chain goes on through parents of c in both graphs, over edges with
     arrowheads at both ends in both, and ends at a node not adjacent to
     c, over an edge with an arrowhead at the chain end in both.  So the
-    collider-chain search of :mod:`cyclomag.separation`, started at the
-    v_n, kept off b and confined to those parents and the nodes not
-    adjacent to c, finds a shortest such path, and a shortest one is
+    discriminating-chain search of :mod:`cyclomag.separation`, started
+    at the v_n, kept off b and confined to those parents and the nodes
+    not adjacent to c, finds a shortest such path, and a shortest one is
     simple; b is then put back in front.  Only b in ``moved``, where
     some mark differs, can close one.
     """
@@ -251,7 +250,7 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -
             # b's spikes when c is one of them, and none otherwise.
             col1, col2 = (idx.spikes[b] if idx.spikes[b] >> c & 1 else 0 for idx in (idx1, idx2))
             starts = idx1.ids_in(chain & idx1.into[b] & idx2.into[b] & (col1 ^ col2))
-            walk = _search(both, names, _COLLIDER_CHAIN, starts, far, (chain | far) & ~(1 << b), shape=_ARROW)
+            walk = _search(both, names, _DISCRIMINATING, starts, far, (chain | far) & ~(1 << b))
             if walk is not None:
                 return DiscriminatingPath(walk.nodes[::-1] + (names[b], name), names[b])
     return None

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from typing import Collection, Iterable, Iterator
 
 from .errors import InputError
@@ -164,8 +164,8 @@ def _components(succ: list, pred: list) -> tuple[list[int], list[int]]:
 
     ``pred`` is the reverse of ``succ``.  Returns the nodes in an order
     where each component is contiguous and comes before every component
-    it reaches, and each node's component label.  Iterative, so deep
-    cycles cannot overflow the stack.
+    it reaches, and each node's component label, the id of one of its
+    members.  Iterative, so deep cycles cannot overflow the stack.
     """
     seen = [False] * len(succ)
     finished: list[int] = []
@@ -207,11 +207,11 @@ def _reach(succ: list, order, comp: list[int]) -> list[int]:
     ``order`` must list each strong component contiguously and after all
     those it reaches, so every member of a component shares one mask.
     """
-    reach: dict[int, int] = {}
+    reach = [0] * len(succ)  # by component label; a component not yet visited reads 0
     for v in order:
-        mask = reach.get(comp[v], 0) | 1 << v
+        mask = reach[comp[v]] | 1 << v
         for w in succ[v]:
-            mask |= reach.get(comp[w], 0)
+            mask |= reach[comp[w]]
         reach[comp[v]] = mask
     return [reach[c] for c in comp]
 
@@ -238,8 +238,9 @@ class GraphIndex:
       incidence structure.  The kind sets ``ARROW_HERE`` and
       ``ARROW_THERE`` for arrowheads at the two ends and ``CROSSES_SCC``
       when the edge joins two strong components.
-    * ``scc[i]``: position of the node's strong component (over directed
-      edges) in :func:`~cyclomag.relations.strongly_connected_components`.
+    * ``scc[i]``: the label of the node's strong component (over directed
+      edges), the id of one of its members; two nodes share a component
+      exactly when they share a label.
     * ``adj``, ``anc``, ``desc``, ``ant``: the neighbours (over edges of
       every kind) and the reflexive ancestor, descendant and anterior
       sets of each node as int bitmasks, built on first use.  Given a
@@ -271,9 +272,7 @@ class GraphIndex:
                 children[tail].append(head)
         parents = [tuple(sorted(p)) for p in parents]
         children = [tuple(sorted(c)) for c in children]
-        order, comp = _components(children, parents)
-        rank: dict[int, int] = {}
-        scc = [rank.setdefault(c, len(rank)) for c in comp]  # numbered by smallest member
+        order, scc = _components(children, parents)
         rows: list[list] = [[] for _ in nodes]
         for e in edges:
             i, j, head_a, head_b = ids[e.a], ids[e.b], e.mark_a is ARROWHEAD, e.mark_b is ARROWHEAD
@@ -329,7 +328,7 @@ class GraphIndex:
         node of sc(u) to every node of sc(v).  Undirected edges are not read.
         """
         scc = self.scc
-        comp = [0] * len(scc)  # members of each component, by number
+        comp = [0] * len(scc)  # members of each component, by label
         for i, k in enumerate(scc):
             comp[k] |= 1 << i
         shared = comp[:]  # per component: itself, its parents, its bidirected neighbours' components
@@ -411,7 +410,8 @@ class _Graph:
 
     def _set_nodes(self) -> frozenset:
         """Check the node names, sort them and keep their set, which is returned."""
-        node_set = frozenset(map(check_node_name, self.nodes))
+        nodes = self.nodes  # a bare string is one node, as _as_nodes reads it; names are checked in input order
+        node_set = frozenset(map(check_node_name, (nodes,) if isinstance(nodes, str) else nodes))
         object.__setattr__(self, "nodes", tuple(sorted(node_set)))
         object.__setattr__(self, "_node_set", node_set)
         return node_set
@@ -483,18 +483,15 @@ class MixedGraph(_Graph):
 
     def __post_init__(self):
         node_set = self._set_nodes()
-        edges = tuple(self.edges)
-        pair = {(e.a, e.b): e for e in edges if isinstance(e, MixedEdge)}
-        if len(pair) < len(edges) or not node_set.issuperset(chain.from_iterable(pair)):
-            seen = set()  # some edge is at fault: the first one in input order names it
-            for e in edges:
-                if not isinstance(e, MixedEdge):
-                    raise InputError(f"not a mixed edge: {e!r}")
-                if e.a not in node_set or e.b not in node_set:
-                    raise InputError(f"edge {e} uses undeclared node")
-                if (e.a, e.b) in seen:
-                    raise InputError(f"more than one edge between {e.a!r} and {e.b!r}")
-                seen.add((e.a, e.b))
+        pair = {}  # the first faulty edge in input order names the fault
+        for e in self.edges:
+            if not isinstance(e, MixedEdge):
+                raise InputError(f"not a mixed edge: {e!r}")
+            if e.a not in node_set or e.b not in node_set:
+                raise InputError(f"edge {e} uses undeclared node")
+            if (e.a, e.b) in pair:
+                raise InputError(f"more than one edge between {e.a!r} and {e.b!r}")
+            pair[e.a, e.b] = e
         object.__setattr__(self, "edges", tuple([pair[key] for key in sorted(pair)]))
 
     def _edges(self) -> tuple[MixedEdge, ...]:
@@ -556,10 +553,11 @@ class ContextedDmg:
     selection: tuple[NodeId, ...]
 
     def __post_init__(self):
-        selection = tuple(sorted(_as_nodes(self.selection)))
-        for s in selection:
-            if s not in self.graph:
-                raise InputError(f"selection node {s!r} is not in the graph")
+        selection = _as_nodes(self.selection)
+        missing = [s for s in selection if s not in self.graph]
+        if missing:  # the least by str, so that the message never follows set order
+            raise InputError(f"selection node {min(missing, key=str)!r} is not in the graph")
+        selection = tuple(sorted(selection))
         if len(selection) == len(self.graph.nodes):
             raise InputError("at least one node must be observed")
         object.__setattr__(self, "selection", selection)

@@ -27,8 +27,8 @@ def strongly_connected_components(g: DirectedMixedGraph) -> tuple[frozenset[Node
 
     Two nodes share a class exactly when each reaches the other over
     directed edges; bidirected edges never contribute.  Components are
-    returned sorted by their smallest member.  The graph's index numbers
-    the components once, in that order.
+    returned sorted by their smallest member: the graph's index labels
+    each node's component once, and the nodes are grouped in id order.
     """
     idx = g.index
     groups: dict[int, list[NodeId]] = {}

@@ -13,7 +13,7 @@ reachability engine over (node, incoming edge shape) states, and an
 exhaustive simple-path oracle used to audit the engine at desk scale.
 The two engines are one breadth-first search over the graph's
 :class:`~cyclomag.graphs.GraphIndex`, run with a different pair of
-transition rules.  The same search, with two more rule pairs, finds the
+transition rules.  The same search, with three more rule pairs, finds the
 shortest anterior paths, inducing paths and discriminating paths that
 ``validate`` and ``condition1`` return as witnesses.
 """
@@ -301,10 +301,9 @@ def m_separated_oracle(h: MixedGraph, query: SeparationQuery) -> SeparationVerdi
 # order, which fixes the witnesses.
 #
 # Callers pass start nodes and get a walk.  Each start is entered in
-# shape 1, a tail under every criterion, so it may leave over any edge;
-# an engine's source lies outside z, so no rule blocks it there.  Only
-# the discriminating chain enters its starts over an arrowhead.  A start
-# that is itself a goal is the walk of length zero at it.
+# shape 1, which each table reads in its own way: the engines as a tail,
+# free to leave over any edge (a source lies outside z), the witness
+# tables as said below.  A start that is a goal is a walk of length zero.
 #
 # Every node of an open walk lies in the criterion's closure of
 # x | y | z: the ancestors under sigma, the anteriors under m (the two
@@ -373,19 +372,21 @@ _M = _criterion(_m_arrival, _m_passes)
 # outside Anc(z) and only the edge kind and the arrival shape decide.  An
 # anterior path leaves every node over a tail.  A collider chain leaves a
 # node it entered over an arrowhead only over an arrowhead at that node,
-# and is stuck at a node it entered over a tail (shape 2); a start in
-# shape 1 may leave over any edge.
+# and is stuck at a node it entered over a tail (shape 2); its start may
+# leave over any edge.  A discriminating chain is a collider chain whose
+# start, like a node entered over an arrowhead, leaves only over one.
 _ANTERIOR = _criterion(lambda *_: 1, lambda shape, here, *_: not here)
 _COLLIDER_CHAIN = _criterion(
     lambda there, *_: _ARROW if there else 2, lambda shape, here, *_: shape == 1 or shape == _ARROW and here
 )
+_DISCRIMINATING = _criterion(lambda there, *_: _ARROW if there else 2, lambda shape, here, *_: shape != 2 and here)
 
 
-def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, anc_z: int = 0, *, shape: int = 1):
+def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, anc_z: int = 0):
     """The first shortest walk from the ``starts`` node ids to a ``goal`` node, or None.
 
     The search runs over index ``rows`` under criterion ``crit``, with
-    each start entered in ``shape``, and names its nodes by ``names``.
+    each start entered in shape 1, and names its nodes by ``names``.
     Starts are tried in the order given, so the first start that is a
     goal node is returned as a walk of length zero.  The queue is a list
     read in order while it grows, so it is first-in first-out, and
@@ -407,7 +408,7 @@ def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, 
     for v in starts:
         if goal >> v & 1:
             return Walk(names[v])
-        parent[v << 2 | shape] = None
+        parent[v << 2 | 1] = None
     arrive, passes = crit
     queue = list(parent)
     for st in queue:  # the queue grows while it is read, first in, first out
@@ -550,15 +551,14 @@ def _collider_connected(idx: GraphIndex, ia: int, ib: int) -> bool:
     return bool((start | idx.closure(idx.bi, start, inside)) & inside & idx.into[ib])
 
 
-def _shortest_inducing_path(h: MixedGraph, a: NodeId, b: NodeId) -> Walk | None:
-    """The first shortest member of :func:`inducing_paths`, or None.
+def _shortest_inducing_path(idx: GraphIndex, ia: int, ib: int) -> Walk | None:
+    """The first shortest member of :func:`inducing_paths` between two distinct ids of ``idx``, or None.
 
     An interior node of an inducing path lies in Anc({a, b}) and has
     arrowheads on both sides, so a shortest inducing path is a shortest
     collider chain from ``a`` to ``b`` inside Anc({a, b}); a shortest one
     is simple.  Polynomial; nothing is enumerated.
     """
-    idx, ia, ib = _check_inducing_args(h, set(), a, b)
     return _search(idx.rows, idx.names, _COLLIDER_CHAIN, [ia], 1 << ib, idx.anc[ia] | idx.anc[ib])
 
 

@@ -32,6 +32,8 @@ class Walk:
         object.__setattr__(self, "edges", tuple(self.edges))
         nodes = [self.start]
         for e in self.edges:
+            if not isinstance(e, MixedEdge):
+                raise InputError(f"not a mixed edge: {e!r}")
             try:
                 nodes.append(e.other(nodes[-1]))
             except InputError:

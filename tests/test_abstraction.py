@@ -470,9 +470,9 @@ def test_validate_searches_only_flagged_pairs(monkeypatch):
     searched = []
     search = abstraction._shortest_inducing_path
 
-    def record(h, a, b):
-        searched.append((a, b))
-        return search(h, a, b)
+    def record(idx, ia, ib):
+        searched.append((idx.names[ia], idx.names[ib]))
+        return search(idx, ia, ib)
 
     monkeypatch.setattr(abstraction, "_shortest_inducing_path", record)
     apart = found = 0

@@ -156,6 +156,11 @@ def test_selection_must_leave_an_observed_node():
 def test_selection_node_must_be_in_the_graph():
     with pytest.raises(InputError, match="selection node 'zz' is not in the graph"):
         ContextedDmg(DirectedMixedGraph(("a", "b"), (), ()), ("zz",))
+    # Membership is checked before the selection is sorted, and the least
+    # missing member by str is named, whatever the set order.
+    for selection in ([5, "a"], ["zz", 5]):
+        with pytest.raises(InputError, match="^selection node 5 is not in the graph$"):
+            ContextedDmg(DirectedMixedGraph.of("a -> b"), selection)
 
 
 def test_unknown_node_message_names_the_least_missing_node():
@@ -192,12 +197,14 @@ _AB_MIXED = MixedGraph.of(*_AB)
         lambda vs: sigma_open_path_segments(_AB_DMG, parse_walk(_AB_DMG, "a -> ab <- c"), vs),
         lambda vs: m_open_walk(_AB_MIXED, parse_walk(_AB_MIXED, "a -> ab <- c"), vs),
         lambda vs: unshielded_colliders(_AB_MIXED, vs),
+        lambda vs: MixedGraph(vs, ()),
+        lambda vs: DirectedMixedGraph(vs, (), ()),
     ],
     ids=[
         "ancestors", "descendants", "anteriors", "marginalize", "ContextedDmg", "ContextedDmg.of-selection",
         "ContextedDmg.of-nodes", "DirectedMixedGraph.of-nodes", "MixedGraph.of-nodes", "sigma_inducing_exists",
         "sigma_inducing_paths", "sigma_open_walk", "sigma_open_path_segments", "m_open_walk",
-        "unshielded_colliders",
+        "unshielded_colliders", "MixedGraph", "DirectedMixedGraph",
     ],
 )
 def test_a_bare_string_names_one_node(call):
@@ -514,6 +521,8 @@ def test_walk_rejects_a_broken_chain_a_non_endpoint_and_a_foreign_edge():
     ab, bc = MixedEdge.directed("a", "b"), MixedEdge.bidirected("b", "c")
     with pytest.raises(InputError, match="^edge b <-> c does not continue the walk at 'a'$"):
         Walk("a", (bc,))
+    with pytest.raises(InputError, match="^not a mixed edge: 'x'$"):
+        Walk("a", ["x"])
     walk = Walk("a", (ab, bc))
     assert walk.is_out_of("a") and walk.is_into("c") and str(walk) == "a -> b <-> c"
     assert not Walk("a").is_into("a")

@@ -490,6 +490,20 @@ def test_cli_equiv(files, capsys):
     assert (code, out, err) == (2, "", f"error: {bad} is not a valid input graph\n")
 
 
+def test_cli_prints_a_witness_of_node_names_as_a_tuple(files, capsys):
+    fan = files("fan.mixed", "a -> b\nb -- c\n")
+    chain = files("chain.mixed", "a -> b\nb -> c\n")
+    collider = files("collider.mixed", "a -> b\nc -> b\n")
+    shielded = files("shielded.mixed", "a -> b\nb -> c\na -> c\n")
+    assert run(capsys, "validate", fan) == (
+        0, "valid: false\nviolation: SigmaCompletenessViolation\nwitness: (a, b, c)\n", ""
+    )
+    assert run(capsys, "equiv", chain, collider) == (
+        0, "equivalent: false\nclause: UnshieldedCollider\nwitness: (a, b, c)\n", ""
+    )
+    assert run(capsys, "equiv", chain, shielded) == (0, "equivalent: false\nclause: Adjacency\nwitness: (a, c)\n", "")
+
+
 def test_cli_equiv_dmg_documents(files, capsys):
     d1 = files("g1.dmg", serialize_graph(SELECTION_DMG))
     code, out, _ = run(capsys, "equiv", d1, d1)
