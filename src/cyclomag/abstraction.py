@@ -17,6 +17,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
+from . import separation
 from .errors import PreconditionError
 from .graphs import (
     ARROWHEAD,
@@ -31,10 +32,10 @@ from .graphs import (
 from .relations import neighborhood_complete
 from .separation import (
     _ANTERIOR,
+    SeparationQuery,
     _collider_connected,
     _search,
     _shortest_inducing_path,
-    _sigma_inducing,
 )
 from .separation import _iter_inducing_paths  # noqa: F401  unused; bench/tests checks the tracer wraps it here
 from .walks import Walk
@@ -71,25 +72,66 @@ def represent(c: ContextedDmg) -> MixedGraph:
     separated by any admissible conditioning set.  Sigma-separation is
     d-separation in the graph's acyclification, and no set without the
     two nodes separates a pair adjacent there, so those pairs are decided
-    from the index mask ``acy``.  Every other pair costs one
-    :func:`~cyclomag.separation.sigma_separated` query, the one that
-    :func:`~cyclomag.separation.sigma_inducing_exists` runs; Anc(S) is
-    computed once for all of them.  The mark at an endpoint is a tail
-    when that endpoint is an ancestor of the other one or of the
-    selection set, and an arrowhead otherwise.
+    from the index mask ``acy``.  Any other pair a, b is adjacent when it
+    stays connected given Z_ab = Anc({a, b} | S) - {a, b}, the test of
+    :func:`~cyclomag.separation.sigma_inducing_exists`.
+
+    Those pairs are decided a group at a time, one
+    :func:`~cyclomag.separation.sigma_separated` query per group.  Put
+    T = Anc(a) | Anc(S), and let P hold a's partners not known to be
+    adjacent to it.  The group Y holds a's undecided partners whose
+    ancestors all lie in T | P, and those of their ancestors outside T,
+    so T | Y is ancestral.  The query asks whether {a} is separated from Y given
+    z = T - (Y | {a}).  Off Y | {a}, z agrees with each Z_ab, b in Y, and
+    a collider of a walk from a that stops at its first node of Y lies in
+    Anc(Z_ab), inside T | Y, so in z.  So a separated group separates
+    each of its pairs, and a connected one joins a to the node its
+    witness ends at, which leaves P before Y is built again.  A pair that
+    no group takes, from either end, gets its own query, with Y = {b}
+    and z = (T | Anc(b)) - {a, b}.
+
+    The mark at an endpoint is a tail when that endpoint is an ancestor
+    of the other one or of the selection set, and an arrowhead otherwise.
     """
     g, observed = c.graph, c.observed
     idx = g.index
     ids, acy, anc = idx.ids, idx.acy, idx.anc
     anc_s = idx.union(anc, idx.mask(c.selection))
+    obs = idx.mask(observed)
+    adjacent = list(acy)  # the pairs found adjacent, on both nodes
+    decided = list(acy)  # the pairs decided either way, on both nodes
+
+    def query(a: NodeId, y: int) -> None:
+        ia = ids[a]
+        z = (anc[ia] | anc_s | idx.union(anc, y)) & ~(y | 1 << ia)
+        # Looked up on the module at each call, so a wrapped engine sees every query.
+        verdict = separation.sigma_separated(g, SeparationQuery((a,), idx.members(y), idx.members(z)))
+        if not verdict.separated:
+            ib = ids[verdict.witness.nodes[-1]]
+            adjacent[ia] |= 1 << ib
+            adjacent[ib] |= 1 << ia
+            y = 1 << ib
+        y &= ~decided[ia]
+        decided[ia] |= y
+        for ib in idx.ids_in(y):
+            decided[ib] |= 1 << ia
+
+    for a in observed:
+        ia = ids[a]
+        t = anc[ia] | anc_s
+        # Undecided partners with no ancestor adjacent to a outside T; decided covers adjacent.
+        while undecided := obs & ~decided[ia] & ~idx.union(idx.desc, adjacent[ia] & ~t):
+            query(a, undecided | idx.union(anc, undecided) & ~t)
+    for a in observed:
+        for ib in idx.ids_in(obs & ~decided[ids[a]]):
+            query(a, 1 << ib)
     edges = []
     for a, b in combinations(observed, 2):
         ia, ib = ids[a], ids[b]
-        if not acy[ia] >> ib & 1 and not _sigma_inducing(g, anc_s, ia, ib):
-            continue
-        mark_a = TAIL if (anc[ib] | anc_s) >> ia & 1 else ARROWHEAD
-        mark_b = TAIL if (anc[ia] | anc_s) >> ib & 1 else ARROWHEAD
-        edges.append(MixedEdge(a, mark_a, b, mark_b))
+        if adjacent[ia] >> ib & 1:
+            mark_a = TAIL if (anc[ib] | anc_s) >> ia & 1 else ARROWHEAD
+            mark_b = TAIL if (anc[ia] | anc_s) >> ib & 1 else ARROWHEAD
+            edges.append(MixedEdge(a, mark_a, b, mark_b))
     return MixedGraph(observed, tuple(edges))
 
 

@@ -258,7 +258,7 @@ class GraphIndex:
       Sigma-separation is d-separation in the acyclification, so no set
       without the two nodes separates such a pair;
       :func:`~cyclomag.abstraction.represent` decides those pairs from
-      ``acy`` and runs one separation search per other observed pair.
+      ``acy`` and the other observed pairs by grouped separation searches.
     """
 
     def __init__(self, nodes: tuple[NodeId, ...], edges: Collection[MixedEdge]):
@@ -419,18 +419,19 @@ class _Graph:
     @classmethod
     def of(cls, *edge_specs: str, nodes: Iterable[NodeId] = ()) -> "_Graph":
         """Build from specs like ``"a -> b"``, ``"b <- a"``, ``"a <-> b"`` and, on a mixed graph, ``"a -- b"``."""
-        node_set = set(_as_nodes(nodes))
+        # Names in the order given, so that a bad name is reported in spec order, never set order.
+        names = dict.fromkeys((nodes,) if isinstance(nodes, str) else nodes)
 
         def records():  # read lazily, so each type raises its edge errors in spec order
             for spec in edge_specs:
                 parts = spec.split()
                 if len(parts) != 3 or parts[1] not in _ARROW_MARKS:
                     raise InputError(f"bad edge spec: {spec!r}")
-                node_set.update(parts[::2])
+                names.update(dict.fromkeys(parts[::2]))
                 yield (spec, parts[0], parts[2], *_ARROW_MARKS[parts[1]])
 
-        edges = cls._spec_edges(records())  # the type's edge fields; reads every spec, so node_set is complete
-        return cls(tuple(node_set), *edges)
+        edges = cls._spec_edges(records())  # the type's edge fields; reads every spec, so names is complete
+        return cls(tuple(names), *edges)
 
     def __contains__(self, v: NodeId) -> bool:
         return v in self._node_set

@@ -503,15 +503,8 @@ def sigma_inducing_exists(
     """
     s = _as_nodes(s)
     idx, ia, ib = _check_inducing_args(g, s, a, b)
-    return _sigma_inducing(g, idx.union(idx.anc, idx.mask(s)), ia, ib)
-
-
-def _sigma_inducing(g: DirectedMixedGraph, anc_s: int, ia: int, ib: int) -> bool:
-    """:func:`sigma_inducing_exists` for checked node ids, given the mask of Anc(s)."""
-    idx = g.index
-    names, anc = idx.names, idx.anc
-    z = (anc[ia] | anc[ib] | anc_s) & ~(1 << ia | 1 << ib)
-    return not sigma_separated(g, SeparationQuery((names[ia],), (names[ib],), idx.members(z))).separated
+    z = (idx.anc[ia] | idx.anc[ib] | idx.union(idx.anc, idx.mask(s))) & ~(1 << ia | 1 << ib)
+    return not sigma_separated(g, SeparationQuery((a,), (b,), idx.members(z))).separated
 
 
 def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:

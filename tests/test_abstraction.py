@@ -183,20 +183,28 @@ def _record_sigma_queries(monkeypatch) -> list:
     searched, engine = [], separation.sigma_separated
 
     def record(g, query):
-        searched.append((*sorted(query.x), *sorted(query.y)))
+        searched.append((tuple(sorted(query.x)), tuple(sorted(query.y))))
         return engine(g, query)
 
     monkeypatch.setattr(separation, "sigma_separated", record)
     return searched
 
 
+def _searched_pairs(searched) -> set:
+    """The pairs {x} x y over the logged queries, x one node each."""
+    assert all(len(x) == 1 for x, _ in searched)
+    return {frozenset((x, b)) for (x,), y in searched for b in y}
+
+
 def test_represent_searches_only_separable_candidates(monkeypatch):
     searched = _record_sigma_queries(monkeypatch)
     # A 4-cycle (a, c and b, d share its component without an edge), the
-    # edge d -> e, and the collider d -> e <- f.
+    # edge d -> e, and the collider d -> e <- f.  Of the seven pairs the
+    # acyclification leaves apart, a, b and c each decide two in a group.
     c = ContextedDmg.of("a -> b", "b -> c", "c -> d", "d -> a", "d -> e", "f -> e")
     h = represent(c)
-    assert sorted("".join(pair) for pair in searched) == ["ae", "af", "be", "bf", "ce", "cf", "df"]
+    assert sorted(searched) == [(("a",), ("e", "f")), (("b",), ("e", "f")), (("c",), ("e", "f")), (("d",), ("f",))]
+    assert _searched_pairs(searched) == {frozenset(p) for p in ("ae", "af", "be", "bf", "ce", "cf", "df")}
     assert h == MixedGraph.of("a -- b", "b -- c", "c -- d", "a -- d", "a -- c", "b -- d", "d -> e", "f -> e")
 
 
@@ -227,8 +235,57 @@ def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monke
         cyclic += 1 < len(set(idx.scc)) < len(g.nodes)  # a cycle beside other components
         searched.clear()
         represent(c)
-        assert sorted(searched) == [pair for pair in itertools.combinations(c.observed, 2) if frozenset(pair) not in joined]
+        # Every pair the acyclification leaves apart is searched, and no other.
+        assert _searched_pairs(searched) == {frozenset(p) for p in itertools.combinations(c.observed, 2)} - joined
     assert cyclic >= 40
+
+
+def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
+    # Sparse, dense and bidirected-heavy systems with n = 30..80, half of
+    # them with selection children.  Across the sample, represent must run
+    # a separated group, a connected group, and a pair that no group takes,
+    # whose z reaches outside Anc(x | S).
+    from cyclomag import separation
+
+    log, engine = [], separation.sigma_separated
+
+    def record(g, query):
+        verdict = engine(g, query)
+        log.append((query, verdict.separated))
+        return verdict
+
+    monkeypatch.setattr(separation, "sigma_separated", record)
+    cases = set()
+    for k, n in enumerate((30, 45, 60, 80)):
+        for p_dir, p_bi in ((1.2, 0.5), (2.5, 1.2), (1.0, 2.0)):
+            c = random_dmg(GeneratorConfig(n, p_dir / n, p_bi / n, n // 10, k), allow_selection_children=k % 2 == 1)
+            g, s = c.graph, set(c.selection)
+            log.clear()
+            h = represent(c)
+            for query, separated in log:
+                if len(query.y) > 1:
+                    cases.add("separated group" if separated else "connected group")
+                if query.z - ancestors(g, query.x | s):
+                    cases.add("own pair")
+            expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inducing_exists(g, s, a, b)}
+            assert {e.endpoints for e in h.edges} == expected, (n, p_dir, p_bi)
+    assert cases == {"separated group", "connected group", "own pair"}
+
+
+def test_represent_runs_far_fewer_queries_than_pairs(monkeypatch):
+    # One query per pair that the acyclification leaves apart would be
+    # 3,884 and 1,907 queries here; the groups take 419 and 798.
+    searched = _record_sigma_queries(monkeypatch)
+    sparse = GeneratorConfig(100, 1.2 / 100, 0.5 / 100, 5, 4)
+    dense = GeneratorConfig(100, 2 / 100, 1 / 100, 10, 1)
+    for cfg, apart, bound in ((sparse, 3884, 450), (dense, 1907, 850)):
+        c = random_dmg(cfg)
+        idx = c.graph.index
+        ids = [idx.ids[v] for v in c.observed]
+        assert sum(not idx.acy[i] >> j & 1 for i, j in itertools.combinations(ids, 2)) == apart
+        searched.clear()
+        represent(c)
+        assert len(searched) <= bound, cfg
 
 
 # --- validity checking --------------------------------------------------

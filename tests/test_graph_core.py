@@ -1,13 +1,18 @@
 import dataclasses
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclomag
 from cyclomag import (
     ARROWHEAD,
     TAIL,
@@ -66,6 +71,23 @@ def test_self_loops_rejected():
 def test_bad_node_name_rejected():
     with pytest.raises(InputError):
         DirectedMixedGraph(("a b",), (), ())
+
+
+def test_of_names_the_first_bad_name_in_spec_order_under_every_hash_seed():
+    # Set order follows the hash seed, so each seed runs in its own process.
+    src = str(Path(cyclomag.__file__).resolve().parents[1])
+    code = (
+        "from cyclomag import ContextedDmg, DirectedMixedGraph, InputError, MixedGraph\n"
+        "for cls in (MixedGraph, DirectedMixedGraph, ContextedDmg):\n"
+        "    try:\n"
+        "        cls.of('1a -> 2b', '3c -> 4d', 'x9 -> 5e')\n"
+        "    except InputError as e:\n"
+        "        print(e)\n"
+    )
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.stdout == "invalid node name: '1a'\n" * 3, (seed, done.stdout, done.stderr)
 
 
 def test_undeclared_endpoint_rejected():
