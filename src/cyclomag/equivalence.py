@@ -129,9 +129,10 @@ def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple
     if for_node is not None:
         h.require_nodes([for_node])
     found: list[DiscriminatingPath] = []
+    incident = {v: h.incident_edges(v) for v in h.nodes}  # each edge value made once, not per chain step
     for c in h.nodes:
         parents_c = set(h.parents(c))
-        neighbours_c = [e.other(c) for e in h.incident_edges(c)]
+        neighbours_c = [e.other(c) for e in incident[c]]
         adjacent_c = set(neighbours_c)
         for b in neighbours_c:
             if for_node is not None and b != for_node:
@@ -145,7 +146,7 @@ def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple
             while stack:
                 chain = stack.pop()
                 tip = chain[-1]
-                for e in h.incident_edges(tip):
+                for e in incident[tip]:
                     v = e.other(tip)
                     if v == c or v in chain:
                         continue
@@ -234,8 +235,10 @@ def _differing_discriminating_path(h1: MixedGraph, h2: MixedGraph, moved: int) -
     """
     idx1, idx2 = h1.index, h2.index
     heads = ARROW_HERE | ARROW_THERE
+    # The walk's edges carry these joint marks, which need not be either
+    # graph's, so only its nodes are read.
     both = [
-        tuple([(w, k1 & k2 & heads, e) for (w, k1, e), (_, k2, _) in zip(row1, row2)])
+        tuple([(w, k1 & k2 & heads) for (w, k1), (_, k2) in zip(row1, row2)])
         for row1, row2 in zip(idx1.rows, idx2.rows)
     ]
     names, everyone = idx1.names, (1 << len(idx1.names)) - 1

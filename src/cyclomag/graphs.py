@@ -1,6 +1,6 @@
 """Immutable graph value types.
 
-Two graph flavours are used throughout the package.  Both hold
+Two graph flavours are used throughout the package.  Both hand out
 :class:`MixedEdge` values, which carry one mark (tail or arrowhead) at
 each endpoint:
 
@@ -14,9 +14,13 @@ All values are frozen after construction; every operation in the package
 is a pure function over them, so graphs can be shared freely across
 threads and used as dictionary keys.  The node checks, ``of`` and
 ``contains_edge`` live once, on ``_Graph``.  Each graph builds its
-:class:`GraphIndex` from its edge list on first use and keeps it on the
-instance; its rows are the graph's only incidence structure, and it never
-affects equality or hashing.
+:class:`GraphIndex` on first use, from ``(a, b, kind)`` arcs read off its
+own fields, and keeps it on the instance; it never affects equality or
+hashing.  Its rows hold ``(neighbour id, kind)`` pairs and are the
+graph's only incidence structure.  A directed mixed graph holds node
+pairs, not edge values, so an edge value is made from a row entry by
+:func:`row_edge` only when one is handed out: by ``incident_edges``,
+``edge``, the path enumerator and the witnesses of the searches.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import InputError
 
@@ -88,11 +92,10 @@ class MixedEdge:
             raise InputError(f"edge marks must be TAIL or ARROWHEAD, got {mark_a!r} and {mark_b!r}")
         if a > b:
             a, mark_a, b, mark_b = b, mark_b, a, mark_a
-        set_field = object.__setattr__  # the fields are frozen
-        set_field(self, "a", a)
-        set_field(self, "mark_a", mark_a)
-        set_field(self, "b", b)
-        set_field(self, "mark_b", mark_b)
+        _set_a(self, a)
+        _set_mark_a(self, mark_a)
+        _set_b(self, b)
+        _set_mark_b(self, mark_b)
 
     @classmethod
     def directed(cls, tail: NodeId, head: NodeId) -> "MixedEdge":
@@ -159,6 +162,12 @@ class MixedEdge:
         return f"{self.a} {self.render_from(self.a)} {self.b}"
 
 
+# The fields are frozen, so __init__ writes them through the slot
+# descriptors, which skip the dataclass's refusing __setattr__.
+_set_a, _set_mark_a, _set_b, _set_mark_b = (MixedEdge.__dict__[f].__set__ for f in ("a", "mark_a", "b", "mark_b"))
+_new_edge = object.__new__
+
+
 def _components(succ: list, pred: list) -> tuple[list[int], list[int]]:
     """Strong components along ``succ`` by Kosaraju's algorithm.
 
@@ -218,26 +227,54 @@ def _reach(succ: list, order, comp: list[int]) -> list[int]:
 
 # Bits of the kind in a GraphIndex row.
 ARROW_HERE, ARROW_THERE, CROSSES_SCC = 4, 2, 1
+# A kind as seen from the other end: ARROW_HERE and ARROW_THERE swap.
+_FLIP = (0, 1, 4, 5, 2, 3, 6, 7)
+# The marks (here, there) of each kind.
+_KIND_MARKS = tuple((ARROWHEAD if kind & ARROW_HERE else TAIL, ARROWHEAD if kind & ARROW_THERE else TAIL) for kind in range(8))
+
+
+def row_edge(names, i: int, j: int, kind: int) -> MixedEdge:
+    """The edge of the index row entry ``(j, kind)`` of node ``i``, named by ``names``.
+
+    Index ids follow name order and a row holds valid marks, so the edge
+    is written in its normal form without the checks of ``__init__``.
+    """
+    if i > j:
+        i, j, kind = j, i, _FLIP[kind]
+    e = _new_edge(MixedEdge)
+    mark_a, mark_b = _KIND_MARKS[kind]
+    _set_a(e, names[i])
+    _set_mark_a(e, mark_a)
+    _set_b(e, names[j])
+    _set_mark_b(e, mark_b)
+    return e
 
 
 class GraphIndex:
     """Derived data of one graph value, built once and cached on it.
 
+    ``arcs`` is called once per pass and yields one ``(a, b, kind)``
+    triple per edge: its end nodes and its ``ARROW_HERE`` (arrowhead at
+    ``a``) and ``ARROW_THERE`` (arrowhead at ``b``) bits.  A directed
+    mixed graph yields them from its ``directed`` and ``bidirected``
+    pairs, a mixed graph from its edges, so no edge value is made.
+
     * ``names`` and ``ids``: node ``i`` is ``names[i]``; ids follow the
       sorted node order, so ascending ids are ascending names.
     * ``parents[i]`` / ``children[i]``: ids across directed edges, sorted,
-      collected in a first pass over the edge list and read by the strong
+      collected in a first pass over the arcs and read by the strong
       component search; ``pa`` and ``ch`` hold the same sets as bitmasks,
       built on first use.  :func:`~cyclomag.abstraction.marginalize`
       closes them over the latent nodes, and ``condition1`` reads ``pa``
       for the chain nodes of a discriminating path.
-    * ``rows[i]``: one ``(neighbour id, kind, edge)`` tuple per incident
-      edge, each built once with its final kind in a second pass, and
-      sorted by neighbour id, then kind: neighbours by name, tails before
+    * ``rows[i]``: one ``(neighbour id, kind)`` pair per incident edge,
+      each built once with its final kind in a second pass, and sorted by
+      neighbour id, then kind: neighbours by name, tails before
       arrowheads here, then there.  The rows are the graph's only
-      incidence structure.  The kind sets ``ARROW_HERE`` and
-      ``ARROW_THERE`` for arrowheads at the two ends and ``CROSSES_SCC``
-      when the edge joins two strong components.
+      incidence structure; :func:`row_edge` makes the edge value of an
+      entry for the callers that return one.  The kind sets
+      ``ARROW_HERE`` and ``ARROW_THERE`` for arrowheads at the two ends
+      and ``CROSSES_SCC`` when the edge joins two strong components.
     * ``scc[i]``: the label of the node's strong component (over directed
       edges), the id of one of its members; two nodes share a component
       exactly when they share a label.
@@ -261,27 +298,26 @@ class GraphIndex:
       ``acy`` and the other observed pairs by grouped separation searches.
     """
 
-    def __init__(self, nodes: tuple[NodeId, ...], edges: Collection[MixedEdge]):
+    def __init__(self, nodes: tuple[NodeId, ...], arcs: Callable[[], Iterable[tuple[NodeId, NodeId, int]]]):
         ids = {v: i for i, v in enumerate(nodes)}
         parents: list = [[] for _ in nodes]
         children: list = [[] for _ in nodes]
-        for e in edges:
-            if e.mark_a is not e.mark_b:
-                tail, head = (ids[e.a], ids[e.b]) if e.mark_b is ARROWHEAD else (ids[e.b], ids[e.a])
+        for a, b, kind in arcs():
+            if kind == ARROW_THERE or kind == ARROW_HERE:
+                tail, head = (ids[a], ids[b]) if kind == ARROW_THERE else (ids[b], ids[a])
                 parents[head].append(tail)
                 children[tail].append(head)
         parents = [tuple(sorted(p)) for p in parents]
         children = [tuple(sorted(c)) for c in children]
         order, scc = _components(children, parents)
         rows: list[list] = [[] for _ in nodes]
-        for e in edges:
-            i, j, head_a, head_b = ids[e.a], ids[e.b], e.mark_a is ARROWHEAD, e.mark_b is ARROWHEAD
-            cross = CROSSES_SCC * (scc[i] != scc[j])
-            rows[i].append((j, ARROW_HERE * head_a + ARROW_THERE * head_b + cross, e))
-            rows[j].append((i, ARROW_HERE * head_b + ARROW_THERE * head_a + cross, e))
+        for a, b, kind in arcs():
+            i, j = ids[a], ids[b]
+            kind |= scc[i] != scc[j]  # sets CROSSES_SCC, which is 1
+            rows[i].append((j, kind))
+            rows[j].append((i, _FLIP[kind]))
         self.names = nodes
         self.ids = ids
-        # No two edges at a node share (neighbour, kind), so edges are never compared.
         self.rows = [tuple(sorted(row)) for row in rows]
         self.parents = parents
         self.children = children
@@ -289,7 +325,7 @@ class GraphIndex:
         self._order = order
 
     def _neighbours(self, heads: int, want: int) -> list[int]:  # over edges with kind & heads == want
-        return [sum({1 << w for w, kind, _ in row if kind & heads == want}) for row in self.rows]
+        return [sum({1 << w for w, kind in row if kind & heads == want}) for row in self.rows]
 
     @cached_property
     def adj(self) -> list[int]:
@@ -334,7 +370,7 @@ class GraphIndex:
         shared = comp[:]  # per component: itself, its parents, its bidirected neighbours' components
         own = [0] * len(scc)  # per node: its children's components
         for i, row in enumerate(self.rows):
-            for w, kind, _ in row:
+            for w, kind in row:
                 if kind & ARROW_HERE:
                     shared[scc[i]] |= comp[scc[w]] if kind & ARROW_THERE else 1 << w
                 elif kind & ARROW_THERE:
@@ -352,8 +388,8 @@ class GraphIndex:
     @cached_property
     def ant(self) -> list[int]:
         """Nodes with a path into the node whose every edge leaves a tail."""
-        tail_in = [tuple(w for w, kind, _ in row if not kind & ARROW_THERE) for row in self.rows]
-        tail_out = [tuple(w for w, kind, _ in row if not kind & ARROW_HERE) for row in self.rows]
+        tail_in = [tuple(w for w, kind in row if not kind & ARROW_THERE) for row in self.rows]
+        tail_out = [tuple(w for w, kind in row if not kind & ARROW_HERE) for row in self.rows]
         order, comp = _components(tail_in, tail_out)
         return _reach(tail_in, reversed(order), comp)
 
@@ -401,9 +437,9 @@ class _Graph:
     :meth:`contains_edge` and :attr:`index`.
 
     :meth:`of` is the one reader of edge specs.  The index is built from
-    the edge list on first access and kept on the instance; its rows are
-    the only incidence structure, so a graph that is only written or
-    exported never builds one.  Neither the index nor the node set is a
+    the graph's ``_arcs`` on first access and kept on the instance; its
+    rows are the only incidence structure, so a graph that is only written
+    or exported never builds one.  Neither the index nor the node set is a
     dataclass field, so neither takes part in equality, hashing or
     ``repr``, and the index holds no reference back to the graph.
     """
@@ -443,7 +479,11 @@ class _Graph:
         return b in ids and bool(self.index.adj[ids[a]] >> ids[b] & 1)
 
     def contains_edge(self, e: MixedEdge) -> bool:
-        return isinstance(e, MixedEdge) and e.a in self._node_set and e in self.incident_edges(e.a)
+        if not isinstance(e, MixedEdge) or e.a not in self._node_set:
+            return False
+        idx = self.index
+        j, heads = idx.ids.get(e.b), ARROW_HERE * (e.mark_a is ARROWHEAD) + ARROW_THERE * (e.mark_b is ARROWHEAD)
+        return any(w == j and kind & ~CROSSES_SCC == heads for w, kind in idx.rows[idx.ids[e.a]])
 
     def require_nodes(self, vs: Collection[NodeId]) -> None:
         for v in vs:
@@ -455,11 +495,13 @@ class _Graph:
     def incident_edges(self, v: NodeId) -> tuple[MixedEdge, ...]:
         """The edges at ``v``, in the order of its index row."""
         self.require_nodes([v])
-        return tuple([e for _, _, e in self.index.rows[self.index.ids[v]]])
+        idx = self.index
+        i = idx.ids[v]
+        return tuple([row_edge(idx.names, i, w, kind) for w, kind in idx.rows[i]])
 
     @cached_property
     def index(self) -> GraphIndex:
-        return GraphIndex(self.nodes, self._edges())
+        return GraphIndex(self.nodes, self._arcs)
 
     def parents(self, v: NodeId) -> tuple[NodeId, ...]:
         """Nodes u with a directed edge u -> v, sorted."""
@@ -495,8 +537,9 @@ class MixedGraph(_Graph):
             pair[e.a, e.b] = e
         object.__setattr__(self, "edges", tuple([pair[key] for key in sorted(pair)]))
 
-    def _edges(self) -> tuple[MixedEdge, ...]:
-        return self.edges
+    def _arcs(self) -> Iterator[tuple[NodeId, NodeId, int]]:
+        for e in self.edges:
+            yield e.a, e.b, ARROW_HERE * (e.mark_a is ARROWHEAD) + ARROW_THERE * (e.mark_b is ARROWHEAD)
 
     @staticmethod
     def _spec_edges(records) -> tuple:
@@ -505,8 +548,9 @@ class MixedGraph(_Graph):
     def edge(self, a: NodeId, b: NodeId) -> MixedEdge | None:
         """The edge between ``a`` and ``b``, or None; raises for an unknown ``a``."""
         self.require_nodes([a])
-        j = self.index.ids.get(b)
-        return next((e for w, _, e in self.index.rows[self.index.ids[a]] if w == j), None)
+        idx = self.index
+        i, j = idx.ids[a], idx.ids.get(b)
+        return next((row_edge(idx.names, i, w, kind) for w, kind in idx.rows[i] if w == j), None)
 
 
 @dataclass(frozen=True)
@@ -533,8 +577,11 @@ class DirectedMixedGraph(_Graph):
         object.__setattr__(self, "directed", tuple(sorted(directed)))
         object.__setattr__(self, "bidirected", tuple(sorted(bidirected)))
 
-    def _edges(self) -> list[MixedEdge]:
-        return [MixedEdge.directed(*p) for p in self.directed] + [MixedEdge.bidirected(*p) for p in self.bidirected]
+    def _arcs(self) -> Iterator[tuple[NodeId, NodeId, int]]:
+        for a, b in self.directed:
+            yield a, b, ARROW_THERE
+        for a, b in self.bidirected:
+            yield a, b, ARROW_HERE | ARROW_THERE
 
     @staticmethod
     def _spec_edges(records) -> tuple:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import InputError
-from .graphs import DirectedMixedGraph, MixedGraph, NodeId, _as_nodes
+from .graphs import DirectedMixedGraph, MixedGraph, NodeId, _as_nodes, row_edge
 from .walks import Graph, Walk
 
 
@@ -74,7 +74,9 @@ def anteriors(h: MixedGraph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
 
 def neighborhood(h: MixedGraph, v: NodeId) -> frozenset[NodeId]:
     """Nodes joined to ``v`` by undirected edges."""
-    return frozenset(e.other(v) for e in h.incident_edges(v) if e.is_undirected)
+    h.require_nodes([v])
+    idx = h.index
+    return frozenset(idx.members(idx.und[idx.ids[v]]))
 
 
 def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:
@@ -102,16 +104,22 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]
         raise InputError("path endpoints must differ")
     graph.require_nodes([a, b])
     idx = graph.index
-    rows, target = idx.rows, idx.ids[b]
+    rows, names, start, target = idx.rows, idx.names, idx.ids[a], idx.ids[b]
     on_path = [False] * len(rows)
-    on_path[idx.ids[a]] = True
-    node_stack = []
-    edge_stack = []
-    frame_stack = [iter(rows[idx.ids[a]])]
+    on_path[start] = True
+    node_stack = [start]
+    edge_stack = []  # the edge into each node of node_stack after the first
+    made = {}  # each step's edge value, made the first time this call takes the step
+    frame_stack = [iter(rows[start])]
     while frame_stack:
-        for w, _, e in frame_stack[-1]:
+        v = node_stack[-1]
+        for w, kind in frame_stack[-1]:
             if on_path[w]:
                 continue
+            key = (v * len(rows) + w) << 3 | kind
+            e = made.get(key)
+            if e is None:
+                e = made[key] = row_edge(names, v, w, kind)
             if w == target:
                 yield Walk(a, (*edge_stack, e))
                 continue
@@ -122,6 +130,5 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]
             break
         else:
             frame_stack.pop()
-            if node_stack:
-                on_path[node_stack.pop()] = False
-                edge_stack.pop()
+            on_path[node_stack.pop()] = False
+            del edge_stack[-1:]

@@ -37,6 +37,7 @@ from .graphs import (
     MixedGraph,
     NodeId,
     _as_nodes,
+    row_edge,
 )
 from .relations import ancestors, anteriors, enumerate_simple_paths, scc_index
 from .walks import Walk, check_walk
@@ -387,6 +388,9 @@ def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, 
 
     The search runs over index ``rows`` under criterion ``crit``, with
     each start entered in shape 1, and names its nodes by ``names``.
+    Each state's parent entry holds the state it was reached from and the
+    kind of the row entry taken, so the search makes no edge value; the
+    edges of the returned walk alone are made, by ``row_edge``.
     Starts are tried in the order given, so the first start that is a
     goal node is returned as a walk of length zero.  The queue is a list
     read in order while it grows, so it is first-in first-out, and
@@ -415,17 +419,18 @@ def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, 
         v = st >> 2
         standing = _IN_Z if z >> v & 1 else anc_z >> v & 1  # else _IN_ANC (1) or _OUTSIDE (0)
         bit = 1 << (4 * standing + (st & 3))
-        for w, kind, e in rows[v]:
+        for w, kind in rows[v]:
             if passes[kind] & bit and live >> w & 1:
                 nxt = w << 2 | arrive[kind]
                 if nxt not in parent:
                     if goal >> w & 1:
-                        edges = [e]
+                        edges = [row_edge(names, v, w, kind)]
                         while parent[st] is not None:
-                            st, e = parent[st]
-                            edges.append(e)
+                            prev, kind = parent[st]
+                            edges.append(row_edge(names, prev >> 2, st >> 2, kind))
+                            st = prev
                         return Walk(names[st >> 2], tuple(reversed(edges)))
-                    parent[nxt] = (st, e)
+                    parent[nxt] = (st, kind)
                     queue.append(nxt)
     return None
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import InputError
 from .graphs import ARROWHEAD, MixedEdge, NodeId
@@ -14,7 +14,7 @@ if TYPE_CHECKING:
 Graph = Union["DirectedMixedGraph", "MixedGraph"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Walk:
     """An alternating node/edge sequence.
 
@@ -26,21 +26,24 @@ class Walk:
 
     start: NodeId
     edges: tuple[MixedEdge, ...] = ()
-    _nodes: tuple = field(default=None, compare=False, repr=False)
+    _nodes: tuple = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        nodes = [self.start]
-        for e in self.edges:
+    def __init__(self, start: NodeId, edges: Iterable[MixedEdge] = ()):
+        edges = tuple(edges)
+        v = start
+        nodes = [v]
+        for e in edges:
             if not isinstance(e, MixedEdge):
                 raise InputError(f"not a mixed edge: {e!r}")
-            try:
-                nodes.append(e.other(nodes[-1]))
-            except InputError:
-                raise InputError(
-                    f"edge {e} does not continue the walk at {nodes[-1]!r}"
-                ) from None
-        object.__setattr__(self, "_nodes", tuple(nodes))
+            if v == e.a:
+                v = e.b
+            elif v == e.b:
+                v = e.a
+            else:
+                raise InputError(f"edge {e} does not continue the walk at {v!r}")
+            nodes.append(v)
+        # The fields are frozen, so they are written to the instance dict.
+        self.__dict__.update(start=start, edges=edges, _nodes=tuple(nodes))
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:

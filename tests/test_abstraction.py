@@ -244,7 +244,11 @@ def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
     # Sparse, dense and bidirected-heavy systems with n = 30..80, half of
     # them with selection children.  Across the sample, represent must run
     # a separated group, a connected group, and a pair that no group takes,
-    # whose z reaches outside Anc(x | S).
+    # whose z reaches outside Anc(x | S).  Every group query must meet the
+    # precondition of the grouping: with T = Anc(a) | Anc(S) for x = {a},
+    # z lies in T and T | y is closed under ancestors.  A group that
+    # leaves out its members' ancestors outside T breaks it, though on
+    # this sample it changes no output.
     from cyclomag import separation
 
     log, engine = [], separation.sigma_separated
@@ -260,11 +264,14 @@ def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
         for p_dir, p_bi in ((1.2, 0.5), (2.5, 1.2), (1.0, 2.0)):
             c = random_dmg(GeneratorConfig(n, p_dir / n, p_bi / n, n // 10, k), allow_selection_children=k % 2 == 1)
             g, s = c.graph, set(c.selection)
+            idx = g.index
             log.clear()
             h = represent(c)
             for query, separated in log:
                 if len(query.y) > 1:
                     cases.add("separated group" if separated else "connected group")
+                    t, y = idx.union(idx.anc, idx.mask(query.x | s)), idx.mask(query.y)
+                    assert not idx.mask(query.z) & ~t and not idx.union(idx.anc, y) & ~(t | y), (n, p_dir, p_bi, query)
                 if query.z - ancestors(g, query.x | s):
                     cases.add("own pair")
             expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inducing_exists(g, s, a, b)}
@@ -394,10 +401,11 @@ def test_witnesses_recheck_as_violations():
                 assert maximality.get((a, b)) == min(paths, key=lambda p: len(p.edges), default=None)
 
 
-def _least_shortest_path(h, a, b, may_step):
+def _least_shortest_path(incident, a, b, may_step):
     """The least node sequence in name order among the shortest paths from
     ``a`` to ``b`` whose every step u -> w over e passes ``may_step(u, e, w)``:
-    the first shortest one that enumeration yields.
+    the first shortest one that enumeration yields.  ``incident`` maps each
+    node to its incident edges.
 
     Level sets of the distance to ``b``, then the least next node one step
     closer.  ``may_step`` tests each edge on its own, so a shortest walk is
@@ -407,7 +415,7 @@ def _least_shortest_path(h, a, b, may_step):
     while level and a not in dist:
         nearer = []
         for w in level:
-            for e in h.incident_edges(w):
+            for e in incident[w]:
                 u = e.other(w)
                 if u not in dist and may_step(u, e, w):
                     dist[u] = dist[w] + 1
@@ -418,9 +426,9 @@ def _least_shortest_path(h, a, b, may_step):
     nodes = [a]
     while nodes[-1] != b:
         u = nodes[-1]
-        steps = (e.other(u) for e in h.incident_edges(u) if may_step(u, e, e.other(u)))
+        steps = (e.other(u) for e in incident[u] if may_step(u, e, e.other(u)))
         nodes.append(min(w for w in steps if dist.get(w) == dist[u] - 1))
-    return Walk(a, tuple(h.edge(u, w) for u, w in zip(nodes, nodes[1:])))
+    return Walk(a, tuple(next(e for e in incident[u] if e.other(u) == w) for u, w in zip(nodes, nodes[1:])))
 
 
 def _reference_validate(h):
@@ -429,11 +437,12 @@ def _reference_validate(h):
     from cyclomag.relations import neighborhood
 
     violations = []
+    incident = {v: h.incident_edges(v) for v in h.nodes}
     for b in h.nodes:
         for a in sorted(anteriors(h, {b}) - {b}):
             e = h.edge(a, b)
             if e is not None and e.mark_at(a) is ARROWHEAD:
-                path = _least_shortest_path(h, a, b, lambda u, e, w: e.mark_at(u) is TAIL)
+                path = _least_shortest_path(incident, a, b, lambda u, e, w: e.mark_at(u) is TAIL)
                 violations.append(Violation(ViolationKind.ANCESTRAL, (path, e)))
     for a, b in itertools.combinations(h.nodes, 2):
         if not h.adjacent(a, b):
@@ -443,7 +452,7 @@ def _reference_validate(h):
                 into_w = w == b or (e.mark_at(w) is ARROWHEAD and w in anc_ends)
                 return (u == a or e.mark_at(u) is ARROWHEAD) and into_w
 
-            witness = _least_shortest_path(h, a, b, collider_step)
+            witness = _least_shortest_path(incident, a, b, collider_step)
             if witness is not None:
                 violations.append(Violation(ViolationKind.MAXIMALITY, (witness,)))
     for b in h.nodes:

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -21,8 +23,10 @@ from cyclomag import (
     InputError,
     MixedEdge,
     MixedGraph,
+    GeneratorConfig,
     ancestors,
     anteriors,
+    condition1,
     descendants,
     enumerate_simple_paths,
     m_open_walk,
@@ -31,6 +35,7 @@ from cyclomag import (
     neighborhood,
     neighborhood_complete,
     parse_walk,
+    random_dmg,
     represent,
     scc_index,
     SeparationQuery,
@@ -41,7 +46,9 @@ from cyclomag import (
     sigma_separated,
     strongly_connected_components,
     unshielded_colliders,
+    validate,
 )
+from cyclomag import graphs
 from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC, GraphIndex
 from cyclomag.walks import Walk, check_walk
 from fixtures import (
@@ -315,17 +322,31 @@ def _incidence_graphs(seed):
     return DirectedMixedGraph(tuple(names), tuple(directed), tuple(bidirected)), MixedGraph(tuple(names), tuple(mixed))
 
 
+def _declared_edges(g):
+    """The edges a graph value was given, read from its own fields."""
+    if isinstance(g, MixedGraph):
+        return list(g.edges)
+    return [MixedEdge.directed(*p) for p in g.directed] + [MixedEdge.bidirected(*p) for p in g.bidirected]
+
+
+def _arc(e, from_b=False):
+    """The ``(a, b, kind)`` arc of an edge, read from ``e.a`` or from ``e.b``."""
+    (u, mark_u), (w, mark_w) = ((e.b, e.mark_b), (e.a, e.mark_a)) if from_b else ((e.a, e.mark_a), (e.b, e.mark_b))
+    return u, w, ARROW_HERE * (mark_u is ARROWHEAD) + ARROW_THERE * (mark_w is ARROWHEAD)
+
+
 def test_incidence_order_and_index_kinds_follow_the_marks():
     triples = kinds = 0
     for seed in range(150):
         for g in _incidence_graphs(seed):
             idx = g.index
+            declared = _declared_edges(g)
             for v in g.nodes:
                 edges = g.incident_edges(v)
-                assert list(edges) == sorted(edges, key=lambda e: _traversal_key(e, v))
+                assert list(edges) == sorted((e for e in declared if v in e.endpoints), key=lambda e: _traversal_key(e, v))
                 row = idx.rows[idx.ids[v]]
-                assert [e for _, _, e in row] == list(edges)
-                for w, kind, e in row:
+                assert len(row) == len(edges)
+                for (w, kind), e in zip(row, edges):
                     u = e.other(v)
                     assert idx.names[w] == u
                     assert bool(kind & ARROW_HERE) == (e.mark_at(v) is ARROWHEAD)
@@ -355,8 +376,8 @@ def test_index_parents_and_children_are_the_directed_neighbours_in_the_rows():
     graphs = [g for seed in range(150) for g in _incidence_graphs(seed)] + [_big_mixed_graph(2000, 7)]
     for g in graphs:
         idx = g.index
-        assert idx.parents == [tuple(w for w, kind, _ in row if kind & ~CROSSES_SCC == ARROW_HERE) for row in idx.rows]
-        assert idx.children == [tuple(w for w, kind, _ in row if kind & ~CROSSES_SCC == ARROW_THERE) for row in idx.rows]
+        assert idx.parents == [tuple(w for w, kind in row if kind & ~CROSSES_SCC == ARROW_HERE) for row in idx.rows]
+        assert idx.children == [tuple(w for w, kind in row if kind & ~CROSSES_SCC == ARROW_THERE) for row in idx.rows]
     for g, parents, children in (
         (DirectedMixedGraph.of("a -> b", "b -> a", "b -> c", "c <-> a"), ("a",), ("a", "c")),
         (MixedGraph.of("a -> b", "d -> b", "b -- c"), ("a", "d"), ()),
@@ -387,11 +408,113 @@ def test_rows_do_not_depend_on_input_order(seed, rng):
     )
     for g, same in zip((dmg, mixed), rebuilt):
         assert same == g and same.index.rows == g.index.rows
-        again = GraphIndex(g.nodes, shuffled(_edge_list(g)))
+        # Arcs in any order, each read from either end.
+        arcs = [_arc(e, rng.random() < 0.5) for e in shuffled(_edge_list(g))]
+        again = GraphIndex(g.nodes, lambda: arcs)
         assert (again.rows, again.parents, again.children) == (g.index.rows, g.index.parents, g.index.children)
         for v in g.nodes:
             assert same.incident_edges(v) == g.incident_edges(v)
     assert len(dmg.incident_edges(a)) >= 3 and {e.other(a) for e in dmg.incident_edges(a)[:3]} == {b}
+
+
+def test_index_rows_make_no_edge_values(monkeypatch):
+    # An edge value comes from MixedEdge.__init__ or, for an index row
+    # entry, from row_edge through graphs._new_edge; both are counted.
+    g = DirectedMixedGraph.of("a -> b", "b -> a", "a <-> b", "d -> c", "c -> b")
+    values = [g, *_incidence_graphs(3), random_dmg(GeneratorConfig(60, 2 / 60, 1 / 60, 3, 1)).graph]
+    made, init, new = [], MixedEdge.__init__, graphs._new_edge
+    monkeypatch.setattr(MixedEdge, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+    monkeypatch.setattr(graphs, "_new_edge", lambda cls: made.append(cls) or new(cls))
+    for value in values:
+        idx = value.index
+        assert (idx.adj, idx.acy, idx.anc, idx.ant, idx.und) and not made
+    assert sigma_separated(g, SeparationQuery("a", "d", "c")).separated and not made
+    # A witness makes its own edges and no others.
+    assert sigma_separated(g, SeparationQuery("d", "a")).witness.render() == "d -> c -> b -> a"
+    assert len(made) == 3
+    made.clear()
+    assert len(g.incident_edges("b")) == len(made) == 4
+
+
+def _handed_out(g, rng):
+    """Every walk and edge value the library hands out for ``g``, as
+    ``(walk or None, from-node or None, edge)`` items: incident edges,
+    ``edge()``, simple paths, separation witnesses and, on a mixed graph,
+    the witnesses of ``validate``."""
+    out = [(None, v, e) for v in g.nodes for e in g.incident_edges(v)]
+    walks = []
+    separated = sigma_separated if isinstance(g, DirectedMixedGraph) else m_separated
+    for u, w in itertools.permutations(g.nodes, 2):
+        walks += itertools.islice(enumerate_simple_paths(g, u, w), 3)
+        z = {v for v in g.nodes if v not in (u, w) and rng.random() < 0.3}
+        walks += [separated(g, SeparationQuery(u, w, zz)).witness for zz in (set(), z)]
+        if isinstance(g, MixedGraph):
+            out.append((None, u, g.edge(u, w)))
+    if isinstance(g, MixedGraph):
+        for violation in validate(g).violations:
+            walks += [x for x in violation.witness if isinstance(x, Walk)]
+            out += [(None, None, x) for x in violation.witness if isinstance(x, MixedEdge)]
+    out += [(walk, None, e) for walk in walks if walk is not None for e in walk.edges]
+    return out, [walk.render() for walk in walks if walk is not None]
+
+
+def _dp_walks(h1, h2):
+    """The discriminating path of ``condition1(h1, h2)`` as a walk in each graph."""
+    dp, _ = condition1(h1, h2).witness
+    return [Walk(dp.nodes[0], tuple(h.edge(u, w) for u, w in zip(dp.nodes, dp.nodes[1:]))) for h in (h1, h2)]
+
+
+def test_handed_out_edges_are_the_graphs_and_render_as_declared():
+    # Edge values are made from index rows on demand, so each one must be
+    # a declared edge of its graph, with the marks seen from the right end.
+    dmg = DirectedMixedGraph.of("a -> b", "b -> a", "a <-> b", "b -> c", "c <-> d")
+    mixed = MixedGraph.of("a -> b", "b <-> c", "c -- d", "d <- e")
+    assert [[f"{v} {e.render_from(v)} {e.other(v)}" for e in g.incident_edges(v)] for g in (dmg, mixed) for v in g.nodes] == [
+        ["a -> b", "a <- b", "a <-> b"],
+        ["b -> a", "b <- a", "b <-> a", "b -> c"],
+        ["c <- b", "c <-> d"],
+        ["d <-> c"],
+        ["a -> b"],
+        ["b <- a", "b <-> c"],
+        ["c <-> b", "c -- d"],
+        ["d -- c", "d <- e"],
+        ["e -> d"],
+    ]
+    assert [str(mixed.edge(u, w)) for u, w in ("ab", "cb", "dc", "ed")] == ["a -> b", "b <-> c", "c -- d", "d <- e"]
+    assert [p.render() for p in enumerate_simple_paths(dmg, "a", "c")] == ["a -> b -> c", "a <- b -> c", "a <-> b -> c"]
+    assert [sigma_separated(dmg, SeparationQuery(x, y, z)).witness.render() for x, y, z in (("a", "c", ()), ("a", "d", "c"), ("d", "a", "c"))] == [
+        "a -> b -> c",
+        "a -> b -> c <-> d",
+        "d <-> c <- b -> a",
+    ]
+    assert [m_separated(mixed, SeparationQuery(x, y, "b")).witness.render() for x, y in ("ac", "ca")] == ["a -> b <-> c", "c <-> b <- a"]
+    (path, edge), = (v.witness for v in validate(MixedGraph.of("a -> b", "b -> c", "a <-> c")).violations)
+    assert (path.render(), str(edge)) == ("a -> b -> c", "a <-> c")
+    common = ("a -> v", "v <-> b", "v -> c")
+    pair = MixedGraph.of(*common, "b <-> c"), MixedGraph.of(*common, "b -> c")
+    assert [w.render() for w in _dp_walks(*pair)] == ["a -> v <-> b <-> c", "a -> v <-> b -> c"]
+
+    rng = random.Random(5)
+    rendered, kinds = [], set()
+    graphs = [dmg, mixed, *(g for seed in range(25) for g in _incidence_graphs(seed))]
+    for g in graphs:
+        declared = set(_declared_edges(g))
+        items, walks = _handed_out(g, rng)
+        for walk, v, e in items:
+            if e is None:
+                continue
+            assert g.contains_edge(e) and e in declared, (walk, e)
+            kinds.add((type(g), e.mark_a, e.mark_b))
+        rendered += walks + [f"{v} {e.render_from(v)} {e.other(v)}" if v else str(e) for _, v, e in items if e is not None]
+    for h1, h2 in (pair, pair[::-1]):
+        for h, walk in zip((h1, h2), _dp_walks(h1, h2)):
+            assert all(h.contains_edge(e) for e in walk.edges)
+            rendered.append(walk.render())
+    assert len(kinds) == 3 + 4  # a dmg has three mark pairs, a mixed graph all four
+    # Every rendering, line for line, as it read while index rows still held edge values.
+    assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == (
+        "c34f79938b7ac5bbd76747f7da5fff83526c4069b9d26d2bfc9339c2ae72534c"
+    ), len(rendered)
 
 
 def test_contains_edge_on_both_graph_types():
