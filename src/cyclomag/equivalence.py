@@ -60,6 +60,7 @@ class DiscriminatingPath:
     target: NodeId
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(self.nodes) < 4:
             raise InputError("a discriminating path has at least four nodes")
         if self.target != self.nodes[-2]:
@@ -90,37 +91,30 @@ def is_discriminating(h: MixedGraph, nodes, b: NodeId) -> bool:
     """Predicate form: does the node sequence discriminate ``b`` in ``h``?
 
     Returns False (not an error) when consecutive nodes are non-adjacent
-    or the shape conditions fail.
+    or the shape conditions fail.  Reads the index rows of ``h``; a directed
+    mixed graph, whose pairs may hold parallel edges, is refused.
     """
     nodes = tuple(nodes)
     h.require_nodes(nodes)
-    if len(nodes) < 4 or len(set(nodes)) != len(nodes):
+    if not isinstance(h, MixedGraph):
+        raise InputError("a discriminating path needs a mixed graph")
+    if len(nodes) < 4 or len(set(nodes)) != len(nodes) or b != nodes[-2]:
         return False
-    if b != nodes[-2]:
+    idx = h.index
+    ids = [idx.ids[v] for v in nodes]
+    # The kind of each consecutive pair, seen from its first node: ARROW_THERE is an arrowhead at the second.
+    kinds = [next((kind for w, kind in idx.rows[u] if w == v), None) for u, v in zip(ids, ids[1:])]
+    c = ids[-1]
+    if None in kinds or idx.adj[ids[0]] >> c & 1:
         return False
-    edges = []
-    for u, v in zip(nodes, nodes[1:]):
-        e = h.edge(u, v)
-        if e is None:
-            return False
-        edges.append(e)
-    a, c = nodes[0], nodes[-1]
-    if h.adjacent(a, c):
-        return False
-    for k in range(1, len(nodes) - 2):
-        v = nodes[k]
-        if edges[k - 1].mark_at(v) is not ARROWHEAD or edges[k].mark_at(v) is not ARROWHEAD:
-            return False
-        to_c = h.edge(v, c)
-        if to_c is None or not to_c.is_directed or to_c.directed_head != c:
-            return False
-    return True
+    return all(kinds[k - 1] & ARROW_THERE and kinds[k] & ARROW_HERE and idx.pa[c] >> ids[k] & 1 for k in range(1, len(ids) - 2))
 
 
 def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple[DiscriminatingPath, ...]:
     """Exhaustively enumerate discriminating paths, sorted by node sequence.
 
-    ``for_node`` filters on the discriminated node.
+    ``for_node`` filters on the discriminated node.  Chains of node ids
+    grow over the index rows of ``h``; only the paths found are named.
     Exponential in the worst case: this listing backs ``cyclomag paths``
     and the tests, while :func:`condition1` never enumerates.  Graphs
     above the path oracles' cap are refused.
@@ -128,35 +122,30 @@ def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple
     _check_cap(len(h.nodes), DEFAULT_PATH_ORACLE_CAP, "the discriminating path listing")
     if for_node is not None:
         h.require_nodes([for_node])
+    idx = h.index
+    names, rows = idx.names, idx.rows
     found: list[DiscriminatingPath] = []
-    incident = {v: h.incident_edges(v) for v in h.nodes}  # each edge value made once, not per chain step
-    for c in h.nodes:
-        parents_c = set(h.parents(c))
-        neighbours_c = [e.other(c) for e in incident[c]]
-        adjacent_c = set(neighbours_c)
-        for b in neighbours_c:
-            if for_node is not None and b != for_node:
+    for c, row in enumerate(rows):
+        for b, _ in row:
+            if for_node is not None and names[b] != for_node:
                 continue
             # Grow the collider chain leftwards from b.  Every chain node
             # is a parent of c and enters the chain over an edge with an
             # arrowhead at it; links between chain nodes need arrowheads
             # at both ends.  A node that avoids c closes the chain as the
-            # outer node, provided its edge points into the chain tip.
+            # outer node, provided its edge points into the chain tip.  A
+            # kind is seen from the tip: ARROW_HERE is an arrowhead there.
             stack = [[b]]
             while stack:
                 chain = stack.pop()
                 tip = chain[-1]
-                for e in incident[tip]:
-                    v = e.other(tip)
+                for v, kind in rows[tip]:
                     if v == c or v in chain:
                         continue
-                    mark_tip = e.mark_at(tip)
-                    mark_v = e.mark_at(v)
-                    if v in parents_c and mark_v is ARROWHEAD and (tip == b or mark_tip is ARROWHEAD):
+                    if idx.pa[c] >> v & 1 and kind & ARROW_THERE and (tip == b or kind & ARROW_HERE):
                         stack.append(chain + [v])
-                    if len(chain) >= 2 and v not in adjacent_c and mark_tip is ARROWHEAD:
-                        seq = tuple([v] + chain[::-1] + [c])
-                        found.append(DiscriminatingPath(seq, b))
+                    if len(chain) >= 2 and not idx.adj[c] >> v & 1 and kind & ARROW_HERE:
+                        found.append(DiscriminatingPath([names[u] for u in (v, *chain[::-1], c)], names[b]))
     found.sort(key=lambda p: p.nodes)
     return tuple(found)
 

@@ -26,6 +26,11 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A bool is an int, but never a count, a seed or a probability.
+        for name in ("n_nodes", "n_selection", "seed", "p_directed", "p_bidirected"):
+            value, number = getattr(self, name), name.startswith("p_")
+            if not isinstance(value, (int, float) if number else int) or isinstance(value, bool):
+                raise InputError(f"{name} must be {'a number' if number else 'an integer'}, got {value!r}")
         if self.n_nodes < 1:
             raise InputError("n_nodes must be positive")
         if not 0 <= self.n_selection < self.n_nodes:

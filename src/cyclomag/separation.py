@@ -360,7 +360,7 @@ def _criterion(arrival, passes) -> tuple[tuple[int, ...], tuple[int, ...]]:
         undirected = not here and not there
         arrive.append(arrival(there, undirected, cross))
         mask = 0
-        for standing, shape in product(range(3), range(3)):
+        for standing, shape in product((_OUTSIDE, _IN_ANC, _IN_Z), range(3)):
             mask |= passes(shape, here, undirected, cross, standing) << (4 * standing + shape)
         masks.append(mask)
     return tuple(arrive), tuple(masks)

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from cyclomag import (
     ARROWHEAD,
     TAIL,
+    DirectedMixedGraph,
     DiscriminatingPath,
     EquivalenceClause,
     GeneratorConfig,
@@ -124,6 +126,19 @@ def test_is_discriminating_positive_and_negative():
         DiscriminatingPath(("a", "q", "b", "c"), "q")
 
 
+def test_discriminating_path_keeps_its_nodes_as_a_tuple():
+    listed, tupled = DiscriminatingPath(["a", "q", "b", "c"], "b"), DiscriminatingPath(("a", "q", "b", "c"), "b")
+    assert listed.nodes == ("a", "q", "b", "c")
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
+def test_is_discriminating_refuses_a_directed_mixed_graph():
+    # A pair may hold parallel edges there, so no one edge answers for it.
+    g = DirectedMixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c", "c -> b")
+    with pytest.raises(InputError, match="^a discriminating path needs a mixed graph$"):
+        is_discriminating(g, ("a", "q", "b", "c"), "b")
+
+
 def test_longer_discriminating_path():
     h = MixedGraph.of(
         "a <-> v0", "v0 <-> v1", "v1 <-> b", "v0 -> c", "v1 -> c", "b -> c"
@@ -134,16 +149,24 @@ def test_longer_discriminating_path():
 
 
 def test_enumeration_matches_predicate_on_seeded_graphs():
+    # Abstractions, valid graphs rich in bidirected chains, and those
+    # graphs with their marks drawn again, which are mostly invalid.
+    graphs = []
     for seed in range(60):
-        h = seeded_valid_mixed(seed, max_n=5)
+        marked = seeded_marked_mixed(seed, max_n=6)
+        rng = random.Random(seed)
+        redrawn = [MixedEdge(e.a, rng.choice((TAIL, ARROWHEAD)), e.b, rng.choice((TAIL, ARROWHEAD))) for e in marked.edges]
+        graphs += [seeded_valid_mixed(seed, max_n=5), marked, MixedGraph(marked.nodes, tuple(redrawn))]
+    for h in graphs:
         enumerated = {(dp.nodes, dp.target) for dp in discriminating_paths(h)}
         nodes = list(h.nodes)
         for r in range(4, len(nodes) + 1):
             for seq in itertools.permutations(nodes, r):
-                if is_discriminating(h, seq, seq[-2]):
-                    assert (tuple(seq), seq[-2]) in enumerated
-        for item in enumerated:
-            assert is_discriminating(h, item[0], item[1])
+                assert is_discriminating(h, seq, seq[-2]) == ((seq, seq[-2]) in enumerated)
+        for b in nodes:
+            assert {(dp.nodes, dp.target) for dp in discriminating_paths(h, for_node=b)} == {
+                item for item in enumerated if item[1] == b
+            }
 
 
 # --- condition-based equivalence -----------------------------------------

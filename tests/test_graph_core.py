@@ -28,7 +28,9 @@ from cyclomag import (
     anteriors,
     condition1,
     descendants,
+    discriminating_paths,
     enumerate_simple_paths,
+    is_discriminating,
     m_open_walk,
     m_separated,
     marginalize,
@@ -52,6 +54,7 @@ from cyclomag import graphs
 from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC, GraphIndex
 from cyclomag.walks import Walk, check_walk
 from fixtures import (
+    DISC_SEVERAL,
     SELECTION_ABSTRACTION,
     SELECTION_DMG,
     UNDIRECTED_FAN,
@@ -422,12 +425,18 @@ def test_index_rows_make_no_edge_values(monkeypatch):
     # entry, from row_edge through graphs._new_edge; both are counted.
     g = DirectedMixedGraph.of("a -> b", "b -> a", "a <-> b", "d -> c", "c -> b")
     values = [g, *_incidence_graphs(3), random_dmg(GeneratorConfig(60, 2 / 60, 1 / 60, 3, 1)).graph]
+    mixed = [*DISC_SEVERAL, represent(random_dmg(GeneratorConfig(15, 0.2, 0.125, 3, 0)))]  # n = 12
     made, init, new = [], MixedEdge.__init__, graphs._new_edge
     monkeypatch.setattr(MixedEdge, "__init__", lambda self, *args: made.append(self) or init(self, *args))
     monkeypatch.setattr(graphs, "_new_edge", lambda cls: made.append(cls) or new(cls))
     for value in values:
         idx = value.index
         assert (idx.adj, idx.acy, idx.anc, idx.ant, idx.und) and not made
+    # Neither the discriminating-path listing nor its predicate makes one.
+    for h in mixed:
+        paths = discriminating_paths(h)
+        assert paths and all(is_discriminating(h, dp.nodes, dp.target) for dp in paths)
+        assert not any(is_discriminating(h, dp.nodes[::-1], dp.nodes[1]) for dp in paths) and not made
     assert sigma_separated(g, SeparationQuery("a", "d", "c")).separated and not made
     # A witness makes its own edges and no others.
     assert sigma_separated(g, SeparationQuery("d", "a")).witness.render() == "d -> c -> b -> a"

@@ -377,6 +377,16 @@ def test_generator_snapshot():
     assert c.graph.bidirected == (("v2", "v5"), ("v3", "v4"))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_nodes", 3.0), ("n_selection", 1.0), ("seed", 1.5), ("p_directed", "0.3"), ("n_nodes", True)],
+)
+def test_generator_config_rejects_a_value_of_the_wrong_type(field, value):
+    args = {"n_nodes": 3, "p_directed": 0.3, "p_bidirected": 0.1, "n_selection": 0, "seed": 0, field: value}
+    with pytest.raises(InputError, match=f"^{field} must be "):
+        GeneratorConfig(**args)
+
+
 def test_selection_nodes_childless_by_default():
     for seed in range(25):
         c = random_dmg(GeneratorConfig(6, 0.5, 0.2, 2, seed))

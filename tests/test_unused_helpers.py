@@ -1,11 +1,12 @@
 """No private helper of the package goes unread.
 
-A function or class that starts with one underscore and is defined at
-the top level of a module under ``src/cyclomag`` must be read somewhere
-in the package outside its own definition: by name, as an attribute or
-in an import.  ``cli`` dispatches its ``_cmd_*`` handlers by name, so
-they are exempt.  A read of the same name anywhere in the package
-counts, even when it means a helper of another module.
+A function, class or name bound by assignment that starts with one
+underscore and is defined at the top level of a module under
+``src/cyclomag`` must be read somewhere in the package outside its own
+definition: by name, as an attribute or in an import.  ``cli``
+dispatches its ``_cmd_*`` handlers by name, so they are exempt.  A read
+of the same name anywhere in the package counts, even when it means a
+helper of another module.
 """
 
 import ast
@@ -28,21 +29,28 @@ def _reads(tree: ast.AST):
             yield node.name
 
 
+def _bound(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: its function or class
+    name, or the plain names its assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def unused_helpers(sources: dict[str, str]) -> list[str]:
-    """``"<module>: <name>"`` for each private top-level function or class
-    of ``sources`` (module name to text) that nothing reads outside its
-    own definition."""
+    """``"<module>: <name>"`` for each private top-level function, class
+    or assigned name of ``sources`` (module name to text) that nothing
+    reads outside its own definition."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     reads = Counter(name for tree in trees.values() for name in _reads(tree))
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if name.startswith("_") and not name.startswith(("__", EXEMPT)):
-                if reads[name] == sum(read == name for read in _reads(node)):
-                    found.append(f"{module}: {name}")
+            for name in _bound(node):
+                if name.startswith("_") and not name.startswith(("__", EXEMPT)):
+                    if reads[name] == sum(read == name for read in _reads(node)):
+                        found.append(f"{module}: {name}")
     return found
 
 
@@ -62,13 +70,15 @@ def test_checker_flags_only_unread_helpers():
             "    pass\n"
             "def _cmd_run():\n"
             "    pass\n"
+            "_READ, _UNREAD_CONSTANT = 1, 2\n"
+            "_TYPED: int = _READ\n"
             "def public():\n"
             "    _ = 2\n"
-            "    return _called()\n"
+            "    return _called() + _TYPED\n"
         ),
         "b": "import a\nfrom a import _imported\nx = a._by_attribute()\n",
     }
-    assert unused_helpers(sources) == ["a: _recursive", "a: _Unread"]
+    assert unused_helpers(sources) == ["a: _recursive", "a: _Unread", "a: _UNREAD_CONSTANT"]
 
 
 def test_no_private_helper_goes_unread():
