@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InputError
-from .graphs import ARROW_HERE, ARROW_THERE, ARROWHEAD, ContextedDmg, MixedGraph, NodeId, _as_nodes
+from .graphs import ARROW_HERE, ARROW_THERE, ContextedDmg, MixedGraph, NodeId, _as_nodes
 from .separation import (
     _DISCRIMINATING,
     DEFAULT_GRID_ORACLE_CAP,
@@ -75,13 +75,18 @@ class DiscriminatingPath:
         return self.nodes[-1]
 
     def target_is_collider(self, h: MixedGraph) -> bool:
-        b, marks = self.target, []
+        """Whether both path edges at the target have an arrowhead there, read from its index row."""
+        b = self.target
+        h.require_nodes([b])
+        if not isinstance(h, MixedGraph):
+            raise InputError("a discriminating path needs a mixed graph")
+        idx, heads = h.index, ARROW_HERE
         for v in (self.nodes[-3], self.c):
-            e = h.edge(b, v)
-            if e is None:
+            kind = next((kind for w, kind in idx.rows[idx.ids[b]] if w == idx.ids.get(v)), None)
+            if kind is None:
                 raise InputError(f"no edge between {b!r} and {v!r}")
-            marks.append(e.mark_at(b))
-        return marks[0] is ARROWHEAD and marks[1] is ARROWHEAD
+            heads &= kind
+        return bool(heads)
 
     def render(self) -> str:
         return " ".join(self.nodes)
@@ -117,11 +122,14 @@ def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple
     grow over the index rows of ``h``; only the paths found are named.
     Exponential in the worst case: this listing backs ``cyclomag paths``
     and the tests, while :func:`condition1` never enumerates.  Graphs
-    above the path oracles' cap are refused.
+    above the path oracles' cap are refused, and so is a directed mixed
+    graph, as by :func:`is_discriminating`.
     """
     _check_cap(len(h.nodes), DEFAULT_PATH_ORACLE_CAP, "the discriminating path listing")
     if for_node is not None:
         h.require_nodes([for_node])
+    if not isinstance(h, MixedGraph):
+        raise InputError("a discriminating path needs a mixed graph")
     idx = h.index
     names, rows = idx.names, idx.rows
     found: list[DiscriminatingPath] = []

@@ -7,15 +7,17 @@ components once and the per-node closures on first use, so a query is
 a union of cached sets.  All of them are reflexive where a length-zero
 walk makes sense, and all of them return frozen sets.
 
-:func:`enumerate_simple_paths` lists every path; the two path
-oracles and the two inducing-path listings scan it.  Shortest walks
-are not searched here: every shortest-walk search, witnesses included,
-runs on the breadth-first search in :mod:`cyclomag.separation`.
+:func:`enumerate_simple_paths` is the one depth-first scan over the
+index rows.  The two path oracles and the two inducing-path listings
+run it with a step rule: it stops at the first blocked step and makes a
+walk only for a path it hands out.  Shortest walks are not searched
+here: every shortest-walk search, witnesses included, runs on the
+breadth-first search in :mod:`cyclomag.separation`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
 from .graphs import DirectedMixedGraph, MixedGraph, NodeId, _as_nodes, row_edge
@@ -90,7 +92,7 @@ def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:
     return all(nbh & ~idx.und[w] == 1 << w for w in idx.ids_in(nbh))
 
 
-def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]:
+def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId, *, admits: Callable | None = None) -> Iterator[Walk]:
     """Yield every simple path between ``a`` and ``b`` exactly once.
 
     Paths come out in lexicographic order of their node sequences, with
@@ -99,6 +101,13 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]
     inducing-path listings scan it; the equivalence grids sweep the
     engines instead, and :func:`~cyclomag.equivalence.discriminating_paths`
     grows its own chains.
+
+    ``admits(prev_kind, v, kind, w)``, when given, tests each step as it
+    is taken: from node id ``v`` over its row entry ``(w, kind)``, where
+    ``prev_kind`` is the kind of the step into ``v`` (None at ``a``).  A
+    failed step is never extended, so the paths whose every step is
+    admitted come out, in the same order.  Each step's edge is made once
+    per call, and a walk only for a path that is handed out.
     """
     if a == b:
         raise InputError("path endpoints must differ")
@@ -107,14 +116,14 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]
     rows, names, start, target = idx.rows, idx.names, idx.ids[a], idx.ids[b]
     on_path = [False] * len(rows)
     on_path[start] = True
-    node_stack = [start]
-    edge_stack = []  # the edge into each node of node_stack after the first
+    edge_stack = []  # the edge into each node of the path after the first
     made = {}  # each step's edge value, made the first time this call takes the step
-    frame_stack = [iter(rows[start])]
-    while frame_stack:
-        v = node_stack[-1]
-        for w, kind in frame_stack[-1]:
-            if on_path[w]:
+    # Per path node: its id, the kind of the step into it, and its unread row entries.
+    frames = [(start, None, iter(rows[start]))]
+    while frames:
+        v, prev, entries = frames[-1]
+        for w, kind in entries:
+            if on_path[w] or admits is not None and not admits(prev, v, kind, w):
                 continue
             key = (v * len(rows) + w) << 3 | kind
             e = made.get(key)
@@ -124,11 +133,10 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId) -> Iterator[Walk]
                 yield Walk(a, (*edge_stack, e))
                 continue
             on_path[w] = True
-            node_stack.append(w)
             edge_stack.append(e)
-            frame_stack.append(iter(rows[w]))
+            frames.append((w, kind, iter(rows[w])))
             break
         else:
-            frame_stack.pop()
-            on_path[node_stack.pop()] = False
+            frames.pop()
+            on_path[v] = False
             del edge_stack[-1:]

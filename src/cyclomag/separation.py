@@ -16,12 +16,19 @@ The two engines are one breadth-first search over the graph's
 transition rules.  The same search, with three more rule pairs, finds the
 shortest anterior paths, inducing paths and discriminating paths that
 ``validate`` and ``condition1`` return as witnesses.
+
+The oracles and the inducing-path listings run one depth-first scan,
+:func:`~cyclomag.relations.enumerate_simple_paths`, with a local step
+rule per criterion, so a path is dropped at its first blocked step and
+a walk is made only for a path that is handed out.  The public walk
+predicates fold the same rules over a walk's steps.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -31,7 +38,6 @@ from .graphs import (
     ARROW_THERE,
     ARROWHEAD,
     CROSSES_SCC,
-    TAIL,
     DirectedMixedGraph,
     GraphIndex,
     MixedGraph,
@@ -39,8 +45,8 @@ from .graphs import (
     _as_nodes,
     row_edge,
 )
-from .relations import ancestors, anteriors, enumerate_simple_paths, scc_index
-from .walks import Walk, check_walk
+from .relations import anteriors, enumerate_simple_paths
+from .walks import Graph, Walk, check_walk
 
 DEFAULT_PATH_ORACLE_CAP = 12
 DEFAULT_GRID_ORACLE_CAP = 8
@@ -105,31 +111,7 @@ def sigma_open_walk(g: DirectedMixedGraph, walk: Walk, z: Iterable[NodeId]) -> b
     blockable; an interior non-collider is unblockable exactly when all
     of its on-walk out-edges stay inside its strong component.
     """
-    z = _as_nodes(z)
-    anc_z = ancestors(g, z)  # checks the nodes of z before the walk
-    check_walk(g, walk)
-    return _sigma_walk_open(walk, z, anc_z, scc_index(g))
-
-
-def _sigma_walk_open(walk: Walk, z: set, anc_z: frozenset, scc: dict) -> bool:
-    """:func:`sigma_open_walk` without input checks, given Anc(z) and the component map."""
-    nodes, edges = walk.nodes, walk.edges
-    if nodes[0] in z or nodes[-1] in z:
-        return False
-    for k in range(1, len(edges)):
-        v = nodes[k]
-        m_in = edges[k - 1].mark_at(v)
-        m_out = edges[k].mark_at(v)
-        if m_in is ARROWHEAD and m_out is ARROWHEAD:
-            if v not in anc_z:
-                return False
-        elif v in z:
-            blockable = (m_in is TAIL and nodes[k - 1] not in scc[v]) or (
-                m_out is TAIL and nodes[k + 1] not in scc[v]
-            )
-            if blockable:
-                return False
-    return True
+    return _walk_open(g, walk, z, _sigma_walk_step)
 
 
 def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[NodeId]) -> bool:
@@ -141,33 +123,55 @@ def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[Node
     a segment contains a collider while its whole component misses the
     ancestors of ``z``.  Agrees with :func:`sigma_open_walk` on paths.
     """
+    return _walk_open(g, path, z, _sigma_segment_step, paths_only=True)
+
+
+def _walk_open(graph: Graph, walk: Walk, z: Iterable[NodeId], rule, paths_only: bool = False) -> bool:
+    """Whether the walk's ends lie outside ``z`` and the step ``rule`` admits its every step.
+
+    ``z`` is checked before the walk.  A step's kind is read off the edge's
+    marks from the node it leaves, with ``CROSSES_SCC`` as in the index rows."""
     z = _as_nodes(z)
-    anc_z = ancestors(g, z)  # checks the nodes of z before the path
-    check_walk(g, path)
-    if not path.is_path:
+    graph.require_nodes(z)
+    check_walk(graph, walk)
+    if paths_only and not walk.is_path:
         raise InputError("the segment criterion is defined for simple paths only")
-    scc = scc_index(g)
-    return _sigma_segments_open(path, z, scc, {scc[v] for v in anc_z})
+    idx, nodes = graph.index, walk.nodes
+    zm, ids, scc = idx.mask(z), [idx.ids[v] for v in nodes], idx.scc
+    prev, anc_z = None, idx.union(idx.anc, zm)
+    for u, w, i, j, e in zip(nodes, nodes[1:], ids, ids[1:], walk.edges):
+        kind = ARROW_HERE * (e.mark_at(u) is ARROWHEAD) | ARROW_THERE * (e.mark_at(w) is ARROWHEAD) | (scc[i] != scc[j])
+        if not rule(zm, anc_z, prev, i, kind, j):
+            return False
+        prev = kind
+    return not (zm >> ids[0] | zm >> ids[-1]) & 1
 
 
-def _sigma_segments_open(path: Walk, z: set, scc: dict, lit: set) -> bool:
-    """:func:`sigma_open_path_segments` without input checks.
+# The oracles' step rules ``rule(z, anc_z, prev_kind, v, kind, w)`` over
+# the node masks of z and Anc(z).  Bound to the masks, a rule is the
+# ``admits`` of :func:`~cyclomag.relations.enumerate_simple_paths`, so the
+# arrowhead at v is ``prev_kind & ARROW_THERE`` coming in and ``kind &
+# ARROW_HERE`` going out.  Endpoints lie outside z: the oracles pick them
+# so and :func:`_walk_open` tests them.  No rule reads the engine tables.
 
-    ``scc`` maps each node to its strong component and ``lit`` holds the
-    components that meet the ancestors of ``z``.  Segment boundaries are
-    exactly the path edges whose endpoints lie in different components,
-    so the rules are checked edge by edge.
-    """
-    nodes, edges = path.nodes, path.edges
-    if nodes[0] in z or nodes[-1] in z:
+
+def _sigma_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
+    """A collider lies in Anc(z); a non-collider in z has no tail at it that crosses components."""
+    if prev is None:
+        return True
+    if prev & ARROW_THERE and kind & ARROW_HERE:
+        return anc_z >> v & 1
+    crossing_tail = (not prev & ARROW_THERE and prev & CROSSES_SCC) or (not kind & ARROW_HERE and kind & CROSSES_SCC)
+    return not (crossing_tail and z >> v & 1)
+
+
+def _sigma_segment_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
+    """No directed edge that leaves its component has its tail in z, and a
+    collider's component meets Anc(z), which is a union of components."""
+    heads = kind & (ARROW_HERE | ARROW_THERE)
+    if kind & CROSSES_SCC and (heads == ARROW_THERE and z >> v & 1 or heads == ARROW_HERE and z >> w & 1):
         return False
-    for k, e in enumerate(edges):
-        u = nodes[k]
-        if e.is_directed and e.directed_tail in z and nodes[k + 1] not in scc[u]:
-            return False
-        if k and scc[u] not in lit and edges[k - 1].mark_at(u) is ARROWHEAD and e.mark_at(u) is ARROWHEAD:
-            return False
-    return True
+    return prev is None or anc_z >> v & 1 or not (prev & ARROW_THERE and kind & ARROW_HERE)
 
 
 def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationVerdict:
@@ -194,33 +198,23 @@ def sigma_separated_oracle(g: DirectedMixedGraph, query: SeparationQuery) -> Sep
     Sound because an open walk exists iff an open path does.  Intended
     for desk-scale verification; refuses graphs above the size cap.
     """
-
-    def open_given(z):
-        scc = scc_index(g)
-        lit = {scc[v] for v in ancestors(g, z)}
-        return lambda path: _sigma_segments_open(path, z, scc, lit)
-
-    return _path_oracle(g, query, "the sigma path oracle", open_given)
+    return _path_oracle(g, query, "the sigma path oracle", _sigma_segment_step)
 
 
-def _path_oracle(graph, query: SeparationQuery, what: str, open_given) -> SeparationVerdict:
-    """The first open simple path in name order; ``open_given(z)`` builds the per-path test once."""
+def _path_oracle(graph: Graph, query: SeparationQuery, what: str, rule) -> SeparationVerdict:
+    """The first open simple path in name order, each pair's paths scanned under the step ``rule``."""
     _check_cap(len(graph.nodes), DEFAULT_PATH_ORACLE_CAP, what)
     x, y, z = query.x, query.y, query.z
     graph.require_nodes(x | y | z)
     overlap = sorted((x & y) - z)
     if overlap:
         return SeparationVerdict(False, Walk(overlap[0]))
-    path = next(_open_paths(graph, product(sorted(x - z), sorted(y - z)), open_given(z)), None)
+    idx = graph.index
+    zm = idx.mask(z)
+    admits = partial(rule, zm, idx.union(idx.anc, zm))
+    pairs = product(sorted(x - z), sorted(y - z))
+    path = next((p for a, b in pairs for p in enumerate_simple_paths(graph, a, b, admits=admits)), None)
     return SeparationVerdict(path is None, path)
-
-
-def _open_paths(graph, pairs: Iterable[tuple[NodeId, NodeId]], is_open) -> Iterator[Walk]:
-    """The simple paths that pass ``is_open``, pair by pair, each pair's in enumeration order."""
-    for a, b in pairs:
-        for path in enumerate_simple_paths(graph, a, b):
-            if is_open(path):
-                yield path
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +229,17 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
     ``z``, every collider is an ancestor of ``z`` over the directed
     edges, and no arrowhead meets an undirected edge along the walk.
     """
-    z = _as_nodes(z)
-    anc_z = ancestors(h, z)  # checks the nodes of z before the walk
-    check_walk(h, walk)
-    return _m_walk_open(walk, z, anc_z)
+    return _walk_open(h, walk, z, _m_walk_step)
 
 
-def _m_walk_open(walk: Walk, z: set, anc_z: frozenset) -> bool:
-    """:func:`m_open_walk` without input checks, given the ancestors of ``z``."""
-    nodes, edges = walk.nodes, walk.edges
-    if nodes[0] in z or nodes[-1] in z:
+def _m_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
+    """No arrowhead meets an undirected edge, a collider lies in Anc(z), a non-collider not in z."""
+    if prev is None:
+        return True
+    into, out = prev & ARROW_THERE, kind & ARROW_HERE
+    if (into and not kind & (ARROW_HERE | ARROW_THERE)) or (out and not prev & (ARROW_HERE | ARROW_THERE)):
         return False
-    for k in range(1, len(edges)):
-        v = nodes[k]
-        e1, e2 = edges[k - 1], edges[k]
-        m1, m2 = e1.mark_at(v), e2.mark_at(v)
-        if (m1 is ARROWHEAD and e2.is_undirected) or (e1.is_undirected and m2 is ARROWHEAD):
-            return False
-        if m1 is ARROWHEAD and m2 is ARROWHEAD:
-            if v not in anc_z:
-                return False
-        elif v in z:
-            return False
-    return True
+    return anc_z >> v & 1 if into and out else not z >> v & 1
 
 
 def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
@@ -275,12 +257,7 @@ def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
 
 def m_separated_oracle(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     """Exhaustive oracle: scan every simple path with the walk criterion."""
-
-    def open_given(z):
-        anc_z = ancestors(h, z)
-        return lambda path: _m_walk_open(path, z, anc_z)
-
-    return _path_oracle(h, query, "the m path oracle", open_given)
+    return _path_oracle(h, query, "the m path oracle", _m_walk_step)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +464,11 @@ def sigma_inducing_paths(
     """
     _check_cap(len(g.nodes), DEFAULT_PATH_ORACLE_CAP, "the sigma-inducing path listing")
     s = _as_nodes(s)
-    _check_inducing_args(g, s, a, b)
-    scc = scc_index(g)
-    anc_ends = ancestors(g, {a, b} | s)
-    # Open given all of its interior nodes, with colliders allowed anywhere in anc_ends.
-    return tuple(_open_paths(g, [(a, b)], lambda p: _sigma_walk_open(p, set(p.nodes[1:-1]), anc_ends, scc)))
+    idx, ia, ib = _check_inducing_args(g, s, a, b)
+    anc_ends = idx.anc[ia] | idx.anc[ib] | idx.union(idx.anc, idx.mask(s))
+    # Open given all of its interior nodes, with colliders allowed anywhere
+    # in anc_ends.  The rule reads z at interior nodes only, so z is every node.
+    return tuple(enumerate_simple_paths(g, a, b, admits=partial(_sigma_walk_step, -1, anc_ends)))
 
 
 def sigma_inducing_exists(
@@ -524,11 +501,11 @@ def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
 
 def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
     _check_cap(len(h.nodes), DEFAULT_PATH_ORACLE_CAP, "the inducing path listing")
-    _check_inducing_args(h, set(), a, b)
-    anc_ends = ancestors(h, {a, b})
-    # Open given every interior node exactly when each of them is a
-    # collider in anc_ends: a collider never meets an undirected edge.
-    yield from _open_paths(h, [(a, b)], lambda p: _m_walk_open(p, set(p.nodes[1:-1]), anc_ends))
+    idx, ia, ib = _check_inducing_args(h, set(), a, b)
+    # Open given every interior node (z is every node, as for sigma) exactly
+    # when each of them is a collider in Anc({a, b}): a collider never meets
+    # an undirected edge.
+    yield from enumerate_simple_paths(h, a, b, admits=partial(_m_walk_step, -1, idx.anc[ia] | idx.anc[ib]))
 
 
 def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:

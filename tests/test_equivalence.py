@@ -97,6 +97,10 @@ def test_target_is_collider_names_a_missing_edge():
         DiscriminatingPath(("a", "b", "c", "d"), "c").target_is_collider(h)
     with pytest.raises(InputError, match="^no edge between 'b' and 'd'$"):
         DiscriminatingPath(("a", "c", "b", "d"), "b").target_is_collider(MixedGraph.of("a -> c", "c -> b", nodes=("d",)))
+    # A directed mixed graph may hold parallel edges at b, so it is refused.
+    g = DirectedMixedGraph.of("a <-> q", "a -> q", "q -> c", "q <-> b", "b -> c")
+    with pytest.raises(InputError, match="^a discriminating path needs a mixed graph$"):
+        DiscriminatingPath(("a", "q", "b", "c"), "b").target_is_collider(g)
 
 
 def test_all_adjacent_graph_has_no_discriminating_paths():
@@ -137,6 +141,14 @@ def test_is_discriminating_refuses_a_directed_mixed_graph():
     g = DirectedMixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c", "c -> b")
     with pytest.raises(InputError, match="^a discriminating path needs a mixed graph$"):
         is_discriminating(g, ("a", "q", "b", "c"), "b")
+
+
+def test_discriminating_paths_refuse_a_directed_mixed_graph():
+    # Listed once per parallel edge it could use, were it not refused.
+    g = DirectedMixedGraph.of("a <-> q", "a -> q", "q -> c", "q <-> b", "b -> c")
+    for for_node in (None, "b"):
+        with pytest.raises(InputError, match="^a discriminating path needs a mixed graph$"):
+            discriminating_paths(g, for_node=for_node)
 
 
 def test_longer_discriminating_path():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from cyclomag import (
+    ARROWHEAD,
     ContextedDmg,
     DirectedMixedGraph,
     GeneratorConfig,
@@ -326,6 +327,82 @@ def test_path_oracles_return_the_first_open_path_by_pair_then_enumeration_order(
             ):
                 positions = [every.index(p) for p in listing]
                 assert positions == sorted(positions)
+    # Two more families, seeded, n <= 8: random marks with all four arrow
+    # tokens, so mostly invalid mixed graphs where undirected edges meet
+    # arrowheads and tails, and dmgs with parallel edges.  Each oracle
+    # witness and each listing is the unpruned enumeration filtered by
+    # the public predicates.
+    for seed in range(40):
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(rng.randint(4, 8))]
+        # The directed cycle v0 -> v1 -> v2 -> v3 -> v0 puts the chords'
+        # undirected and bidirected edges inside a strong component.
+        cycle = {("v0", "v1"): "->", ("v1", "v2"): "->", ("v2", "v3"): "->", ("v0", "v3"): "<-"}
+        h = MixedGraph.of(
+            *(
+                f"{a} {cycle.get((a, b)) or rng.choice(('->', '<-', '<->', '--'))} {b}"
+                for a, b in itertools.combinations(names, 2)
+                if (a, b) in cycle or rng.random() < 0.35
+            ),
+            nodes=names,
+        )
+        pairs = [pair for pair in itertools.combinations(names, 2) if rng.random() < 0.35]
+        g = DirectedMixedGraph.of(
+            *(spec for a, b in pairs for spec in (f"{a} -> {b}", f"{b} -> {a}", f"{a} <-> {b}") if rng.random() < 0.5),
+            nodes=names,
+        )
+        for graph, oracle, is_open in ((g, sigma_separated_oracle, sigma_open_path_segments), (h, m_separated_oracle, m_open_walk)):
+            for _ in range(8):
+                x, y, z = ({v for v in names if rng.random() < 0.3} for _ in range(3))
+                x = (x or {names[0]}) - z
+                y = (y or {names[-1]}) - z - x
+                if not x or not y:
+                    continue
+                expected = next(
+                    (p for a in sorted(x) for b in sorted(y) for p in enumerate_simple_paths(graph, a, b) if is_open(graph, p, z)),
+                    None,
+                )
+                assert oracle(graph, SeparationQuery(x, y, z)).witness == expected
+        for a, b in itertools.combinations(names, 2) if seed < 10 else ():
+            s = {v for v in names if v not in (a, b) and rng.random() < 0.2}
+            anc_ends = ancestors(g, {a, b} | s)
+            expected = [
+                p
+                for p in enumerate_simple_paths(g, a, b)
+                if sigma_open_walk(g, p, p.nodes[1:-1]) and _colliders(p) <= anc_ends
+            ]
+            assert list(sigma_inducing_paths(g, s, a, b)) == expected
+            anc_ends = ancestors(h, {a, b})
+            expected = [p for p in enumerate_simple_paths(h, a, b) if m_open_walk(h, p, p.nodes[1:-1]) and set(p.nodes[1:-1]) <= anc_ends]
+            assert list(inducing_paths(h, a, b)) == expected
+
+
+def _colliders(walk: Walk) -> set:
+    """The interior nodes of ``walk`` with arrowheads on both of its edges there."""
+    return {
+        v
+        for v, e1, e2 in zip(walk.nodes[1:], walk.edges, walk.edges[1:])
+        if e1.mark_at(v) is ARROWHEAD and e2.mark_at(v) is ARROWHEAD
+    }
+
+
+def test_oracles_make_a_walk_only_for_the_witness(monkeypatch):
+    made = []
+    init = Walk.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Walk, "__init__", counted)
+    # Every a-b path meets a collider at its first interior node.
+    specs = ("a -> c", "b -> c", "a -> d", "b -> d", "a <-> e", "e <-> b")
+    for graph, oracle in ((DirectedMixedGraph.of(*specs), sigma_separated_oracle), (MixedGraph.of(*specs[:4]), m_separated_oracle)):
+        made.clear()
+        assert oracle(graph, SeparationQuery("a", "b")).separated
+        assert made == []
+        verdict = oracle(graph, SeparationQuery("a", "b", "c"))
+        assert verdict.witness.render() == "a -> c <- b" and len(made) == 1
 
 
 def test_sigma_set_queries_reduce_to_pairs():
