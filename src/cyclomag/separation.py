@@ -8,20 +8,23 @@ Two criteria live here:
 * m-separation on mixed graphs, which adds the unconditional rule that
   an arrowhead may never meet an undirected edge along a walk.
 
-Each criterion ships in two independent implementations: a polynomial
-reachability engine over (node, incoming edge shape) states, and an
-exhaustive simple-path oracle used to audit the engine at desk scale.
-The two engines are one breadth-first search over the graph's
-:class:`~cyclomag.graphs.GraphIndex`, run with a different pair of
-transition rules.  The same search, with three more rule pairs, finds the
+Each criterion is one node rule, a step rule over the kinds of a node's
+two walk edges and the masks of z and Anc(z).  It is run three ways: by
+a polynomial reachability engine over (node, arrival shape) states, whose
+search table :func:`_criterion` derives from the rule; by an exhaustive
+simple-path oracle used to audit the engine at desk scale; and by the
+public walk predicates.  The m engine and the m oracle thus share their
+rule, while the sigma oracle keeps its own segment criterion.  Both
+engines are one breadth-first search over the graph's
+:class:`~cyclomag.graphs.GraphIndex`; with three more rules it finds the
 shortest anterior paths, inducing paths and discriminating paths that
 ``validate`` and ``condition1`` return as witnesses.
 
 The oracles and the inducing-path listings run one depth-first scan,
-:func:`~cyclomag.relations.enumerate_simple_paths`, with a local step
-rule per criterion, so a path is dropped at its first blocked step and
-a walk is made only for a path that is handed out.  The public walk
-predicates fold the same rules over a walk's steps.
+:func:`~cyclomag.relations.enumerate_simple_paths`, with the rule as its
+step test, so a path is dropped at its first blocked step and a walk is
+made only for a path that is handed out.  The walk predicates fold the
+same rules over a walk's steps.
 """
 
 from __future__ import annotations
@@ -147,18 +150,21 @@ def _walk_open(graph: Graph, walk: Walk, z: Iterable[NodeId], rule, paths_only: 
     return not (zm >> ids[0] | zm >> ids[-1]) & 1
 
 
-# The oracles' step rules ``rule(z, anc_z, prev_kind, v, kind, w)`` over
-# the node masks of z and Anc(z).  Bound to the masks, a rule is the
-# ``admits`` of :func:`~cyclomag.relations.enumerate_simple_paths`, so the
-# arrowhead at v is ``prev_kind & ARROW_THERE`` coming in and ``kind &
-# ARROW_HERE`` going out.  Endpoints lie outside z: the oracles pick them
-# so and :func:`_walk_open` tests them.  No rule reads the engine tables.
+# Each criterion is one step rule ``rule(z, anc_z, prev_kind, v, kind, w)``
+# over the node masks of z and Anc(z), deciding node v.  Bound to the
+# masks, a rule is the ``admits`` of
+# :func:`~cyclomag.relations.enumerate_simple_paths`, so the arrowhead at v
+# is ``prev_kind & ARROW_THERE`` coming in and ``kind & ARROW_HERE`` going
+# out; :func:`_criterion` builds the engines' search table from it.  The
+# sigma and m rules enter a walk's start (``prev_kind`` None) as over a
+# tail within its component, the kind ARROW_HERE of an edge v -> u, so a
+# start in z may block.  The oracles pick their ends outside z, the
+# listings bind z to all other nodes, and :func:`_walk_open` tests the ends.
 
 
 def _sigma_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
     """A collider lies in Anc(z); a non-collider in z has no tail at it that crosses components."""
-    if prev is None:
-        return True
+    prev = ARROW_HERE if prev is None else prev
     if prev & ARROW_THERE and kind & ARROW_HERE:
         return anc_z >> v & 1
     crossing_tail = (not prev & ARROW_THERE and prev & CROSSES_SCC) or (not kind & ARROW_HERE and kind & CROSSES_SCC)
@@ -234,8 +240,7 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
 
 def _m_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
     """No arrowhead meets an undirected edge, a collider lies in Anc(z), a non-collider not in z."""
-    if prev is None:
-        return True
+    prev = ARROW_HERE if prev is None else prev
     into, out = prev & ARROW_THERE, kind & ARROW_HERE
     if (into and not kind & (ARROW_HERE | ARROW_THERE)) or (out and not prev & (ARROW_HERE | ARROW_THERE)):
         return False
@@ -268,20 +273,22 @@ def m_separated_oracle(h: MixedGraph, query: SeparationQuery) -> SeparationVerdi
 # separation engines, and the anterior, inducing and discriminating path
 # witnesses of ``validate`` and ``condition1``.  It searches one finite
 # state space: a node together with the shape of the edge the walk
-# arrived on, encoded as 4 * node id + shape.  A criterion is two rules
-# over an edge's kind (the bits of a graph index row: arrowhead here,
-# arrowhead there, crosses strong components).  ``arrival`` gives the
-# shape the edge leaves at its far end; ``passes`` decides whether a walk
-# that reached v with a given shape may leave over the edge, given v's
+# arrived on, encoded as 4 * node id + shape.  A criterion is one step
+# rule over edge kinds (the bits of a graph index row: arrowhead here,
+# arrowhead there, crosses strong components), and :func:`_criterion`
+# makes its table: the shape an edge of each kind leaves at its far end,
+# the in-kinds the rule cannot tell apart sharing one, and whether a walk
+# that reached v in a given shape may leave over the edge, given v's
 # standing: outside Anc(z), in Anc(z) but not z, or in z.  Every blocking
-# rule is local to these, so breadth-first search over the states decides
-# exactly whether an open walk exists.  Rows are read in incident-edge
-# order, which fixes the witnesses.
+# rule is local to a node's two walk edges, so breadth-first search over
+# the states decides exactly whether an open walk exists.  Rows are read
+# in incident-edge order, which fixes the witnesses.
 #
 # Callers pass start nodes and get a walk.  Each start is entered in
-# shape 1, which each table reads in its own way: the engines as a tail,
-# free to leave over any edge (a source lies outside z), the witness
-# tables as said below.  A start that is a goal is a walk of length zero.
+# shape 1, the class of the rule's start: under the engines a tail within
+# its component, free to leave over any edge (a source lies outside z),
+# under the witness tables as said below.  A start that is a goal is a
+# walk of length zero.
 #
 # Every node of an open walk lies in the criterion's closure of
 # x | y | z: the ancestors under sigma, the anteriors under m (the two
@@ -291,73 +298,51 @@ def m_separated_oracle(h: MixedGraph, query: SeparationQuery) -> SeparationVerdi
 # until it ends in x | y or at a collider, which lies in Anc(z).  Given a
 # nonempty z the search therefore drops states outside that closure; an
 # empty z leaves every node live and builds no closure.
-_ARROW = 0
 _OUTSIDE, _IN_ANC, _IN_Z = 0, 1, 2
 
-# sigma shapes: arrowhead, tail within the node's strong component, or
-# tail crossing components.  With the tail cases apart, a collider needs
-# only Anc(z), and a non-collider in z is blockable iff one of its
-# on-walk out-edges leaves its component; both out-edges are seen here.
-_S_TAIL_WITHIN, _S_TAIL_CROSS = 1, 2
+
+def _criterion(rule) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The search table of a step ``rule``: per edge kind, the shape a walk
+    arrives in over it, and a mask whose bit 4 * standing + shape is set
+    where a walk that arrived in that shape may leave over it.
+
+    Two in-kinds share a shape when the rule answers alike after either,
+    for every out-kind and standing.  The start's class is shape 1, the
+    one :func:`_search` enters starts in; the other classes take 0, 2 and
+    3 in turn, from in-kind 7 down.  A state holds two shape bits."""
+
+    def answers(prev):  # node v = 0 has the standing; the far end w = 1 stands outside
+        standings = (_OUTSIDE, _IN_ANC, _IN_Z)
+        return tuple(bool(rule(st == _IN_Z, st != _OUTSIDE, prev, 0, kind, 1)) for st in standings for kind in range(8))
+
+    shapes = {answers(None): 1}
+    for prev in reversed(range(8)):
+        shapes.setdefault(answers(prev), len(shapes) if len(shapes) > 1 else 0)
+    if len(shapes) > 4:
+        raise ValueError(f"a state holds four shapes, but the rule tells {len(shapes)} arrivals apart")
+    masks = [0] * 8
+    for said, shape in shapes.items():
+        for i, ok in enumerate(said):  # i = 8 * standing + out-kind
+            masks[i % 8] |= ok << (4 * (i // 8) + shape)
+    return tuple(shapes[answers(prev)] for prev in range(8)), tuple(masks)
 
 
-def _sigma_arrival(there: bool, undirected: bool, cross: bool) -> int:
-    return _ARROW if there else _S_TAIL_CROSS if cross else _S_TAIL_WITHIN
-
-
-def _sigma_passes(shape: int, here: bool, undirected: bool, cross: bool, standing: int) -> bool:
-    if shape == _ARROW and here:
-        return standing != _OUTSIDE
-    return standing != _IN_Z or not (shape == _S_TAIL_CROSS or (not here and cross))
-
-
-# m shapes: arrowhead, tail of a directed edge, or undirected edge.  The
-# last two differ because an arrowhead may never meet an undirected edge.
-_M_TAIL, _M_UNDIR = 1, 2
-
-
-def _m_arrival(there: bool, undirected: bool, cross: bool) -> int:
-    return _ARROW if there else _M_UNDIR if undirected else _M_TAIL
-
-
-def _m_passes(shape: int, here: bool, undirected: bool, cross: bool, standing: int) -> bool:
-    if (shape == _ARROW and undirected) or (shape == _M_UNDIR and here):
-        return False
-    if shape == _ARROW and here:
-        return standing != _OUTSIDE
-    return standing != _IN_Z
-
-
-def _criterion(arrival, passes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per edge kind: the arrival shape, and a mask whose bit
-    4 * standing + shape is set where the edge may be taken."""
-    arrive, masks = [], []
-    for kind in range(8):
-        here, there, cross = bool(kind & ARROW_HERE), bool(kind & ARROW_THERE), bool(kind & CROSSES_SCC)
-        undirected = not here and not there
-        arrive.append(arrival(there, undirected, cross))
-        mask = 0
-        for standing, shape in product((_OUTSIDE, _IN_ANC, _IN_Z), range(3)):
-            mask |= passes(shape, here, undirected, cross, standing) << (4 * standing + shape)
-        masks.append(mask)
-    return tuple(arrive), tuple(masks)
-
-
-_SIGMA = _criterion(_sigma_arrival, _sigma_passes)
-_M = _criterion(_m_arrival, _m_passes)
+_SIGMA = _criterion(_sigma_walk_step)
+_M = _criterion(_m_walk_step)
 
 # The witness searches condition on nothing (z = 0), so every node stands
-# outside Anc(z) and only the edge kind and the arrival shape decide.  An
-# anterior path leaves every node over a tail.  A collider chain leaves a
-# node it entered over an arrowhead only over an arrowhead at that node,
-# and is stuck at a node it entered over a tail (shape 2); its start may
-# leave over any edge.  A discriminating chain is a collider chain whose
-# start, like a node entered over an arrowhead, leaves only over one.
-_ANTERIOR = _criterion(lambda *_: 1, lambda shape, here, *_: not here)
+# outside Anc(z) and only the edge kinds decide.  An anterior path leaves
+# every node over a tail.  A collider chain leaves its start over any
+# edge, and a node it entered over an arrowhead only over an arrowhead at
+# that node.  A discriminating chain is a collider chain whose start, like
+# a node entered over an arrowhead, leaves only over one.
+_ANTERIOR = _criterion(lambda z, anc_z, prev, v, kind, w: not kind & ARROW_HERE)
 _COLLIDER_CHAIN = _criterion(
-    lambda there, *_: _ARROW if there else 2, lambda shape, here, *_: shape == 1 or shape == _ARROW and here
+    lambda z, anc_z, prev, v, kind, w: prev is None or prev & ARROW_THERE and kind & ARROW_HERE
 )
-_DISCRIMINATING = _criterion(lambda there, *_: _ARROW if there else 2, lambda shape, here, *_: shape != 2 and here)
+_DISCRIMINATING = _criterion(
+    lambda z, anc_z, prev, v, kind, w: (prev is None or prev & ARROW_THERE) and kind & ARROW_HERE
+)
 
 
 def _search(rows, names, crit: tuple, starts, goal: int, live: int, z: int = 0, anc_z: int = 0):
@@ -467,8 +452,8 @@ def sigma_inducing_paths(
     idx, ia, ib = _check_inducing_args(g, s, a, b)
     anc_ends = idx.anc[ia] | idx.anc[ib] | idx.union(idx.anc, idx.mask(s))
     # Open given all of its interior nodes, with colliders allowed anywhere
-    # in anc_ends.  The rule reads z at interior nodes only, so z is every node.
-    return tuple(enumerate_simple_paths(g, a, b, admits=partial(_sigma_walk_step, -1, anc_ends)))
+    # in anc_ends: z is every node but the two ends.
+    return tuple(enumerate_simple_paths(g, a, b, admits=partial(_sigma_walk_step, ~(1 << ia | 1 << ib), anc_ends)))
 
 
 def sigma_inducing_exists(
@@ -502,10 +487,11 @@ def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
 def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
     _check_cap(len(h.nodes), DEFAULT_PATH_ORACLE_CAP, "the inducing path listing")
     idx, ia, ib = _check_inducing_args(h, set(), a, b)
-    # Open given every interior node (z is every node, as for sigma) exactly
-    # when each of them is a collider in Anc({a, b}): a collider never meets
-    # an undirected edge.
-    yield from enumerate_simple_paths(h, a, b, admits=partial(_m_walk_step, -1, idx.anc[ia] | idx.anc[ib]))
+    # Open given every interior node (z is every node but the ends, as for
+    # sigma) exactly when each of them is a collider in Anc({a, b}): a
+    # collider never meets an undirected edge.
+    z = ~(1 << ia | 1 << ib)
+    yield from enumerate_simple_paths(h, a, b, admits=partial(_m_walk_step, z, idx.anc[ia] | idx.anc[ib]))
 
 
 def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:

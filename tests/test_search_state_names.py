@@ -1,9 +1,12 @@
 """No module but ``separation`` reads a state name of the shared search.
 
 ``separation._search`` encodes each state as a node id and an arrival
-shape, and each criterion table reads those shapes and the standing of
-a node towards the conditioning set.  Callers pass start nodes and a
-table and get a walk back, so the layout stays inside ``separation``.
+shape, and reads each criterion table with the standing of a node
+towards the conditioning set.  The shapes are numbered by
+``_criterion`` and have no names; the standings do.  Callers pass start
+nodes and a table and get a walk back, so the layout stays inside
+``separation``.  Every listed name must be assigned there, so the list
+cannot name what no longer exists.
 No linter ships with the project, so this reads each module with
 :mod:`ast`, as ``test_unused_imports.py`` does.
 """
@@ -12,7 +15,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STATE_NAMES = {"_ARROW", "_S_TAIL_WITHIN", "_S_TAIL_CROSS", "_M_TAIL", "_M_UNDIR", "_OUTSIDE", "_IN_ANC", "_IN_Z"}
+STATE_NAMES = {"_OUTSIDE", "_IN_ANC", "_IN_Z"}
 
 
 def state_names_read(source: str) -> list[str]:
@@ -30,12 +33,25 @@ def state_names_read(source: str) -> list[str]:
 
 def test_checker_flags_imports_names_and_attributes():
     source = (
-        "from .separation import _ARROW, _search\n"
+        "from .separation import _OUTSIDE, _search\n"
         "from . import separation\n"
         "x = separation._IN_Z\n"
-        "y = _ARROW_MARKS\n"
+        "y = _IN_ANCESTORS\n"
     )
-    assert state_names_read(source) == ["1: _ARROW", "3: _IN_Z"]
+    assert state_names_read(source) == ["1: _OUTSIDE", "3: _IN_Z"]
+
+
+def test_every_state_name_is_assigned_in_separation():
+    tree = ast.parse((ROOT / "src/cyclomag/separation.py").read_text())
+    assigned = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for top in node.targets
+        for target in ast.walk(top)
+        if isinstance(target, ast.Name)
+    }
+    assert STATE_NAMES <= assigned
 
 
 def test_only_separation_reads_the_search_state_layout():

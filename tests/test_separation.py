@@ -39,6 +39,8 @@ from cyclomag import (
     sigma_separated,
     sigma_separated_oracle,
 )
+from cyclomag import separation
+from cyclomag.graphs import ARROW_THERE
 from cyclomag.separation import DEFAULT_GRID_ORACLE_CAP, DEFAULT_PATH_ORACLE_CAP
 from fixtures import (
     INDUCING_CHAIN,
@@ -48,6 +50,7 @@ from fixtures import (
     seeded_contexted,
     seeded_valid_mixed,
 )
+from reference import m_open_walk_reference
 
 G = SELECTION_DMG.graph
 H = SELECTION_ABSTRACTION
@@ -159,6 +162,57 @@ def test_empty_z_builds_no_closure():
     ):
         assert not separated(graph, SeparationQuery("d11", "y")).separated
         assert "anc" not in graph.index.__dict__ and "ant" not in graph.index.__dict__
+
+
+# Every reachable decision of the five search tables: per in-kind (or the
+# start), one mask per standing (outside Anc(z), in Anc(z) but not z, in z)
+# whose bit k allows out-kind k.  The witness tables are only run outside
+# Anc(z).  A fault in deriving a table from its step rule changes one.
+TABLE_DECISIONS = {
+    "_SIGMA": {
+        "start": (0b11111111, 0b11111111, 0b11110101),
+        0: (0b11111111, 0b11111111, 0b11110101),
+        1: (0b11111111, 0b11111111, 0b00000000),
+        2: (0b00001111, 0b11111111, 0b11110101),
+        3: (0b00001111, 0b11111111, 0b11110101),
+        4: (0b11111111, 0b11111111, 0b11110101),
+        5: (0b11111111, 0b11111111, 0b00000000),
+        6: (0b00001111, 0b11111111, 0b11110101),
+        7: (0b00001111, 0b11111111, 0b11110101),
+    },
+    "_M": {
+        "start": (0b11111111, 0b11111111, 0b00000000),
+        0: (0b00001111, 0b00001111, 0b00000000),
+        1: (0b00001111, 0b00001111, 0b00000000),
+        2: (0b00001100, 0b11111100, 0b11110000),
+        3: (0b00001100, 0b11111100, 0b11110000),
+        4: (0b11111111, 0b11111111, 0b00000000),
+        5: (0b11111111, 0b11111111, 0b00000000),
+        6: (0b00001100, 0b11111100, 0b11110000),
+        7: (0b00001100, 0b11111100, 0b11110000),
+    },
+    "_ANTERIOR": dict.fromkeys(("start", *range(8)), (0b00001111,)),
+    "_COLLIDER_CHAIN": {"start": (0b11111111,), **{k: (0b11110000,) if k & ARROW_THERE else (0,) for k in range(8)}},
+    "_DISCRIMINATING": {"start": (0b11110000,), **{k: (0b11110000,) if k & ARROW_THERE else (0,) for k in range(8)}},
+}
+
+
+def _allowed(decisions: dict) -> set:
+    """The allowed (in-kind or start, out-kind, standing) triples of a decision map."""
+    return {
+        (i, out, st) for i, masks in decisions.items() for st, m in enumerate(masks) for out in range(8) if m >> out & 1
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DECISIONS))
+def test_search_tables_keep_every_reachable_decision(name):
+    arrive, masks = getattr(separation, name)
+    standings = range(len(TABLE_DECISIONS[name]["start"]))
+    shapes = {"start": 1, **dict(enumerate(arrive))}
+    found = {
+        (i, out, st) for i, shape in shapes.items() for out in range(8) for st in standings if masks[out] >> 4 * st + shape & 1
+    }
+    assert found == _allowed(TABLE_DECISIONS[name])
 
 
 # --- walk-level sigma criterion ----------------------------------------------
@@ -325,7 +379,8 @@ def test_path_oracles_return_the_first_open_path_by_pair_then_enumeration_order(
                 (sigma_inducing_paths(c.graph, s, a, b), list(enumerate_simple_paths(c.graph, a, b))),
                 (inducing_paths(h, a, b), list(enumerate_simple_paths(h, a, b))),
             ):
-                positions = [every.index(p) for p in listing]
+                position = {p: i for i, p in enumerate(every)}
+                positions = [position[p] for p in listing]
                 assert positions == sorted(positions)
     # Two more families, seeded, n <= 8: random marks with all four arrow
     # tokens, so mostly invalid mixed graphs where undirected edges meet
@@ -466,7 +521,8 @@ def test_m_engine_oracle_differential():
                     assert engine.witness.is_path
                     assert m_open_walk(h, engine.witness, z)
                     paths = enumerate_simple_paths(h, a, b)
-                    assert len(engine.witness.edges) == min(len(p.edges) for p in paths if m_open_walk(h, p, z))
+                    shortest = min(len(p.edges) for p in paths if m_open_walk_reference(h, p, z))
+                    assert len(engine.witness.edges) == shortest
 
 
 def test_m_walk_semantics_on_invalid_graph():
