@@ -30,6 +30,7 @@ from .equivalence import (
 from .errors import (
     CyclomagError,
     InputError,
+    NodeSetError,
     OracleCapError,
     ParseError,
     PreconditionError,

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import separation
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .graphs import (
     ARROWHEAD,
     TAIL,
@@ -34,6 +34,7 @@ from .separation import (
     _ANTERIOR,
     SeparationQuery,
     _collider_connected,
+    _collider_reach,
     _search,
     _shortest_inducing_path,
 )
@@ -69,12 +70,19 @@ def represent(c: ContextedDmg) -> MixedGraph:
     """Abstract a directed mixed graph with selection nodes.
 
     Two observed nodes become adjacent exactly when they cannot be
-    separated by any admissible conditioning set.  Sigma-separation is
-    d-separation in the graph's acyclification, and no set without the
-    two nodes separates a pair adjacent there, so those pairs are decided
-    from the index mask ``acy``.  Any other pair a, b is adjacent when it
-    stays connected given Z_ab = Anc({a, b} | S) - {a, b}, the test of
-    :func:`~cyclomag.separation.sigma_inducing_exists`.
+    separated by any admissible conditioning set: a pair a, b is adjacent
+    when it stays connected given Z_ab = Anc({a, b} | S) - {a, b}, the
+    test of :func:`~cyclomag.separation.sigma_inducing_exists`.
+    Sigma-separation is d-separation in the graph's acyclification
+    G^acy, so two kinds of pair are decided adjacent from its index
+    masks without a search.  No set without the two nodes separates a
+    pair adjacent in G^acy (``acy``).  And Z_ab holds every node of
+    A = Anc(S) but a and b, so a collider chain a *-> c1 <-> .. <-> ck
+    <-* b of G^acy whose interior lies in A connects a and b given
+    Z_ab: each ci is a collider in Z_ab.  The chains from a are closed
+    over ``acy_bi`` inside A from ``acy_heads[a]``; a chain through a or
+    b can be cut short there, so A keeps them.  Any other pair is
+    decided by separation searches.
 
     Those pairs are decided a group at a time, one
     :func:`~cyclomag.separation.sigma_separated` query per group.  Put
@@ -93,13 +101,21 @@ def represent(c: ContextedDmg) -> MixedGraph:
     The mark at an endpoint is a tail when that endpoint is an ancestor
     of the other one or of the selection set, and an arrowhead otherwise.
     """
+    if not isinstance(c, ContextedDmg):
+        raise InputError(f"represent needs a ContextedDmg, not {type(c).__name__}")
     g, observed = c.graph, c.observed
     idx = g.index
-    ids, acy, anc = idx.ids, idx.acy, idx.anc
+    ids, heads, anc = idx.ids, idx.acy_heads, idx.anc
     anc_s = idx.union(anc, idx.mask(c.selection))
     obs = idx.mask(observed)
-    adjacent = list(acy)  # the pairs found adjacent, on both nodes
-    decided = list(acy)  # the pairs decided either way, on both nodes
+    adjacent = list(idx.acy)  # the pairs found adjacent, on both nodes
+    for ia in idx.ids_in(obs):  # each chain pair from its lower id
+        chained = _collider_reach(idx, heads[ia], idx.acy_bi, anc_s)
+        for ib in idx.ids_in(obs & ~adjacent[ia] & -(2 << ia) if chained else 0):
+            if heads[ib] & chained:
+                adjacent[ia] |= 1 << ib
+                adjacent[ib] |= 1 << ia
+    decided = adjacent[:]  # the pairs decided either way, on both nodes
 
     def query(a: NodeId, y: int) -> None:
         ia = ids[a]
@@ -169,6 +185,8 @@ def validate(h: MixedGraph) -> ValidityReport:
     it joins is searched for its maximality witness, the first shortest
     of its :func:`~cyclomag.separation.inducing_paths`.
     """
+    if not isinstance(h, MixedGraph):
+        raise InputError(f"validate needs a MixedGraph, not {type(h).__name__}")
     violations: list[Violation] = []
     idx = h.index
     names, adj = h.nodes, idx.adj

@@ -187,6 +187,8 @@ def condition1(h1: MixedGraph, h2: MixedGraph) -> EquivalenceReport:
     Callers are expected to pass graphs that satisfy
     :func:`cyclomag.abstraction.validate`.
     """
+    if not isinstance(h1, MixedGraph) or not isinstance(h2, MixedGraph):
+        raise InputError(f"condition1 needs two MixedGraph values, not {type(h1).__name__} and {type(h2).__name__}")
     if h1.nodes != h2.nodes:
         raise InputError("equivalence needs a shared node set")
 

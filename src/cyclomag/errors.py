@@ -9,6 +9,13 @@ class InputError(CyclomagError, ValueError):
     """A caller supplied malformed input (unknown node, bad query, bad name)."""
 
 
+class NodeSetError(InputError, TypeError):
+    """A node set that is neither one name nor an iterable of hashable names.
+
+    Also a ``TypeError``, which such a value raised before it was checked.
+    """
+
+
 class ParseError(InputError):
     """A graph document failed to parse; carries source position."""
 

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Callable, Collection, Iterable, Iterator
 
-from .errors import InputError
+from .errors import InputError, NodeSetError
 
 NodeId = str
 
@@ -49,7 +49,10 @@ def _as_nodes(vs) -> frozenset:
     """The node set named by ``vs``: a bare string is one node, anything else an iterable of nodes."""
     if isinstance(vs, str):
         return frozenset((vs,))
-    return frozenset(vs)
+    try:
+        return frozenset(vs)
+    except TypeError:  # not iterable, or a member is unhashable
+        raise NodeSetError(f"not a node name or an iterable of node names: {vs!r}") from None
 
 
 class EdgeMark(Enum):
@@ -288,14 +291,21 @@ class GraphIndex:
       v with an arrowhead at w on an edge v - w, with one at v, over
       ``<->`` and over ``--``; bitmasks built on first use, on which the
       pair tests of ``validate`` and ``condition1`` run.
-    * ``acy``: each node's neighbours in the acyclification of a directed
-      mixed graph, itself included, as bitmasks built on first use: its
-      component, the parents of its component, the components of its
-      children and those of its component's bidirected neighbours.
-      Sigma-separation is d-separation in the acyclification, so no set
-      without the two nodes separates such a pair;
-      :func:`~cyclomag.abstraction.represent` decides those pairs from
-      ``acy`` and the other observed pairs by grouped separation searches.
+    * ``acy_bi``, ``acy_heads``, ``acy``: masks of the acyclification
+      G^acy of a directed mixed graph, built on first use.  G^acy makes
+      each strong component a bidirected clique, turns an edge j -> i
+      that leaves sc(j) into j -> i' for every i' in sc(i), and u <-> w
+      into u' <-> w' over sc(u) x sc(w).  ``acy_bi[v]`` holds v's
+      bidirected neighbours there: sc(v) and sc(w) for every u <-> w with
+      u in sc(v), v itself left out.  ``acy_heads[v]`` holds the nodes c
+      with v *-> c: ``acy_bi[v]`` and sc(w) for every v -> w that leaves
+      sc(v).  ``acy[v]`` holds all of v's neighbours and v itself:
+      ``acy_heads[v]`` and the parents of sc(v) outside it.  Undirected
+      edges are not read.  Sigma-separation is d-separation in G^acy, so
+      no set without the two nodes separates a pair ``acy`` joins, and a
+      collider chain over ``acy_heads`` and ``acy_bi`` whose interior
+      lies in a conditioning set connects its ends;
+      :func:`~cyclomag.abstraction.represent` decides pairs from both.
     """
 
     def __init__(self, nodes: tuple[NodeId, ...], arcs: Callable[[], Iterable[tuple[NodeId, NodeId, int]]]):
@@ -356,26 +366,40 @@ class GraphIndex:
         return self._neighbours(ARROW_HERE | ARROW_THERE, 0)
 
     @cached_property
-    def acy(self) -> list[int]:
-        """Each node's neighbours in the acyclification, itself included.
-
-        The acyclification makes each strong component a clique, lets an
-        edge j -> i reach every node of sc(i), and lets u <-> v join every
-        node of sc(u) to every node of sc(v).  Undirected edges are not read.
-        """
+    def _acyclification(self) -> tuple[list[int], list[int], list[int]]:
+        """By component label, the component with its bidirected neighbours'
+        components and the parents of its members; by node, its children's
+        components.  Undirected edges are not read."""
         scc = self.scc
         comp = [0] * len(scc)  # members of each component, by label
         for i, k in enumerate(scc):
             comp[k] |= 1 << i
-        shared = comp[:]  # per component: itself, its parents, its bidirected neighbours' components
-        own = [0] * len(scc)  # per node: its children's components
+        bi, pa, out = comp[:], [0] * len(scc), [0] * len(scc)
         for i, row in enumerate(self.rows):
             for w, kind in row:
                 if kind & ARROW_HERE:
-                    shared[scc[i]] |= comp[scc[w]] if kind & ARROW_THERE else 1 << w
+                    if kind & ARROW_THERE:
+                        bi[scc[i]] |= comp[scc[w]]
+                    else:
+                        pa[scc[i]] |= 1 << w
                 elif kind & ARROW_THERE:
-                    own[i] |= comp[scc[w]]
-        return [own[i] | shared[k] for i, k in enumerate(scc)]
+                    out[i] |= comp[scc[w]]
+        return bi, pa, out
+
+    @cached_property
+    def acy_bi(self) -> list[int]:
+        bi = self._acyclification[0]
+        return [bi[k] & ~(1 << i) for i, k in enumerate(self.scc)]
+
+    @cached_property
+    def acy_heads(self) -> list[int]:
+        bi, _, out = self._acyclification
+        return [(bi[k] | out[i]) & ~(1 << i) for i, k in enumerate(self.scc)]
+
+    @cached_property
+    def acy(self) -> list[int]:
+        bi, pa, out = self._acyclification
+        return [bi[k] | pa[k] | out[i] for i, k in enumerate(self.scc)]
 
     @cached_property
     def anc(self) -> list[int]:

@@ -503,13 +503,22 @@ def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:
 def _collider_connected(idx: GraphIndex, ia: int, ib: int) -> bool:
     """Whether a collider chain a *-> c1 <-> .. <-> ck <-* b runs inside T = Anc({a, b}).
 
-    For non-adjacent ids this decides :func:`inducing_exists`: close
-    ``into[a] & T`` over ``bi`` inside T and test it against ``into[b]``.
+    For non-adjacent ids this decides :func:`inducing_exists`: the chains
+    from ``into[a]`` over ``bi`` inside T, tested against ``into[b]``.
     A chain through a or b can be cut short there, so T keeps them.
     """
-    inside = idx.anc[ia] | idx.anc[ib]
-    start = idx.into[ia] & inside
-    return bool((start | idx.closure(idx.bi, start, inside)) & inside & idx.into[ib])
+    return bool(_collider_reach(idx, idx.into[ia], idx.bi, idx.anc[ia] | idx.anc[ib]) & idx.into[ib])
+
+
+def _collider_reach(idx: GraphIndex, heads: int, bi: list[int], inside: int) -> int:
+    """The last nodes ck of the collider chains c1 <-> .. <-> ck that start in ``heads`` and run inside ``inside``.
+
+    ``heads`` holds the nodes c1 with a *-> c1 for the chain's end a, and
+    ``bi`` the bidirected neighbours of each node; a chain ends at b when
+    the result meets the nodes b points into.
+    """
+    start = heads & inside
+    return (start | idx.closure(bi, start, inside)) & inside
 
 
 def _shortest_inducing_path(idx: GraphIndex, ia: int, ib: int) -> Walk | None:

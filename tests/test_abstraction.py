@@ -128,6 +128,11 @@ def test_represent_gallery():
     assert represent(SELECTION_AND_CYCLE) == UNDIRECTED_FAN
 
 
+def test_represent_refuses_a_graph_that_is_no_contexted_dmg():
+    with pytest.raises(InputError, match="^represent needs a ContextedDmg, not DirectedMixedGraph$"):
+        represent(SELECTION_DMG.graph)
+
+
 def test_represent_single_edge():
     assert represent(ContextedDmg.of("a -> b")) == MixedGraph.of("a -> b")
 
@@ -208,13 +213,43 @@ def test_represent_searches_only_separable_candidates(monkeypatch):
     assert h == MixedGraph.of("a -- b", "b -- c", "c -- d", "a -- d", "a -- c", "b -- d", "d -> e", "f -> e")
 
 
-def _acyclification_pairs(g: DirectedMixedGraph) -> set:
-    """The adjacent pairs of the acyclification, built by its three rules."""
+def _acyclification(g: DirectedMixedGraph) -> tuple[set, set]:
+    """The edges of the acyclification, built by its three rules: the
+    pairs (u, v) of every u *-> v, and the pairs joined by u <-> v."""
     comp = scc_index(g)
-    pairs = {frozenset((u, v)) for u in g.nodes for v in comp[u]}  # each component a clique
-    pairs |= {frozenset((t, v)) for t, h in g.directed for v in comp[h]}  # t -> h reaches all of sc(h)
-    pairs |= {frozenset((u, v)) for a, b in g.bidirected for u in comp[a] for v in comp[b]}  # sc(a) x sc(b)
-    return {p for p in pairs if len(p) == 2}
+    bidirected = {frozenset((u, v)) for u in g.nodes for v in comp[u]}  # each component a bidirected clique
+    bidirected |= {frozenset((u, v)) for a, b in g.bidirected for u in comp[a] for v in comp[b]}  # sc(a) x sc(b)
+    bidirected = {p for p in bidirected if len(p) == 2}
+    heads = {(u, v) for p in bidirected for u in p for v in p if u != v}
+    heads |= {(t, v) for t, h in g.directed if t not in comp[h] for v in comp[h]}  # t -> h reaches all of sc(h)
+    return heads, bidirected
+
+
+def _acyclification_pairs(g: DirectedMixedGraph) -> set:
+    """The adjacent pairs of the acyclification."""
+    return {frozenset(p) for p in _acyclification(g)[0]}
+
+
+def _selection_chain_pairs(c: ContextedDmg) -> set:
+    """The observed pairs a, b that a collider chain a *-> c1 <-> .. <-> ck <-* b
+    of the acyclification joins with every ci in Anc(S) - {a, b}."""
+    g = c.graph
+    heads, bidirected = _acyclification(g)
+    into = {v: {w for u, w in heads if u == v} for v in g.nodes}
+    beside = {v: {w for p in bidirected if v in p for w in p if w != v} for v in g.nodes}
+    anc_s = ancestors(g, c.selection) if c.selection else frozenset()
+    pairs = set()
+    for a, b in itertools.combinations(c.observed, 2):
+        inside = anc_s - {a, b}
+        reached = into[a] & inside
+        frontier = list(reached)
+        while frontier:
+            step = beside[frontier.pop()] & inside - reached
+            reached |= step
+            frontier += step
+        if reached & into[b]:
+            pairs.add(frozenset((a, b)))
+    return pairs
 
 
 def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monkeypatch):
@@ -225,7 +260,7 @@ def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monke
         cfg = GeneratorConfig(n, rng.uniform(1.0, 2.5) / n, rng.uniform(0.5, 1.5) / n, rng.randint(0, n // 4), seed)
         systems.append(random_dmg(cfg, allow_selection_children=seed % 2 == 1))
     searched = _record_sigma_queries(monkeypatch)
-    cyclic = 0
+    cyclic = chained = plain = 0
     for c in systems:
         g = c.graph
         idx = g.index
@@ -233,11 +268,37 @@ def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monke
         for u in g.nodes:  # each node's own mask, itself included
             assert set(idx.members(idx.acy[idx.ids[u]])) == {u} | {v for p in joined if u in p for v in p}, u
         cyclic += 1 < len(set(idx.scc)) < len(g.nodes)  # a cycle beside other components
+        chains = _selection_chain_pairs(c) - joined
+        chained += bool(chains)
+        plain += not c.selection  # no chain, so every pair the acyclification leaves apart is searched
         searched.clear()
         represent(c)
-        # Every pair the acyclification leaves apart is searched, and no other.
-        assert _searched_pairs(searched) == {frozenset(p) for p in itertools.combinations(c.observed, 2)} - joined
-    assert cyclic >= 40
+        # Every pair that neither the acyclification nor a chain inside Anc(S) joins is searched, and no other.
+        assert _searched_pairs(searched) == {frozenset(p) for p in itertools.combinations(c.observed, 2)} - joined - chains
+    assert cyclic >= 40 and chained >= 20 and plain >= 20
+
+
+def test_pairs_joined_by_a_selection_chain_are_inseparable(monkeypatch):
+    # The pairs represent decides with no search, beyond those the
+    # acyclification joins, must pass the pairwise test.
+    systems = [_dense_cycles(seed) for seed in range(60)]
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(5, 30)
+        cfg = GeneratorConfig(n, rng.uniform(1.0, 3.0) / n, rng.uniform(0.3, 1.5) / n, rng.randint(1, n // 3), seed)
+        systems.append(random_dmg(cfg, allow_selection_children=seed % 2 == 1))
+    systems += [canonical_dmg(seeded_valid_mixed(seed, max_n=8)) for seed in range(60)]
+    searched = _record_sigma_queries(monkeypatch)
+    decided = 0
+    for c in systems:
+        g, s = c.graph, set(c.selection)
+        searched.clear()
+        represent(c)
+        unsearched = {frozenset(p) for p in itertools.combinations(c.observed, 2)} - _searched_pairs(searched)
+        for a, b in map(sorted, unsearched - _acyclification_pairs(g)):
+            assert sigma_inducing_exists(g, s, a, b), (a, b)
+            decided += 1
+    assert decided >= 500
 
 
 def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
@@ -295,6 +356,22 @@ def test_represent_runs_far_fewer_queries_than_pairs(monkeypatch):
         assert len(searched) <= bound, cfg
 
 
+def test_represent_decides_selection_chains_without_a_search(monkeypatch):
+    # Of the adjacent pairs that the acyclification leaves apart here, in
+    # the systems and in their canonical dmgs, collider chains inside
+    # Anc(S) join all but two, so the queries left are nearly all
+    # separated groups.
+    searched = _record_sigma_queries(monkeypatch)
+    for cfg in (GeneratorConfig(100, 1.2 / 100, 0.5 / 100, 5, 4), GeneratorConfig(100, 2 / 100, 1 / 100, 10, 1)):
+        c = random_dmg(cfg)
+        searched.clear()
+        h = represent(c)
+        assert len(searched) <= 120, cfg
+        searched.clear()
+        assert represent(canonical_dmg(h)) == h
+        assert len(searched) <= 120, cfg
+
+
 # --- validity checking --------------------------------------------------
 
 
@@ -305,6 +382,11 @@ def test_inducing_chain_rejected_with_single_violation():
     assert kinds == [ViolationKind.MAXIMALITY]
     witness = report.violations[0].witness[0]
     assert witness.render() == "a <-> b <-> c <-> d"
+
+
+def test_validate_refuses_a_directed_mixed_graph():
+    with pytest.raises(InputError, match="^validate needs a MixedGraph, not DirectedMixedGraph$"):
+        validate(DirectedMixedGraph.of("a -> b", "b -> a"))
 
 
 def test_triangle_with_hub_is_valid():

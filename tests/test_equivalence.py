@@ -136,6 +136,14 @@ def test_discriminating_path_keeps_its_nodes_as_a_tuple():
     assert listed == tupled and hash(listed) == hash(tupled)
 
 
+def test_condition1_refuses_a_directed_mixed_graph():
+    g = DirectedMixedGraph.of("a -> b", "b <-> c")
+    h = MixedGraph.of("a -> b", "b <-> c")
+    for pair, names in (((g, g), "DirectedMixedGraph and DirectedMixedGraph"), ((h, g), "MixedGraph and DirectedMixedGraph")):
+        with pytest.raises(InputError, match=f"^condition1 needs two MixedGraph values, not {names}$"):
+            condition1(*pair)
+
+
 def test_is_discriminating_refuses_a_directed_mixed_graph():
     # A pair may hold parallel edges there, so no one edge answers for it.
     g = DirectedMixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c", "c -> b")

@@ -243,6 +243,17 @@ def test_a_bare_string_names_one_node(call):
     assert call("ab") == call(["ab"])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: SeparationQuery(1, 2), lambda: ancestors(_AB_DMG, 5), lambda: ancestors(_AB_DMG, [["a"]])],
+    ids=["SeparationQuery-int", "ancestors-int", "ancestors-unhashable"],
+)
+def test_a_value_that_names_no_node_set_raises_input_error(call):
+    # Neither one name nor an iterable of hashable names.
+    with pytest.raises(InputError, match="^not a node name or an iterable of node names: "):
+        call()
+
+
 # --- strong components -------------------------------------------------------
 
 

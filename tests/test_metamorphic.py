@@ -10,7 +10,8 @@ the ancestors (sigma) or anteriors (m) of a query keeps its verdict and
 witness.  The abstraction commutes with marginalising and conditioning:
 a system and the canonical reconstruction of its representation have
 the same representation after any latent set is projected out and any
-extra selection set added.
+extra selection set added.  Under many selection nodes, ``represent``
+agrees with the pairwise inducing test on every observed pair.
 """
 
 import itertools
@@ -34,6 +35,7 @@ from cyclomag import (
     marginalize,
     random_dmg,
     represent,
+    sigma_inducing_exists,
     sigma_separated,
     validate,
 )
@@ -75,6 +77,22 @@ def test_abstraction_laws_hold_at_scale(n, seed, directed, bidirected, n_selecti
         assert m_side == sigma_side, (a, b, sorted(z))
         verdicts.add(m_side)
     assert verdicts == {True, False}
+
+
+# (nodes, seed, expected directed / bidirected edges per node), with n/5
+# selection nodes that may have children.  In each, collider chains inside
+# Anc(S) join 26 to 292 observed pairs that the acyclification leaves apart.
+SELECTION_HEAVY = [(50, 4, 1.5, 0.8), (55, 5, 2.0, 1.0), (60, 6, 1.2, 1.2), (56, 8, 0.8, 0.6)]
+
+
+@pytest.mark.parametrize("n, seed, directed, bidirected", SELECTION_HEAVY)
+def test_represent_is_the_pairwise_test_under_many_selection_nodes(n, seed, directed, bidirected):
+    c = random_dmg(GeneratorConfig(n, directed / n, bidirected / n, n // 5, seed), allow_selection_children=True)
+    g, s = c.graph, set(c.selection)
+    h = represent(c)
+    expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inducing_exists(g, s, a, b)}
+    assert {e.endpoints for e in h.edges} == expected
+    assert represent(canonical_dmg(h)) == h
 
 
 @pytest.mark.parametrize("n, seed, directed, bidirected, n_selection", SYSTEMS)
