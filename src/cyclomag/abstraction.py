@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import separation
-from .errors import InputError, PreconditionError
+from .errors import PreconditionError
 from .graphs import (
     ARROWHEAD,
     TAIL,
@@ -28,13 +28,14 @@ from .graphs import (
     MixedGraph,
     NodeId,
     _as_nodes,
+    _check_type,
 )
 from .relations import neighborhood_complete
 from .separation import (
     _ANTERIOR,
     SeparationQuery,
-    _collider_connected,
     _collider_reach,
+    _joined,
     _search,
     _shortest_inducing_path,
 )
@@ -50,6 +51,7 @@ def marginalize(g: DirectedMixedGraph, w: Iterable[NodeId]) -> DirectedMixedGrap
     two such directed chains meet head-to-head at a common source or at
     a bidirected edge inside ``w``.
     """
+    _check_type(g, DirectedMixedGraph, "marginalize")
     w = _as_nodes(w)
     g.require_nodes(w)
     idx = g.index
@@ -101,8 +103,7 @@ def represent(c: ContextedDmg) -> MixedGraph:
     The mark at an endpoint is a tail when that endpoint is an ancestor
     of the other one or of the selection set, and an arrowhead otherwise.
     """
-    if not isinstance(c, ContextedDmg):
-        raise InputError(f"represent needs a ContextedDmg, not {type(c).__name__}")
+    _check_type(c, ContextedDmg, "represent")
     g, observed = c.graph, c.observed
     idx = g.index
     ids, heads, anc = idx.ids, idx.acy_heads, idx.anc
@@ -185,8 +186,7 @@ def validate(h: MixedGraph) -> ValidityReport:
     it joins is searched for its maximality witness, the first shortest
     of its :func:`~cyclomag.separation.inducing_paths`.
     """
-    if not isinstance(h, MixedGraph):
-        raise InputError(f"validate needs a MixedGraph, not {type(h).__name__}")
+    _check_type(h, MixedGraph, "validate")
     violations: list[Violation] = []
     idx = h.index
     names, adj = h.nodes, idx.adj
@@ -204,7 +204,7 @@ def validate(h: MixedGraph) -> ValidityReport:
     everyone = (1 << len(names)) - 1
     for ia in range(len(names)):
         for ib in idx.ids_in(everyone & ~adj[ia] & -(2 << ia)):
-            if _collider_connected(idx, ia, ib):
+            if _joined(idx, ia, ib, adj, idx.into, idx.bi, idx.anc[ia] | idx.anc[ib]):
                 violations.append(Violation(ViolationKind.MAXIMALITY, (_shortest_inducing_path(idx, ia, ib),)))
 
     # Completeness of arrowhead-adjacent undirected fans.  A spike is never

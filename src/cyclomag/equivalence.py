@@ -16,8 +16,8 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError
-from .graphs import ARROW_HERE, ARROW_THERE, ContextedDmg, MixedGraph, NodeId, _as_nodes
+from .errors import InputError, NodeSetError
+from .graphs import ARROW_HERE, ARROW_THERE, ContextedDmg, MixedGraph, NodeId, _as_nodes, _check_type
 from .separation import (
     _DISCRIMINATING,
     DEFAULT_GRID_ORACLE_CAP,
@@ -35,6 +35,7 @@ Triple = tuple[NodeId, NodeId, NodeId]
 def unshielded_colliders(h: MixedGraph, centres: Iterable[NodeId] | None = None) -> frozenset[Triple]:
     """All triples (a, b, c), a < c, with both edges into b and a, c non-adjacent;
     with ``centres`` given, only those whose b is one of them."""
+    _check_type(h, MixedGraph, "unshielded_colliders")
     centres = h.nodes if centres is None else _as_nodes(centres)
     h.require_nodes(centres)
     idx, out = h.index, set()
@@ -76,10 +77,9 @@ class DiscriminatingPath:
 
     def target_is_collider(self, h: MixedGraph) -> bool:
         """Whether both path edges at the target have an arrowhead there, read from its index row."""
+        _check_type(h, MixedGraph, "a discriminating path")
         b = self.target
         h.require_nodes([b])
-        if not isinstance(h, MixedGraph):
-            raise InputError("a discriminating path needs a mixed graph")
         idx, heads = h.index, ARROW_HERE
         for v in (self.nodes[-3], self.c):
             kind = next((kind for w, kind in idx.rows[idx.ids[b]] if w == idx.ids.get(v)), None)
@@ -99,10 +99,12 @@ def is_discriminating(h: MixedGraph, nodes, b: NodeId) -> bool:
     or the shape conditions fail.  Reads the index rows of ``h``; a directed
     mixed graph, whose pairs may hold parallel edges, is refused.
     """
-    nodes = tuple(nodes)
-    h.require_nodes(nodes)
-    if not isinstance(h, MixedGraph):
-        raise InputError("a discriminating path needs a mixed graph")
+    _check_type(h, MixedGraph, "a discriminating path")
+    try:
+        nodes = tuple(nodes)
+        h.require_nodes(nodes)
+    except TypeError:  # not iterable, or a member is unhashable
+        raise NodeSetError(f"not a sequence of node names: {nodes!r}") from None
     if len(nodes) < 4 or len(set(nodes)) != len(nodes) or b != nodes[-2]:
         return False
     idx = h.index
@@ -125,11 +127,10 @@ def discriminating_paths(h: MixedGraph, for_node: NodeId | None = None) -> tuple
     above the path oracles' cap are refused, and so is a directed mixed
     graph, as by :func:`is_discriminating`.
     """
+    _check_type(h, MixedGraph, "a discriminating path")
     _check_cap(len(h.nodes), DEFAULT_PATH_ORACLE_CAP, "the discriminating path listing")
     if for_node is not None:
         h.require_nodes([for_node])
-    if not isinstance(h, MixedGraph):
-        raise InputError("a discriminating path needs a mixed graph")
     idx = h.index
     names, rows = idx.names, idx.rows
     found: list[DiscriminatingPath] = []
@@ -280,6 +281,9 @@ def sigma_markov_equivalent_oracle(g1: ContextedDmg, g2: ContextedDmg) -> tuple[
     Both graphs must share nodes and selection set; conditioning sets
     always include the selection nodes.
     """
+    if not isinstance(g1, ContextedDmg) or not isinstance(g2, ContextedDmg):
+        names = f"{type(g1).__name__} and {type(g2).__name__}"
+        raise InputError(f"sigma_markov_equivalent_oracle needs two ContextedDmg values, not {names}")
     if g1.graph.nodes != g2.graph.nodes or g1.selection != g2.selection:
         raise InputError("equivalence needs a shared node set and selection set")
     _check_cap(len(g1.graph.nodes), DEFAULT_GRID_ORACLE_CAP, "the sigma-equivalence oracle")

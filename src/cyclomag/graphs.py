@@ -55,6 +55,12 @@ def _as_nodes(vs) -> frozenset:
         raise NodeSetError(f"not a node name or an iterable of node names: {vs!r}") from None
 
 
+def _check_type(value, kind: type, what: str) -> None:
+    """Refuse a ``value`` that is not a ``kind``, naming both types; called before anything reads it."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} needs a {kind.__name__}, not {type(value).__name__}")
+
+
 class EdgeMark(Enum):
     TAIL = "tail"
     ARROWHEAD = "arrowhead"
@@ -304,8 +310,8 @@ class GraphIndex:
       edges are not read.  Sigma-separation is d-separation in G^acy, so
       no set without the two nodes separates a pair ``acy`` joins, and a
       collider chain over ``acy_heads`` and ``acy_bi`` whose interior
-      lies in a conditioning set connects its ends;
-      :func:`~cyclomag.abstraction.represent` decides pairs from both.
+      lies in a conditioning set connects its ends; ``represent`` and
+      ``sigma_inducing_exists`` decide pairs from them.
     """
 
     def __init__(self, nodes: tuple[NodeId, ...], arcs: Callable[[], Iterable[tuple[NodeId, NodeId, int]]]):

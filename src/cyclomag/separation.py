@@ -46,6 +46,7 @@ from .graphs import (
     MixedGraph,
     NodeId,
     _as_nodes,
+    _check_type,
     row_edge,
 )
 from .relations import anteriors, enumerate_simple_paths
@@ -114,6 +115,7 @@ def sigma_open_walk(g: DirectedMixedGraph, walk: Walk, z: Iterable[NodeId]) -> b
     blockable; an interior non-collider is unblockable exactly when all
     of its on-walk out-edges stay inside its strong component.
     """
+    _check_type(g, DirectedMixedGraph, "sigma_open_walk")
     return _walk_open(g, walk, z, _sigma_walk_step)
 
 
@@ -126,6 +128,7 @@ def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[Node
     a segment contains a collider while its whole component misses the
     ancestors of ``z``.  Agrees with :func:`sigma_open_walk` on paths.
     """
+    _check_type(g, DirectedMixedGraph, "sigma_open_path_segments")
     return _walk_open(g, path, z, _sigma_segment_step, paths_only=True)
 
 
@@ -195,6 +198,7 @@ def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> Separation
     none is in Anc(z) or can be a collider, and W cannot come back to v.
     So the witness is always a path.
     """
+    _check_type(g, DirectedMixedGraph, "sigma_separated")
     return _separation(g, query, _SIGMA, "anc")
 
 
@@ -204,6 +208,7 @@ def sigma_separated_oracle(g: DirectedMixedGraph, query: SeparationQuery) -> Sep
     Sound because an open walk exists iff an open path does.  Intended
     for desk-scale verification; refuses graphs above the size cap.
     """
+    _check_type(g, DirectedMixedGraph, "sigma_separated_oracle")
     return _path_oracle(g, query, "the sigma path oracle", _sigma_segment_step)
 
 
@@ -436,9 +441,7 @@ def _check_inducing_args(graph, s: set, a: NodeId, b: NodeId) -> tuple[GraphInde
     return idx, idx.ids[a], idx.ids[b]
 
 
-def sigma_inducing_paths(
-    g: DirectedMixedGraph, s: Iterable[NodeId], a: NodeId, b: NodeId
-) -> tuple[Walk, ...]:
+def sigma_inducing_paths(g: DirectedMixedGraph, s: Iterable[NodeId], a: NodeId, b: NodeId) -> tuple[Walk, ...]:
     """Every simple path between ``a`` and ``b`` that no admissible set blocks.
 
     Qualifying paths have all colliders among the ancestors of the
@@ -447,6 +450,7 @@ def sigma_inducing_paths(
     Exponential in the worst case, so graphs above the path oracles' cap
     are refused with :class:`~cyclomag.errors.OracleCapError`.
     """
+    _check_type(g, DirectedMixedGraph, "sigma_inducing_paths")
     _check_cap(len(g.nodes), DEFAULT_PATH_ORACLE_CAP, "the sigma-inducing path listing")
     s = _as_nodes(s)
     idx, ia, ib = _check_inducing_args(g, s, a, b)
@@ -456,22 +460,18 @@ def sigma_inducing_paths(
     return tuple(enumerate_simple_paths(g, a, b, admits=partial(_sigma_walk_step, ~(1 << ia | 1 << ib), anc_ends)))
 
 
-def sigma_inducing_exists(
-    g: DirectedMixedGraph, s: Iterable[NodeId], a: NodeId, b: NodeId
-) -> bool:
-    """Decide existence without enumeration.
+def sigma_inducing_exists(g: DirectedMixedGraph, s: Iterable[NodeId], a: NodeId, b: NodeId) -> bool:
+    """Decide existence without enumeration: whether a and b stay connected given Z = Anc({a, b} | s) - {a, b}.
 
-    The endpoints admit such a path exactly when they stay connected
-    after conditioning on all ancestors of the endpoints and ``s``
-    (other than the endpoints themselves) together with ``s``.  That
-    equivalence holds on every directed mixed graph, which keeps this
-    check polynomial: one :func:`sigma_separated` query, after the
-    arguments are checked here once.
+    Sigma-separation is d-separation in the acyclification G^acy, where
+    Z | {a, b} is ancestral, so every interior node of a connecting path
+    lies in Z and is a collider.  :func:`_joined` tests G^acy's masks.
     """
+    _check_type(g, DirectedMixedGraph, "sigma_inducing_exists")
     s = _as_nodes(s)
     idx, ia, ib = _check_inducing_args(g, s, a, b)
     z = (idx.anc[ia] | idx.anc[ib] | idx.union(idx.anc, idx.mask(s))) & ~(1 << ia | 1 << ib)
-    return not sigma_separated(g, SeparationQuery((a,), (b,), idx.members(z))).separated
+    return _joined(idx, ia, ib, idx.acy, idx.acy_heads, idx.acy_bi, z)
 
 
 def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
@@ -495,27 +495,25 @@ def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
 
 
 def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:
-    """Nonemptiness of :func:`inducing_paths`: an edge, or :func:`_collider_connected`."""
+    """Nonemptiness of :func:`inducing_paths`: an edge, or a collider chain inside Anc({a, b})."""
     idx, ia, ib = _check_inducing_args(h, set(), a, b)
-    return bool(idx.adj[ia] >> ib & 1) or _collider_connected(idx, ia, ib)
+    return _joined(idx, ia, ib, idx.adj, idx.into, idx.bi, idx.anc[ia] | idx.anc[ib])
 
 
-def _collider_connected(idx: GraphIndex, ia: int, ib: int) -> bool:
-    """Whether a collider chain a *-> c1 <-> .. <-> ck <-* b runs inside T = Anc({a, b}).
+def _joined(idx: GraphIndex, ia: int, ib: int, adj: list[int], heads: list[int], bi: list[int], inside: int) -> bool:
+    """Whether ``adj`` joins ids a and b, or a collider chain a *-> c1 <-> .. <-> ck <-* b runs inside ``inside``.
 
-    For non-adjacent ids this decides :func:`inducing_exists`: the chains
-    from ``into[a]`` over ``bi`` inside T, tested against ``into[b]``.
-    A chain through a or b can be cut short there, so T keeps them.
+    ``heads[v]`` holds the nodes c with v *-> c, ``bi[v]`` those with v <-> c;
+    a chain through a or b can be cut short there, so ``inside`` may hold them.
     """
-    return bool(_collider_reach(idx, idx.into[ia], idx.bi, idx.anc[ia] | idx.anc[ib]) & idx.into[ib])
+    return bool(adj[ia] >> ib & 1 or _collider_reach(idx, heads[ia], bi, inside) & heads[ib])
 
 
 def _collider_reach(idx: GraphIndex, heads: int, bi: list[int], inside: int) -> int:
     """The last nodes ck of the collider chains c1 <-> .. <-> ck that start in ``heads`` and run inside ``inside``.
 
-    ``heads`` holds the nodes c1 with a *-> c1 for the chain's end a, and
-    ``bi`` the bidirected neighbours of each node; a chain ends at b when
-    the result meets the nodes b points into.
+    ``heads`` holds the nodes c1 with a *-> c1 for the chain's end a,
+    and ``bi`` the bidirected neighbours of each node.
     """
     start = heads & inside
     return (start | idx.closure(bi, start, inside)) & inside

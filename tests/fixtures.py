@@ -12,8 +12,11 @@ from cyclomag import (
     GeneratorConfig,
     MixedEdge,
     MixedGraph,
+    SeparationQuery,
+    ancestors,
     random_dmg,
     represent,
+    sigma_separated,
     validate,
 )
 
@@ -155,6 +158,14 @@ def seeded_mixed_pair(seed: int, max_n: int = 5) -> tuple[ContextedDmg, Contexte
         base.selection,
     )
     return base, partner
+
+
+def sigma_inseparable(g: DirectedMixedGraph, s, a, b) -> bool:
+    """Whether the sigma engine finds a and b connected given Z_ab = Anc({a, b} | s) - {a, b}.
+
+    The pairwise test of ``represent``, asked of the search rather than of
+    the index masks that ``sigma_inducing_exists`` reads."""
+    return not sigma_separated(g, SeparationQuery(a, b, ancestors(g, set(s) | {a, b}) - {a, b})).separated
 
 
 def all_subsets(items):

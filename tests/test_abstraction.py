@@ -26,7 +26,6 @@ from cyclomag import (
     marginalize,
     random_dmg,
     scc_index,
-    sigma_inducing_exists,
     sigma_separated,
     validate,
 )
@@ -47,6 +46,7 @@ from fixtures import (
     all_subsets,
     seeded_contexted,
     seeded_valid_mixed,
+    sigma_inseparable,
 )
 
 
@@ -173,7 +173,7 @@ def test_represent_matches_engine_on_every_pair():
         g, s = c.graph, set(c.selection)
         two_cycles += any((h, t) in g.directed for t, h in g.directed)
         out = represent(c)
-        expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inducing_exists(g, s, a, b)}
+        expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inseparable(g, s, a, b)}
         assert {e.endpoints for e in out.edges} == expected
         for e in out.edges:
             for v, w in (e.endpoints, e.endpoints[::-1]):
@@ -296,7 +296,7 @@ def test_pairs_joined_by_a_selection_chain_are_inseparable(monkeypatch):
         represent(c)
         unsearched = {frozenset(p) for p in itertools.combinations(c.observed, 2)} - _searched_pairs(searched)
         for a, b in map(sorted, unsearched - _acyclification_pairs(g)):
-            assert sigma_inducing_exists(g, s, a, b), (a, b)
+            assert sigma_inseparable(g, s, a, b), (a, b)
             decided += 1
     assert decided >= 500
 
@@ -335,7 +335,7 @@ def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
                     assert not idx.mask(query.z) & ~t and not idx.union(idx.anc, y) & ~(t | y), (n, p_dir, p_bi, query)
                 if query.z - ancestors(g, query.x | s):
                     cases.add("own pair")
-            expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inducing_exists(g, s, a, b)}
+            expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inseparable(g, s, a, b)}
             assert {e.endpoints for e in h.edges} == expected, (n, p_dir, p_bi)
     assert cases == {"separated group", "connected group", "own pair"}
 

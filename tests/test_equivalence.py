@@ -13,6 +13,7 @@ from cyclomag import (
     InputError,
     MixedEdge,
     MixedGraph,
+    NodeSetError,
     OracleCapError,
     SeparationQuery,
     condition1,
@@ -99,7 +100,7 @@ def test_target_is_collider_names_a_missing_edge():
         DiscriminatingPath(("a", "c", "b", "d"), "b").target_is_collider(MixedGraph.of("a -> c", "c -> b", nodes=("d",)))
     # A directed mixed graph may hold parallel edges at b, so it is refused.
     g = DirectedMixedGraph.of("a <-> q", "a -> q", "q -> c", "q <-> b", "b -> c")
-    with pytest.raises(InputError, match="^a discriminating path needs a mixed graph$"):
+    with pytest.raises(InputError, match="^a discriminating path needs a MixedGraph, not DirectedMixedGraph$"):
         DiscriminatingPath(("a", "q", "b", "c"), "b").target_is_collider(g)
 
 
@@ -147,15 +148,21 @@ def test_condition1_refuses_a_directed_mixed_graph():
 def test_is_discriminating_refuses_a_directed_mixed_graph():
     # A pair may hold parallel edges there, so no one edge answers for it.
     g = DirectedMixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c", "c -> b")
-    with pytest.raises(InputError, match="^a discriminating path needs a mixed graph$"):
+    with pytest.raises(InputError, match="^a discriminating path needs a MixedGraph, not DirectedMixedGraph$"):
         is_discriminating(g, ("a", "q", "b", "c"), "b")
+
+
+def test_is_discriminating_refuses_a_value_that_names_no_node_sequence():
+    for nodes in (5, [["a"], "q", "b", "c"]):
+        with pytest.raises(NodeSetError, match="^not a sequence of node names: "):
+            is_discriminating(DISC_TAIL, nodes, "b")
 
 
 def test_discriminating_paths_refuse_a_directed_mixed_graph():
     # Listed once per parallel edge it could use, were it not refused.
     g = DirectedMixedGraph.of("a <-> q", "a -> q", "q -> c", "q <-> b", "b -> c")
     for for_node in (None, "b"):
-        with pytest.raises(InputError, match="^a discriminating path needs a mixed graph$"):
+        with pytest.raises(InputError, match="^a discriminating path needs a MixedGraph, not DirectedMixedGraph$"):
             discriminating_paths(g, for_node=for_node)
 
 

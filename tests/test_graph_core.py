@@ -20,6 +20,7 @@ from cyclomag import (
     TAIL,
     ContextedDmg,
     DirectedMixedGraph,
+    DiscriminatingPath,
     InputError,
     MixedEdge,
     MixedGraph,
@@ -43,15 +44,18 @@ from cyclomag import (
     SeparationQuery,
     sigma_inducing_exists,
     sigma_inducing_paths,
+    sigma_markov_equivalent_oracle,
     sigma_open_path_segments,
     sigma_open_walk,
     sigma_separated,
+    sigma_separated_oracle,
     strongly_connected_components,
     unshielded_colliders,
     validate,
 )
 from cyclomag import graphs
 from cyclomag.graphs import ARROW_HERE, ARROW_THERE, CROSSES_SCC, GraphIndex
+from cyclomag.separation import DEFAULT_PATH_ORACLE_CAP
 from cyclomag.walks import Walk, check_walk
 from fixtures import (
     DISC_SEVERAL,
@@ -251,6 +255,70 @@ def test_a_bare_string_names_one_node(call):
 def test_a_value_that_names_no_node_set_raises_input_error(call):
     # Neither one name nor an iterable of hashable names.
     with pytest.raises(InputError, match="^not a node name or an iterable of node names: "):
+        call()
+
+
+# A mixed graph with an undirected edge, above the path oracles' cap, so
+# a call that read it before its type would answer, or refuse its size.
+_MIXED_LINE = MixedGraph.of("a -> b", "b -- c", nodes=[f"n{i:02d}" for i in range(DEFAULT_PATH_ORACLE_CAP)])
+_LINE_WALK = parse_walk(_MIXED_LINE, "a -> b -- c")
+_CONTEXTED = ContextedDmg.of("a -> b")
+_NOT_MIXED = "a discriminating path needs a MixedGraph, not ContextedDmg"
+_WRONG_TYPE = {  # each call with the message that refuses a graph of the wrong type, and the call
+    "sigma_separated": (
+        "sigma_separated needs a DirectedMixedGraph, not MixedGraph",
+        lambda: sigma_separated(_MIXED_LINE, SeparationQuery("a", "c")),
+    ),
+    "sigma_separated_oracle": (
+        "sigma_separated_oracle needs a DirectedMixedGraph, not MixedGraph",
+        lambda: sigma_separated_oracle(_MIXED_LINE, SeparationQuery("a", "c")),
+    ),
+    "sigma_open_walk": (
+        "sigma_open_walk needs a DirectedMixedGraph, not MixedGraph",
+        lambda: sigma_open_walk(_MIXED_LINE, _LINE_WALK, ()),
+    ),
+    "sigma_open_path_segments": (
+        "sigma_open_path_segments needs a DirectedMixedGraph, not MixedGraph",
+        lambda: sigma_open_path_segments(_MIXED_LINE, _LINE_WALK, ()),
+    ),
+    "sigma_inducing_paths": (
+        "sigma_inducing_paths needs a DirectedMixedGraph, not MixedGraph",
+        lambda: sigma_inducing_paths(_MIXED_LINE, (), "a", "c"),
+    ),
+    "sigma_inducing_exists": (
+        "sigma_inducing_exists needs a DirectedMixedGraph, not MixedGraph",
+        lambda: sigma_inducing_exists(_MIXED_LINE, (), "a", "c"),
+    ),
+    "sigma_markov_equivalent_oracle": (
+        "sigma_markov_equivalent_oracle needs two ContextedDmg values, not MixedGraph and MixedGraph",
+        lambda: sigma_markov_equivalent_oracle(_MIXED_LINE, _MIXED_LINE),
+    ),
+    "marginalize-MixedGraph": (
+        "marginalize needs a DirectedMixedGraph, not MixedGraph",
+        lambda: marginalize(_MIXED_LINE, []),
+    ),
+    "marginalize-ContextedDmg": (
+        "marginalize needs a DirectedMixedGraph, not ContextedDmg",
+        lambda: marginalize(_CONTEXTED, []),
+    ),
+    "discriminating_paths": (_NOT_MIXED, lambda: discriminating_paths(_CONTEXTED)),
+    "is_discriminating": (_NOT_MIXED, lambda: is_discriminating(_CONTEXTED, ("a", "b"), "b")),
+    "DiscriminatingPath.target_is_collider": (
+        _NOT_MIXED,
+        lambda: DiscriminatingPath(("x", "a", "b", "c"), "b").target_is_collider(_CONTEXTED),
+    ),
+    "unshielded_colliders": (
+        "unshielded_colliders needs a MixedGraph, not ContextedDmg",
+        lambda: unshielded_colliders(_CONTEXTED),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_TYPE))
+def test_a_graph_of_the_wrong_type_is_refused_before_it_is_read(name):
+    # An InputError naming the types, not an AttributeError, a cap error or a verdict.
+    message, call = _WRONG_TYPE[name]
+    with pytest.raises(InputError, match=f"^{message}$"):
         call()
 
 

@@ -11,7 +11,8 @@ witness.  The abstraction commutes with marginalising and conditioning:
 a system and the canonical reconstruction of its representation have
 the same representation after any latent set is projected out and any
 extra selection set added.  Under many selection nodes, ``represent``
-agrees with the pairwise inducing test on every observed pair.
+and ``sigma_inducing_exists`` agree with the pairwise inducing test,
+a sigma search, on every observed pair.
 """
 
 import itertools
@@ -39,6 +40,7 @@ from cyclomag import (
     sigma_separated,
     validate,
 )
+from fixtures import sigma_inseparable
 
 # (nodes, seed, expected directed / bidirected edges per node, selection nodes)
 SYSTEMS = [(50, 1, 1.5, 0.6, 2), (56, 2, 1.2, 0.8, 3), (60, 3, 1.2, 0.8, 2)]
@@ -90,9 +92,15 @@ def test_represent_is_the_pairwise_test_under_many_selection_nodes(n, seed, dire
     c = random_dmg(GeneratorConfig(n, directed / n, bidirected / n, n // 5, seed), allow_selection_children=True)
     g, s = c.graph, set(c.selection)
     h = represent(c)
-    expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inducing_exists(g, s, a, b)}
+    expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inseparable(g, s, a, b)}
     assert {e.endpoints for e in h.edges} == expected
-    assert represent(canonical_dmg(h)) == h
+    d = canonical_dmg(h)
+    assert represent(d) == h
+    # The masks of sigma_inducing_exists answer as the search does, here and on the reconstruction.
+    for system in (c, d):
+        g, s = system.graph, set(system.selection)
+        for a, b in itertools.combinations(system.observed, 2):
+            assert sigma_inducing_exists(g, s, a, b) == sigma_inseparable(g, s, a, b), (a, b)
 
 
 @pytest.mark.parametrize("n, seed, directed, bidirected, n_selection", SYSTEMS)
