@@ -245,6 +245,7 @@ def canonical_dmg(h: MixedGraph) -> ContextedDmg:
     selection node with a -> s_a_b <- b.  The result round-trips:
     ``represent(canonical_dmg(h)) == h``.
     """
+    _check_type(h, MixedGraph, "canonical_dmg")
     report = validate(h)
     if not report.valid:
         kinds = sorted({v.kind.value for v in report.violations})

@@ -16,8 +16,8 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, NodeSetError
-from .graphs import ARROW_HERE, ARROW_THERE, ContextedDmg, MixedGraph, NodeId, _as_nodes, _check_type
+from .errors import InputError
+from .graphs import ARROW_HERE, ARROW_THERE, ContextedDmg, MixedGraph, NodeId, _as_nodes, _as_sequence, _check_type
 from .separation import (
     _DISCRIMINATING,
     DEFAULT_GRID_ORACLE_CAP,
@@ -61,7 +61,7 @@ class DiscriminatingPath:
     target: NodeId
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "nodes", _as_sequence(self.nodes))
         if len(self.nodes) < 4:
             raise InputError("a discriminating path has at least four nodes")
         if self.target != self.nodes[-2]:
@@ -100,11 +100,8 @@ def is_discriminating(h: MixedGraph, nodes, b: NodeId) -> bool:
     mixed graph, whose pairs may hold parallel edges, is refused.
     """
     _check_type(h, MixedGraph, "a discriminating path")
-    try:
-        nodes = tuple(nodes)
-        h.require_nodes(nodes)
-    except TypeError:  # not iterable, or a member is unhashable
-        raise NodeSetError(f"not a sequence of node names: {nodes!r}") from None
+    nodes = _as_sequence(nodes)
+    h.require_nodes(nodes)
     if len(nodes) < 4 or len(set(nodes)) != len(nodes) or b != nodes[-2]:
         return False
     idx = h.index
@@ -269,6 +266,9 @@ def m_markov_equivalent_oracle(h1: MixedGraph, h2: MixedGraph) -> tuple[bool, Co
     queries because a set query is open exactly when some member pair
     is.  Returns the lexicographically first disagreeing (a, b, Z).
     """
+    if not isinstance(h1, MixedGraph) or not isinstance(h2, MixedGraph):
+        names = f"{type(h1).__name__} and {type(h2).__name__}"
+        raise InputError(f"m_markov_equivalent_oracle needs two MixedGraph values, not {names}")
     if h1.nodes != h2.nodes:
         raise InputError("equivalence needs a shared node set")
     _check_cap(len(h1.nodes), DEFAULT_GRID_ORACLE_CAP, "the m-equivalence oracle")

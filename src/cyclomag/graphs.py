@@ -13,14 +13,16 @@ each endpoint:
 All values are frozen after construction; every operation in the package
 is a pure function over them, so graphs can be shared freely across
 threads and used as dictionary keys.  The node checks, ``of`` and
-``contains_edge`` live once, on ``_Graph``.  Each graph builds its
-:class:`GraphIndex` on first use, from ``(a, b, kind)`` arcs read off its
-own fields, and keeps it on the instance; it never affects equality or
-hashing.  Its rows hold ``(neighbour id, kind)`` pairs and are the
-graph's only incidence structure.  A directed mixed graph holds node
-pairs, not edge values, so an edge value is made from a row entry by
-:func:`row_edge` only when one is handed out: by ``incident_edges``,
-``edge``, the path enumerator and the witnesses of the searches.
+``contains_edge`` live once, on ``_Graph``, the type that annotates a
+graph of either kind.  Each graph builds its :class:`GraphIndex` on
+first use, from ``(a, b, kind)`` arcs read off its own fields, and keeps
+it on the instance; it never affects equality or hashing.  Its rows hold
+``(neighbour id, kind)`` pairs and are the graph's only incidence
+structure; the writers of :mod:`~cyclomag.io_text` read the arcs too.  A
+directed mixed graph holds node pairs, not edge values, so an edge value
+is made from a row entry by :func:`row_edge` only when one is handed
+out: by ``incident_edges``, ``edge``, the path enumerator and the
+witnesses of the searches.
 """
 
 from __future__ import annotations
@@ -55,10 +57,23 @@ def _as_nodes(vs) -> frozenset:
         raise NodeSetError(f"not a node name or an iterable of node names: {vs!r}") from None
 
 
+def _as_sequence(vs) -> tuple:
+    """The node sequence named by ``vs``: a bare string is one node, as for :func:`_as_nodes`."""
+    if isinstance(vs, str):
+        return (vs,)
+    try:
+        seq = tuple(vs)
+        hash(seq)  # raises for an unhashable member
+    except TypeError:
+        raise NodeSetError(f"not a sequence of node names: {vs!r}") from None
+    return seq
+
+
 def _check_type(value, kind: type, what: str) -> None:
     """Refuse a ``value`` that is not a ``kind``, naming both types; called before anything reads it."""
     if not isinstance(value, kind):
-        raise InputError(f"{what} needs a {kind.__name__}, not {type(value).__name__}")
+        wanted = "DirectedMixedGraph or MixedGraph" if kind is _Graph else kind.__name__
+        raise InputError(f"{what} needs a {wanted}, not {type(value).__name__}")
 
 
 class EdgeMark(Enum):
@@ -75,6 +90,7 @@ ARROWHEAD = EdgeMark.ARROWHEAD
 # Each arrow token with the marks at its (left, right) nodes.  The token
 # of marks (l, r) is _ARROWS[2 * (l is ARROWHEAD) + (r is ARROWHEAD)]: a
 # tuple index, because hashing an EdgeMark runs Enum.__hash__ in Python.
+# The token of an arc (a, b, kind) below is _ARROWS[kind >> 1].
 _ARROW_MARKS = {"--": (TAIL, TAIL), "->": (TAIL, ARROWHEAD), "<-": (ARROWHEAD, TAIL), "<->": (ARROWHEAD, ARROWHEAD)}
 _ARROWS = tuple(_ARROW_MARKS)
 

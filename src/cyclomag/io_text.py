@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import InputError, ParseError
 from .graphs import (
-    ARROWHEAD,
+    ARROW_HERE,
     ContextedDmg,
     DirectedMixedGraph,
     MixedEdge,
@@ -33,36 +33,20 @@ from .graphs import (
     NodeId,
     _ARROW_MARKS,
     _ARROWS,
+    _Graph,
     _NAME_RE,
 )
-
-# Edge records are (kind, a, b) with kind one of "->", "<->", "--";
-# "<->"/"--" records keep a < b, "->" records are tail first.
-EdgeRecord = tuple[str, NodeId, NodeId]
 
 # Serialisation order of the edge kinds: directed, bidirected, undirected.
 _RANK = {"->": 0, "<->": 1, "--": 2}
 
 
-def _record(e: MixedEdge) -> EdgeRecord:
-    arrow = _ARROWS[2 * (e.mark_a is ARROWHEAD) + (e.mark_b is ARROWHEAD)]
-    return ("->", e.b, e.a) if arrow == "<-" else (arrow, e.a, e.b)
-
-
-def _records(graph) -> tuple[tuple[NodeId, ...], tuple[NodeId, ...], list[EdgeRecord]]:
-    """The nodes, selection nodes and edge records of any of the three
-    graph value types, a dmg's records in document order."""
-    selection: tuple[NodeId, ...] = ()
-    if isinstance(graph, ContextedDmg):
-        selection = graph.selection
-        graph = graph.graph
-    if isinstance(graph, DirectedMixedGraph):
-        records = [("->", t, h) for t, h in graph.directed] + [("<->", a, b) for a, b in graph.bidirected]
-    elif isinstance(graph, MixedGraph):
-        records = list(map(_record, graph.edges))
-    else:
+def _graph_of(graph) -> tuple[_Graph, tuple[NodeId, ...]]:
+    """The graph and the selection nodes of a graph value; anything else is refused."""
+    graph, selection = (graph.graph, graph.selection) if isinstance(graph, ContextedDmg) else (graph, ())
+    if not isinstance(graph, _Graph):
         raise InputError(f"cannot export {type(graph).__name__}")
-    return graph.nodes, selection, records
+    return graph, selection
 
 
 def parse_graph(text: str, kind: str) -> MixedGraph | ContextedDmg:
@@ -78,8 +62,8 @@ def parse_graph(text: str, kind: str) -> MixedGraph | ContextedDmg:
     dmg = kind == "dmg"
     nodes: set[NodeId] = set()
     selection: set[NodeId] = set()
-    # Records by themselves in a dmg document, by node pair in a mixed one.
-    edges: dict[tuple, EdgeRecord] = {}
+    # Records (arrow, a, b), "->" tail first, else a < b: keyed by themselves in a dmg document, by node pair in a mixed one.
+    edges: dict[tuple, tuple[str, NodeId, NodeId]] = {}
     match = _NAME_RE.match  # only on names not yet in nodes: those passed it
 
     # Lines end at "\n" alone; a "\r" before it is whitespace to split().
@@ -143,35 +127,36 @@ def _error(msg: str, lineno: int, raw: str, tokens=(), i: int | None = None) -> 
 
 def serialize_graph(graph) -> str:
     """Normalised document text of a graph value: isolated nodes, then
-    selections, then edges, sorted."""
-    nodes, selection, records = _records(graph)
-    if isinstance(graph, MixedGraph):  # a dmg's records come in document order
-        records.sort(key=lambda r: (_RANK[r[0]], r[1], r[2]))
-    mentioned = set(selection)
-    for _, a, b in records:
-        mentioned.update((a, b))
-    lines = [f"node {v}" for v in nodes if v not in mentioned]
+    selections, then a line per arc, an ``ARROW_HERE`` arc tail first, by
+    rank and name; a dmg's arcs come in that order, a mixed graph's by node pair."""
+    graph, selection = _graph_of(graph)
+    edges = [(b, "->", a) if kind == ARROW_HERE else (a, _ARROWS[kind >> 1], b) for a, b, kind in graph._arcs()]
+    if isinstance(graph, MixedGraph):
+        edges.sort(key=lambda e: (_RANK[e[1]], e[0], e[2]))
+    mentioned = set(selection).union(*edges)  # the arrows among them name no node
+    lines = [f"node {v}" for v in graph.nodes if v not in mentioned]
     lines += [f"selection {v}" for v in selection]
-    for kind, a, b in records:
-        lines.append(f"{a} {kind} {b}")
+    lines += map(" ".join, edges)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-_DOT_ATTRS = {"->": "", "<->": " [dir=both]", "--": " [dir=none]"}
+# The DOT attributes of each arrow, indexed like _ARROWS; "<-" arcs are written as "->".
+_DOT_ATTRS = (" [dir=none]", "", "", " [dir=both]")
 
 
 def export_dot(graph) -> str:
-    """Graphviz text for any of the three graph value types.
+    """Graphviz text for any of the three graph value types, a line per arc.
 
     Directed edges are plain arrows, bidirected ones carry dir=both,
     undirected ones dir=none; selection nodes get a box shape.
     """
-    nodes, selection, records = _records(graph)
+    graph, selection = _graph_of(graph)
     boxed = set(selection)
     lines = ["digraph G {"]
-    for v in nodes:
+    for v in graph.nodes:
         attr = " [shape=box]" if v in boxed else ""
         lines.append(f'  "{v}"{attr};')
-    lines.extend(sorted(f'  "{a}" -> "{b}"{_DOT_ATTRS[k]};' for k, a, b in records))
+    arcs = graph._arcs()
+    lines += sorted(f'  "{b}" -> "{a}";' if k == ARROW_HERE else f'  "{a}" -> "{b}"{_DOT_ATTRS[k >> 1]};' for a, b, k in arcs)
     lines.append("}")
     return "\n".join(lines) + "\n"

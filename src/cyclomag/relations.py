@@ -20,11 +20,11 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
-from .graphs import DirectedMixedGraph, MixedGraph, NodeId, _as_nodes, row_edge
-from .walks import Graph, Walk
+from .graphs import NodeId, _as_nodes, _check_type, _Graph, row_edge
+from .walks import Walk
 
 
-def strongly_connected_components(g: DirectedMixedGraph) -> tuple[frozenset[NodeId], ...]:
+def strongly_connected_components(g: _Graph) -> tuple[frozenset[NodeId], ...]:
     """Partition the nodes into strong components of the directed part.
 
     Two nodes share a class exactly when each reaches the other over
@@ -32,6 +32,7 @@ def strongly_connected_components(g: DirectedMixedGraph) -> tuple[frozenset[Node
     returned sorted by their smallest member: the graph's index labels
     each node's component once, and the nodes are grouped in id order.
     """
+    _check_type(g, _Graph, "strongly_connected_components")
     idx = g.index
     groups: dict[int, list[NodeId]] = {}
     for v, k in zip(idx.names, idx.scc):
@@ -39,60 +40,64 @@ def strongly_connected_components(g: DirectedMixedGraph) -> tuple[frozenset[Node
     return tuple(map(frozenset, groups.values()))
 
 
-def scc_index(g: DirectedMixedGraph) -> dict[NodeId, frozenset[NodeId]]:
+def scc_index(g: _Graph) -> dict[NodeId, frozenset[NodeId]]:
     """Map each node to its strong component."""
+    _check_type(g, _Graph, "scc_index")
     return {v: comp for comp in strongly_connected_components(g) for v in comp}
 
 
-def _closure(graph: Graph, targets: Iterable[NodeId], which: str) -> frozenset[NodeId]:
+def _closure(graph: _Graph, targets: Iterable[NodeId], which: str, what: str) -> frozenset[NodeId]:
+    _check_type(graph, _Graph, what)
     targets = _as_nodes(targets)
     graph.require_nodes(targets)
     idx = graph.index
     return frozenset(idx.members(idx.union(getattr(idx, which), idx.mask(targets))))
 
 
-def ancestors(graph: Graph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
+def ancestors(graph: _Graph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
     """All nodes with a directed walk (length >= 0) into ``targets``.
 
     Reflexive: the targets are their own ancestors.  Works on both graph
     flavours; only directed edges are followed.
     """
-    return _closure(graph, targets, "anc")
+    return _closure(graph, targets, "anc", "ancestors")
 
 
-def descendants(graph: Graph, sources: Iterable[NodeId]) -> frozenset[NodeId]:
-    return _closure(graph, sources, "desc")
+def descendants(graph: _Graph, sources: Iterable[NodeId]) -> frozenset[NodeId]:
+    return _closure(graph, sources, "desc", "descendants")
 
 
-def anteriors(h: MixedGraph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
+def anteriors(h: _Graph, targets: Iterable[NodeId]) -> frozenset[NodeId]:
     """All nodes with a path into ``targets`` whose every edge leaves a tail.
 
     Such a path traverses ``--`` and ``->`` edges forwards only, so on a
     graph without undirected edges anteriors coincide with ancestors.
     Reflexive.
     """
-    return _closure(h, targets, "ant")
+    return _closure(h, targets, "ant", "anteriors")
 
 
-def neighborhood(h: MixedGraph, v: NodeId) -> frozenset[NodeId]:
+def neighborhood(h: _Graph, v: NodeId) -> frozenset[NodeId]:
     """Nodes joined to ``v`` by undirected edges."""
+    _check_type(h, _Graph, "neighborhood")
     h.require_nodes([v])
     idx = h.index
     return frozenset(idx.members(idx.und[idx.ids[v]]))
 
 
-def neighborhood_complete(h: MixedGraph, v: NodeId) -> bool:
+def neighborhood_complete(h: _Graph, v: NodeId) -> bool:
     """True when the undirected neighborhood of ``v`` forms a clique.
 
     Vacuously true for neighborhoods with at most one member.
     """
+    _check_type(h, _Graph, "neighborhood_complete")
     h.require_nodes([v])
     idx = h.index
     nbh = idx.und[idx.ids[v]]
     return all(nbh & ~idx.und[w] == 1 << w for w in idx.ids_in(nbh))
 
 
-def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId, *, admits: Callable | None = None) -> Iterator[Walk]:
+def enumerate_simple_paths(graph: _Graph, a: NodeId, b: NodeId, *, admits: Callable | None = None) -> Iterator[Walk]:
     """Yield every simple path between ``a`` and ``b`` exactly once.
 
     Paths come out in lexicographic order of their node sequences, with
@@ -109,6 +114,7 @@ def enumerate_simple_paths(graph: Graph, a: NodeId, b: NodeId, *, admits: Callab
     admitted come out, in the same order.  Each step's edge is made once
     per call, and a walk only for a path that is handed out.
     """
+    _check_type(graph, _Graph, "enumerate_simple_paths")
     if a == b:
         raise InputError("path endpoints must differ")
     graph.require_nodes([a, b])

@@ -47,10 +47,11 @@ from .graphs import (
     NodeId,
     _as_nodes,
     _check_type,
+    _Graph,
     row_edge,
 )
 from .relations import anteriors, enumerate_simple_paths
-from .walks import Graph, Walk, check_walk
+from .walks import Walk, check_walk
 
 DEFAULT_PATH_ORACLE_CAP = 12
 DEFAULT_GRID_ORACLE_CAP = 8
@@ -132,7 +133,7 @@ def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[Node
     return _walk_open(g, path, z, _sigma_segment_step, paths_only=True)
 
 
-def _walk_open(graph: Graph, walk: Walk, z: Iterable[NodeId], rule, paths_only: bool = False) -> bool:
+def _walk_open(graph: _Graph, walk: Walk, z: Iterable[NodeId], rule, paths_only: bool = False) -> bool:
     """Whether the walk's ends lie outside ``z`` and the step ``rule`` admits its every step.
 
     ``z`` is checked before the walk.  A step's kind is read off the edge's
@@ -212,7 +213,7 @@ def sigma_separated_oracle(g: DirectedMixedGraph, query: SeparationQuery) -> Sep
     return _path_oracle(g, query, "the sigma path oracle", _sigma_segment_step)
 
 
-def _path_oracle(graph: Graph, query: SeparationQuery, what: str, rule) -> SeparationVerdict:
+def _path_oracle(graph: _Graph, query: SeparationQuery, what: str, rule) -> SeparationVerdict:
     """The first open simple path in name order, each pair's paths scanned under the step ``rule``."""
     _check_cap(len(graph.nodes), DEFAULT_PATH_ORACLE_CAP, what)
     x, y, z = query.x, query.y, query.z
@@ -240,6 +241,7 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
     ``z``, every collider is an ancestor of ``z`` over the directed
     edges, and no arrowhead meets an undirected edge along the walk.
     """
+    _check_type(h, MixedGraph, "m_open_walk")
     return _walk_open(h, walk, z, _m_walk_step)
 
 
@@ -262,11 +264,13 @@ def m_separated(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     every open walk, and finds the same witness as a search over the
     whole graph.  Nothing is enumerated.
     """
+    _check_type(h, MixedGraph, "m_separated")
     return _separation(h, query, _M, "ant")
 
 
 def m_separated_oracle(h: MixedGraph, query: SeparationQuery) -> SeparationVerdict:
     """Exhaustive oracle: scan every simple path with the walk criterion."""
+    _check_type(h, MixedGraph, "m_separated_oracle")
     return _path_oracle(h, query, "the m path oracle", _m_walk_step)
 
 
@@ -481,6 +485,7 @@ def inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> tuple[Walk, ...]:
     Refuses graphs above the path oracles' cap, like
     :func:`sigma_inducing_paths`.
     """
+    _check_type(h, MixedGraph, "inducing_paths")
     return tuple(_iter_inducing_paths(h, a, b))
 
 
@@ -496,6 +501,7 @@ def _iter_inducing_paths(h: MixedGraph, a: NodeId, b: NodeId) -> Iterator[Walk]:
 
 def inducing_exists(h: MixedGraph, a: NodeId, b: NodeId) -> bool:
     """Nonemptiness of :func:`inducing_paths`: an edge, or a collider chain inside Anc({a, b})."""
+    _check_type(h, MixedGraph, "inducing_exists")
     idx, ia, ib = _check_inducing_args(h, set(), a, b)
     return _joined(idx, ia, ib, idx.adj, idx.into, idx.bi, idx.anc[ia] | idx.anc[ib])
 
@@ -538,6 +544,7 @@ def canonical_inducing_separator(h: MixedGraph, a: NodeId, b: NodeId) -> frozens
     The set consists of the anteriors of the two endpoints, the
     endpoints themselves excluded.
     """
+    _check_type(h, MixedGraph, "canonical_inducing_separator")
     _check_inducing_args(h, set(), a, b)
     return frozenset(anteriors(h, {a, b}) - {a, b})
 

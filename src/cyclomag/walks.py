@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable
 
 from .errors import InputError
-from .graphs import ARROWHEAD, MixedEdge, NodeId
-
-if TYPE_CHECKING:
-    from .graphs import DirectedMixedGraph, MixedGraph
-
-Graph = Union["DirectedMixedGraph", "MixedGraph"]
+from .graphs import ARROWHEAD, MixedEdge, NodeId, _check_type, _Graph
 
 
 @dataclass(frozen=True, init=False)
@@ -87,12 +82,13 @@ class Walk:
         return self.render()
 
 
-def parse_walk(graph: Graph, text: str) -> Walk:
+def parse_walk(graph: _Graph, text: str) -> Walk:
     """Parse a rendered walk like ``"a -> b <-> d"`` against a graph.
 
     Each arrow is oriented as seen along the walk, so ``"b <- a"`` means
     the directed edge a -> b traversed from b.
     """
+    _check_type(graph, _Graph, "parse_walk")
     tokens = text.split()
     if not tokens or len(tokens) % 2 == 0:
         raise InputError(f"malformed walk: {text!r}")
@@ -108,8 +104,9 @@ def parse_walk(graph: Graph, text: str) -> Walk:
     return Walk(names[0], tuple(edges))
 
 
-def check_walk(graph: Graph, walk: Walk) -> Walk:
+def check_walk(graph: _Graph, walk: Walk) -> Walk:
     """Raise :class:`InputError` unless every walk edge belongs to ``graph``."""
+    _check_type(graph, _Graph, "check_walk")
     graph.require_nodes([walk.start])
     for e in walk.edges:
         if not graph.contains_edge(e):

@@ -158,6 +158,26 @@ def test_is_discriminating_refuses_a_value_that_names_no_node_sequence():
             is_discriminating(DISC_TAIL, nodes, "b")
 
 
+_AQBC = MixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c")  # a q b c discriminates b
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: is_discriminating(_AQBC, "aqbc", "b"), InputError, "unknown node: 'aqbc'"),
+        (lambda: DiscriminatingPath("aqbc", "b"), InputError, "a discriminating path has at least four nodes"),
+        (lambda: DiscriminatingPath(5, "b"), NodeSetError, "not a sequence of node names: 5"),
+        (lambda: DiscriminatingPath([["a"], "q", "b", "c"], "b"), NodeSetError, r"not a sequence of node names: \[\['a'\], "),
+    ],
+    ids=["is_discriminating-string", "DiscriminatingPath-string", "DiscriminatingPath-int", "DiscriminatingPath-unhashable"],
+)
+def test_a_node_sequence_reads_a_bare_string_as_one_node(call, error, message):
+    # As in every node-set argument, "aqbc" is one node, not the path a q b c.
+    assert is_discriminating(_AQBC, ("a", "q", "b", "c"), "b")
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
 def test_discriminating_paths_refuse_a_directed_mixed_graph():
     # Listed once per parallel edge it could use, were it not refused.
     g = DirectedMixedGraph.of("a <-> q", "a -> q", "q -> c", "q <-> b", "b -> c")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import os
 import random
@@ -27,13 +28,19 @@ from cyclomag import (
     GeneratorConfig,
     ancestors,
     anteriors,
+    canonical_dmg,
+    canonical_inducing_separator,
     condition1,
     descendants,
     discriminating_paths,
     enumerate_simple_paths,
+    inducing_exists,
+    inducing_paths,
     is_discriminating,
+    m_markov_equivalent_oracle,
     m_open_walk,
     m_separated,
+    m_separated_oracle,
     marginalize,
     neighborhood,
     neighborhood_complete,
@@ -263,7 +270,10 @@ def test_a_value_that_names_no_node_set_raises_input_error(call):
 _MIXED_LINE = MixedGraph.of("a -> b", "b -- c", nodes=[f"n{i:02d}" for i in range(DEFAULT_PATH_ORACLE_CAP)])
 _LINE_WALK = parse_walk(_MIXED_LINE, "a -> b -- c")
 _CONTEXTED = ContextedDmg.of("a -> b")
+# A contexted dmg above both oracle caps, for the calls that take a mixed graph.
+_CONTEXTED_LINE = ContextedDmg.of("a -> b", "b -> c", nodes=[f"n{i:02d}" for i in range(DEFAULT_PATH_ORACLE_CAP)])
 _NOT_MIXED = "a discriminating path needs a MixedGraph, not ContextedDmg"
+_NOT_A_GRAPH = "needs a DirectedMixedGraph or MixedGraph, not ContextedDmg"
 _WRONG_TYPE = {  # each call with the message that refuses a graph of the wrong type, and the call
     "sigma_separated": (
         "sigma_separated needs a DirectedMixedGraph, not MixedGraph",
@@ -311,6 +321,52 @@ _WRONG_TYPE = {  # each call with the message that refuses a graph of the wrong 
         "unshielded_colliders needs a MixedGraph, not ContextedDmg",
         lambda: unshielded_colliders(_CONTEXTED),
     ),
+    "represent": ("represent needs a ContextedDmg, not MixedGraph", lambda: represent(_MIXED_LINE)),
+    "validate": ("validate needs a MixedGraph, not ContextedDmg", lambda: validate(_CONTEXTED_LINE)),
+    "canonical_dmg": ("canonical_dmg needs a MixedGraph, not ContextedDmg", lambda: canonical_dmg(_CONTEXTED_LINE)),
+    "condition1": (
+        "condition1 needs two MixedGraph values, not ContextedDmg and ContextedDmg",
+        lambda: condition1(_CONTEXTED_LINE, _CONTEXTED_LINE),
+    ),
+    "m_markov_equivalent_oracle": (
+        "m_markov_equivalent_oracle needs two MixedGraph values, not ContextedDmg and ContextedDmg",
+        lambda: m_markov_equivalent_oracle(_CONTEXTED_LINE, _CONTEXTED_LINE),
+    ),
+    "m_separated": (
+        "m_separated needs a MixedGraph, not ContextedDmg",
+        lambda: m_separated(_CONTEXTED_LINE, SeparationQuery("a", "c")),
+    ),
+    "m_separated_oracle": (
+        "m_separated_oracle needs a MixedGraph, not ContextedDmg",
+        lambda: m_separated_oracle(_CONTEXTED_LINE, SeparationQuery("a", "c")),
+    ),
+    "m_open_walk": ("m_open_walk needs a MixedGraph, not ContextedDmg", lambda: m_open_walk(_CONTEXTED_LINE, _LINE_WALK, ())),
+    "inducing_exists": (
+        "inducing_exists needs a MixedGraph, not ContextedDmg",
+        lambda: inducing_exists(_CONTEXTED_LINE, "a", "c"),
+    ),
+    "inducing_paths": ("inducing_paths needs a MixedGraph, not ContextedDmg", lambda: inducing_paths(_CONTEXTED_LINE, "a", "c")),
+    "canonical_inducing_separator": (
+        "canonical_inducing_separator needs a MixedGraph, not ContextedDmg",
+        lambda: canonical_inducing_separator(_CONTEXTED_LINE, "a", "c"),
+    ),
+    # The calls that answer on either graph type refuse anything else.
+    "ancestors": (f"ancestors {_NOT_A_GRAPH}", lambda: ancestors(_CONTEXTED, "a")),
+    "descendants": (f"descendants {_NOT_A_GRAPH}", lambda: descendants(_CONTEXTED, "a")),
+    "anteriors": (f"anteriors {_NOT_A_GRAPH}", lambda: anteriors(_CONTEXTED, "a")),
+    "neighborhood": (f"neighborhood {_NOT_A_GRAPH}", lambda: neighborhood(_CONTEXTED, "a")),
+    "neighborhood_complete": (f"neighborhood_complete {_NOT_A_GRAPH}", lambda: neighborhood_complete(_CONTEXTED, "a")),
+    "strongly_connected_components": (
+        f"strongly_connected_components {_NOT_A_GRAPH}",
+        lambda: strongly_connected_components(_CONTEXTED),
+    ),
+    "scc_index": (f"scc_index {_NOT_A_GRAPH}", lambda: scc_index(_CONTEXTED)),
+    "enumerate_simple_paths": (
+        f"enumerate_simple_paths {_NOT_A_GRAPH}",
+        lambda: list(enumerate_simple_paths(_CONTEXTED, "a", "b")),
+    ),
+    "parse_walk": (f"parse_walk {_NOT_A_GRAPH}", lambda: parse_walk(_CONTEXTED, "a -> b")),
+    "check_walk": (f"check_walk {_NOT_A_GRAPH}", lambda: check_walk(_CONTEXTED, Walk("a"))),
 }
 
 
@@ -320,6 +376,29 @@ def test_a_graph_of_the_wrong_type_is_refused_before_it_is_read(name):
     message, call = _WRONG_TYPE[name]
     with pytest.raises(InputError, match=f"^{message}$"):
         call()
+
+
+_GRAPH_CLASSES = {"_Graph", "DirectedMixedGraph", "MixedGraph", "ContextedDmg"}
+
+
+def test_every_call_that_takes_a_graph_has_a_wrong_type_entry():
+    # The package's functions, the public methods of its classes, and check_walk.
+    calls = {"check_walk": check_walk}
+    for name in cyclomag.__all__:
+        obj = getattr(cyclomag, name)
+        if inspect.isfunction(obj):
+            calls[name] = obj
+        elif inspect.isclass(obj):
+            for attr, member in inspect.getmembers(obj, inspect.isroutine):
+                if not attr.startswith("_") and (inspect.isfunction(member) or inspect.ismethod(member)):
+                    calls[f"{name}.{attr}"] = member
+    # Annotations are strings under postponed evaluation, so each names its class.
+    takes_a_graph = [
+        name for name, f in calls.items() if any(p.annotation in _GRAPH_CLASSES for p in inspect.signature(f).parameters.values())
+    ]
+    assert {"ancestors", "check_walk", "DiscriminatingPath.target_is_collider", "represent"} <= set(takes_a_graph)
+    missing = [name for name in takes_a_graph if not any(key == name or key.startswith(f"{name}-") for key in _WRONG_TYPE)]
+    assert missing == []
 
 
 # --- strong components -------------------------------------------------------
