@@ -76,22 +76,25 @@ def represent(c: ContextedDmg) -> MixedGraph:
     when it stays connected given Z_ab = Anc({a, b} | S) - {a, b}, the
     test of :func:`~cyclomag.separation.sigma_inducing_exists`.
     Sigma-separation is d-separation in the graph's acyclification
-    G^acy, so two kinds of pair are decided adjacent from its index
-    masks without a search.  No set without the two nodes separates a
-    pair adjacent in G^acy (``acy``).  And Z_ab holds every node of
-    A = Anc(S) but a and b, so a collider chain a *-> c1 <-> .. <-> ck
-    <-* b of G^acy whose interior lies in A connects a and b given
-    Z_ab: each ci is a collider in Z_ab.  The chains from a are closed
-    over ``acy_bi`` inside A from ``acy_heads[a]``; a chain through a or
-    b can be cut short there, so A keeps them.  Any other pair is
+    G^acy, so most pairs are decided from its index masks without a
+    search.  No set without the two nodes separates a pair adjacent in
+    G^acy (``acy``).  Put T = Anc(a) | Anc(S).  For a partner b in T,
+    Anc(b) lies in T, so Z_ab | {a, b} is T itself, and T is ancestral:
+    every interior node of a path that connects a and b given Z_ab lies
+    in Z_ab and is a collider.  So the pair is adjacent exactly when a
+    collider chain a *-> c1 <-> .. <-> ck <-* b of G^acy runs inside
+    Z_ab.  A chain through a or b can be cut short there, so one closure
+    over ``acy_bi`` inside T from ``acy_heads[a]`` decides every partner
+    in T both ways: b is adjacent when ``acy_heads[b]`` meets it, and
+    separated otherwise.  A pair with neither end in the other's T is
     decided by separation searches.
 
     Those pairs are decided a group at a time, one
-    :func:`~cyclomag.separation.sigma_separated` query per group.  Put
-    T = Anc(a) | Anc(S), and let P hold a's partners not known to be
-    adjacent to it.  The group Y holds a's undecided partners whose
-    ancestors all lie in T | P, and those of their ancestors outside T,
-    so T | Y is ancestral.  The query asks whether {a} is separated from Y given
+    :func:`~cyclomag.separation.sigma_separated` query per group.  With
+    T as above, let P hold a's partners not known to be adjacent to it.
+    The group Y holds a's undecided partners whose ancestors all lie in
+    T | P, and those of their ancestors outside T, so T | Y is
+    ancestral.  The query asks whether {a} is separated from Y given
     z = T - (Y | {a}).  Off Y | {a}, z agrees with each Z_ab, b in Y, and
     a collider of a walk from a that stops at its first node of Y lies in
     Anc(Z_ab), inside T | Y, so in z.  So a separated group separates
@@ -110,13 +113,16 @@ def represent(c: ContextedDmg) -> MixedGraph:
     anc_s = idx.union(anc, idx.mask(c.selection))
     obs = idx.mask(observed)
     adjacent = list(idx.acy)  # the pairs found adjacent, on both nodes
-    for ia in idx.ids_in(obs):  # each chain pair from its lower id
-        chained = _collider_reach(idx, heads[ia], idx.acy_bi, anc_s)
-        for ib in idx.ids_in(obs & ~adjacent[ia] & -(2 << ia) if chained else 0):
+    decided = adjacent[:]  # the pairs decided either way, on both nodes
+    for ia in idx.ids_in(obs):  # every undecided partner in T = Anc(a) | Anc(S)
+        t = anc[ia] | anc_s
+        chained = _collider_reach(idx, heads[ia], idx.acy_bi, t)
+        for ib in idx.ids_in(obs & t & ~decided[ia]):
+            decided[ia] |= 1 << ib
+            decided[ib] |= 1 << ia
             if heads[ib] & chained:
                 adjacent[ia] |= 1 << ib
                 adjacent[ib] |= 1 << ia
-    decided = adjacent[:]  # the pairs decided either way, on both nodes
 
     def query(a: NodeId, y: int) -> None:
         ia = ids[a]

@@ -647,6 +647,7 @@ class ContextedDmg:
     selection: tuple[NodeId, ...]
 
     def __post_init__(self):
+        _check_type(self.graph, DirectedMixedGraph, "ContextedDmg")
         selection = _as_nodes(self.selection)
         missing = [s for s in selection if s not in self.graph]
         if missing:  # the least by str, so that the message never follows set order

@@ -44,11 +44,13 @@ from cyclomag import (
     marginalize,
     neighborhood,
     neighborhood_complete,
+    parse_graph,
     parse_walk,
     random_dmg,
     represent,
     scc_index,
     SeparationQuery,
+    serialize_graph,
     sigma_inducing_exists,
     sigma_inducing_paths,
     sigma_markov_equivalent_oracle,
@@ -204,6 +206,18 @@ def test_selection_node_must_be_in_the_graph():
     for selection in ([5, "a"], ["zz", 5]):
         with pytest.raises(InputError, match="^selection node 5 is not in the graph$"):
             ContextedDmg(DirectedMixedGraph.of("a -> b"), selection)
+
+
+def test_a_contexted_dmg_refuses_a_mixed_graph():
+    # Accepted, such a value lost its a -- b edge in represent, which can
+    # decide every pair here from the graph's masks without a search, and
+    # serialize_graph wrote a dmg document that parse_graph refuses.
+    for edges in (("a -> c", "c -> b", "a -- b"), ("a -- b", "b -> c")):
+        mixed = MixedGraph.of(*edges)
+        with pytest.raises(InputError, match="^ContextedDmg needs a DirectedMixedGraph, not MixedGraph$"):
+            ContextedDmg(mixed, ())
+        with pytest.raises(InputError, match="undirected edges are not allowed in a dmg document$"):
+            parse_graph(serialize_graph(mixed), "dmg")
 
 
 def test_unknown_node_message_names_the_least_missing_node():
@@ -367,6 +381,8 @@ _WRONG_TYPE = {  # each call with the message that refuses a graph of the wrong 
     ),
     "parse_walk": (f"parse_walk {_NOT_A_GRAPH}", lambda: parse_walk(_CONTEXTED, "a -> b")),
     "check_walk": (f"check_walk {_NOT_A_GRAPH}", lambda: check_walk(_CONTEXTED, Walk("a"))),
+    # The graph of a ContextedDmg is checked when the value is built, before its selection is read.
+    "ContextedDmg": ("ContextedDmg needs a DirectedMixedGraph, not MixedGraph", lambda: ContextedDmg(_MIXED_LINE, ("zz",))),
 }
 
 
