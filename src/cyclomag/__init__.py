@@ -68,7 +68,6 @@ from .separation import (
     m_separated_oracle,
     sigma_inducing_exists,
     sigma_inducing_paths,
-    sigma_open_path_segments,
     sigma_open_walk,
     sigma_separated,
     sigma_separated_oracle,

@@ -79,7 +79,7 @@ class DiscriminatingPath:
         """Whether both path edges at the target have an arrowhead there, read from its index row."""
         _check_type(h, MixedGraph, "a discriminating path")
         b = self.target
-        h.require_nodes([b])
+        h.require_nodes(self.nodes)
         idx, heads = h.index, ARROW_HERE
         for v in (self.nodes[-3], self.c):
             kind = next((kind for w, kind in idx.rows[idx.ids[b]] if w == idx.ids.get(v)), None)
@@ -101,7 +101,7 @@ def is_discriminating(h: MixedGraph, nodes, b: NodeId) -> bool:
     """
     _check_type(h, MixedGraph, "a discriminating path")
     nodes = _as_sequence(nodes)
-    h.require_nodes(nodes)
+    h.require_nodes([*nodes, b])
     if len(nodes) < 4 or len(set(nodes)) != len(nodes) or b != nodes[-2]:
         return False
     idx = h.index

@@ -33,7 +33,9 @@ class GeneratorConfig:
                 raise InputError(f"{name} must be {'a number' if number else 'an integer'}, got {value!r}")
         if self.n_nodes < 1:
             raise InputError("n_nodes must be positive")
-        if not 0 <= self.n_selection < self.n_nodes:
+        if self.n_selection < 0:
+            raise InputError("n_selection must not be negative")
+        if self.n_selection >= self.n_nodes:
             raise InputError("n_selection must leave at least one observed node")
         for p in (self.p_directed, self.p_bidirected):
             if not 0.0 <= p <= 1.0:

@@ -107,7 +107,7 @@ def enumerate_simple_paths(graph: _Graph, a: NodeId, b: NodeId, *, admits: Calla
     engines instead, and :func:`~cyclomag.equivalence.discriminating_paths`
     grows its own chains.
 
-    ``admits(prev_kind, v, kind, w)``, when given, tests each step as it
+    ``admits(prev_kind, v, kind)``, when given, tests each step as it
     is taken: from node id ``v`` over its row entry ``(w, kind)``, where
     ``prev_kind`` is the kind of the step into ``v`` (None at ``a``).  A
     failed step is never extended, so the paths whose every step is
@@ -129,7 +129,7 @@ def enumerate_simple_paths(graph: _Graph, a: NodeId, b: NodeId, *, admits: Calla
     while frames:
         v, prev, entries = frames[-1]
         for w, kind in entries:
-            if on_path[w] or admits is not None and not admits(prev, v, kind, w):
+            if on_path[w] or admits is not None and not admits(prev, v, kind):
                 continue
             key = (v * len(rows) + w) << 3 | kind
             e = made.get(key)

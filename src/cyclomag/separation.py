@@ -13,8 +13,9 @@ two walk edges and the masks of z and Anc(z).  It is run three ways: by
 a polynomial reachability engine over (node, arrival shape) states, whose
 search table :func:`_criterion` derives from the rule; by an exhaustive
 simple-path oracle used to audit the engine at desk scale; and by the
-public walk predicates.  The m engine and the m oracle thus share their
-rule, while the sigma oracle keeps its own segment criterion.  Both
+public walk predicates.  Each engine thus shares its rule with its
+oracle, so their differential audits the search, and the tests'
+references, which share no code with this module, audit the rules.  Both
 engines are one breadth-first search over the graph's
 :class:`~cyclomag.graphs.GraphIndex`; with three more rules it finds the
 shortest anterior paths, inducing paths and discriminating paths that
@@ -120,20 +121,7 @@ def sigma_open_walk(g: DirectedMixedGraph, walk: Walk, z: Iterable[NodeId]) -> b
     return _walk_open(g, walk, z, _sigma_walk_step)
 
 
-def sigma_open_path_segments(g: DirectedMixedGraph, path: Walk, z: Iterable[NodeId]) -> bool:
-    """Segment-level sigma criterion for simple paths.
-
-    The path is split into maximal same-component segments and blocked
-    when (a) an outer endpoint lies in ``z``, (b) a segment endpoint
-    with a directed path-edge leaving its segment lies in ``z``, or (c)
-    a segment contains a collider while its whole component misses the
-    ancestors of ``z``.  Agrees with :func:`sigma_open_walk` on paths.
-    """
-    _check_type(g, DirectedMixedGraph, "sigma_open_path_segments")
-    return _walk_open(g, path, z, _sigma_segment_step, paths_only=True)
-
-
-def _walk_open(graph: _Graph, walk: Walk, z: Iterable[NodeId], rule, paths_only: bool = False) -> bool:
+def _walk_open(graph: _Graph, walk: Walk, z: Iterable[NodeId], rule) -> bool:
     """Whether the walk's ends lie outside ``z`` and the step ``rule`` admits its every step.
 
     ``z`` is checked before the walk.  A step's kind is read off the edge's
@@ -141,20 +129,18 @@ def _walk_open(graph: _Graph, walk: Walk, z: Iterable[NodeId], rule, paths_only:
     z = _as_nodes(z)
     graph.require_nodes(z)
     check_walk(graph, walk)
-    if paths_only and not walk.is_path:
-        raise InputError("the segment criterion is defined for simple paths only")
     idx, nodes = graph.index, walk.nodes
     zm, ids, scc = idx.mask(z), [idx.ids[v] for v in nodes], idx.scc
     prev, anc_z = None, idx.union(idx.anc, zm)
     for u, w, i, j, e in zip(nodes, nodes[1:], ids, ids[1:], walk.edges):
         kind = ARROW_HERE * (e.mark_at(u) is ARROWHEAD) | ARROW_THERE * (e.mark_at(w) is ARROWHEAD) | (scc[i] != scc[j])
-        if not rule(zm, anc_z, prev, i, kind, j):
+        if not rule(zm, anc_z, prev, i, kind):
             return False
         prev = kind
     return not (zm >> ids[0] | zm >> ids[-1]) & 1
 
 
-# Each criterion is one step rule ``rule(z, anc_z, prev_kind, v, kind, w)``
+# Each criterion is one step rule ``rule(z, anc_z, prev_kind, v, kind)``
 # over the node masks of z and Anc(z), deciding node v.  Bound to the
 # masks, a rule is the ``admits`` of
 # :func:`~cyclomag.relations.enumerate_simple_paths`, so the arrowhead at v
@@ -166,22 +152,13 @@ def _walk_open(graph: _Graph, walk: Walk, z: Iterable[NodeId], rule, paths_only:
 # listings bind z to all other nodes, and :func:`_walk_open` tests the ends.
 
 
-def _sigma_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
+def _sigma_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int) -> bool:
     """A collider lies in Anc(z); a non-collider in z has no tail at it that crosses components."""
     prev = ARROW_HERE if prev is None else prev
     if prev & ARROW_THERE and kind & ARROW_HERE:
         return anc_z >> v & 1
     crossing_tail = (not prev & ARROW_THERE and prev & CROSSES_SCC) or (not kind & ARROW_HERE and kind & CROSSES_SCC)
     return not (crossing_tail and z >> v & 1)
-
-
-def _sigma_segment_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
-    """No directed edge that leaves its component has its tail in z, and a
-    collider's component meets Anc(z), which is a union of components."""
-    heads = kind & (ARROW_HERE | ARROW_THERE)
-    if kind & CROSSES_SCC and (heads == ARROW_THERE and z >> v & 1 or heads == ARROW_HERE and z >> w & 1):
-        return False
-    return prev is None or anc_z >> v & 1 or not (prev & ARROW_THERE and kind & ARROW_HERE)
 
 
 def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationVerdict:
@@ -204,13 +181,13 @@ def sigma_separated(g: DirectedMixedGraph, query: SeparationQuery) -> Separation
 
 
 def sigma_separated_oracle(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationVerdict:
-    """Exhaustive oracle: scan every simple path with the segment criterion.
+    """Exhaustive oracle: scan every simple path with the sigma walk rule.
 
     Sound because an open walk exists iff an open path does.  Intended
     for desk-scale verification; refuses graphs above the size cap.
     """
     _check_type(g, DirectedMixedGraph, "sigma_separated_oracle")
-    return _path_oracle(g, query, "the sigma path oracle", _sigma_segment_step)
+    return _path_oracle(g, query, "the sigma path oracle", _sigma_walk_step)
 
 
 def _path_oracle(graph: _Graph, query: SeparationQuery, what: str, rule) -> SeparationVerdict:
@@ -245,7 +222,7 @@ def m_open_walk(h: MixedGraph, walk: Walk, z: Iterable[NodeId]) -> bool:
     return _walk_open(h, walk, z, _m_walk_step)
 
 
-def _m_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int, w: int) -> bool:
+def _m_walk_step(z: int, anc_z: int, prev: int | None, v: int, kind: int) -> bool:
     """No arrowhead meets an undirected edge, a collider lies in Anc(z), a non-collider not in z."""
     prev = ARROW_HERE if prev is None else prev
     into, out = prev & ARROW_THERE, kind & ARROW_HERE
@@ -320,9 +297,9 @@ def _criterion(rule) -> tuple[tuple[int, ...], tuple[int, ...]]:
     one :func:`_search` enters starts in; the other classes take 0, 2 and
     3 in turn, from in-kind 7 down.  A state holds two shape bits."""
 
-    def answers(prev):  # node v = 0 has the standing; the far end w = 1 stands outside
+    def answers(prev):  # node v = 0 has the standing
         standings = (_OUTSIDE, _IN_ANC, _IN_Z)
-        return tuple(bool(rule(st == _IN_Z, st != _OUTSIDE, prev, 0, kind, 1)) for st in standings for kind in range(8))
+        return tuple(bool(rule(st == _IN_Z, st != _OUTSIDE, prev, 0, kind)) for st in standings for kind in range(8))
 
     shapes = {answers(None): 1}
     for prev in reversed(range(8)):
@@ -345,12 +322,12 @@ _M = _criterion(_m_walk_step)
 # edge, and a node it entered over an arrowhead only over an arrowhead at
 # that node.  A discriminating chain is a collider chain whose start, like
 # a node entered over an arrowhead, leaves only over one.
-_ANTERIOR = _criterion(lambda z, anc_z, prev, v, kind, w: not kind & ARROW_HERE)
+_ANTERIOR = _criterion(lambda z, anc_z, prev, v, kind: not kind & ARROW_HERE)
 _COLLIDER_CHAIN = _criterion(
-    lambda z, anc_z, prev, v, kind, w: prev is None or prev & ARROW_THERE and kind & ARROW_HERE
+    lambda z, anc_z, prev, v, kind: prev is None or prev & ARROW_THERE and kind & ARROW_HERE
 )
 _DISCRIMINATING = _criterion(
-    lambda z, anc_z, prev, v, kind, w: (prev is None or prev & ARROW_THERE) and kind & ARROW_HERE
+    lambda z, anc_z, prev, v, kind: (prev is None or prev & ARROW_THERE) and kind & ARROW_HERE
 )
 
 

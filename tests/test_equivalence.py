@@ -161,6 +161,17 @@ def test_is_discriminating_refuses_a_value_that_names_no_node_sequence():
 _AQBC = MixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c")  # a q b c discriminates b
 
 
+def test_discriminating_calls_name_an_unknown_node():
+    # As every other call does, rather than answer False or name a missing edge.
+    for call in (
+        lambda: is_discriminating(_AQBC, ("a", "q", "b", "c"), "zz"),
+        lambda: DiscriminatingPath(("a", "q", "b", "zz"), "b").target_is_collider(_AQBC),
+        lambda: DiscriminatingPath(("zz", "q", "b", "c"), "b").target_is_collider(_AQBC),
+    ):
+        with pytest.raises(InputError, match="^unknown node: 'zz'$"):
+            call()
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

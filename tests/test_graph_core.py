@@ -54,7 +54,6 @@ from cyclomag import (
     sigma_inducing_exists,
     sigma_inducing_paths,
     sigma_markov_equivalent_oracle,
-    sigma_open_path_segments,
     sigma_open_walk,
     sigma_separated,
     sigma_separated_oracle,
@@ -251,7 +250,6 @@ _AB_MIXED = MixedGraph.of(*_AB)
         lambda vs: sigma_inducing_exists(_AB_DMG, vs, "a", "c"),
         lambda vs: sigma_inducing_paths(_AB_DMG, vs, "a", "c"),
         lambda vs: sigma_open_walk(_AB_DMG, parse_walk(_AB_DMG, "a -> ab <- c"), vs),
-        lambda vs: sigma_open_path_segments(_AB_DMG, parse_walk(_AB_DMG, "a -> ab <- c"), vs),
         lambda vs: m_open_walk(_AB_MIXED, parse_walk(_AB_MIXED, "a -> ab <- c"), vs),
         lambda vs: unshielded_colliders(_AB_MIXED, vs),
         lambda vs: MixedGraph(vs, ()),
@@ -260,7 +258,7 @@ _AB_MIXED = MixedGraph.of(*_AB)
     ids=[
         "ancestors", "descendants", "anteriors", "marginalize", "ContextedDmg", "ContextedDmg.of-selection",
         "ContextedDmg.of-nodes", "DirectedMixedGraph.of-nodes", "MixedGraph.of-nodes", "sigma_inducing_exists",
-        "sigma_inducing_paths", "sigma_open_walk", "sigma_open_path_segments", "m_open_walk",
+        "sigma_inducing_paths", "sigma_open_walk", "m_open_walk",
         "unshielded_colliders", "MixedGraph", "DirectedMixedGraph",
     ],
 )
@@ -300,10 +298,6 @@ _WRONG_TYPE = {  # each call with the message that refuses a graph of the wrong 
     "sigma_open_walk": (
         "sigma_open_walk needs a DirectedMixedGraph, not MixedGraph",
         lambda: sigma_open_walk(_MIXED_LINE, _LINE_WALK, ()),
-    ),
-    "sigma_open_path_segments": (
-        "sigma_open_path_segments needs a DirectedMixedGraph, not MixedGraph",
-        lambda: sigma_open_path_segments(_MIXED_LINE, _LINE_WALK, ()),
     ),
     "sigma_inducing_paths": (
         "sigma_inducing_paths needs a DirectedMixedGraph, not MixedGraph",

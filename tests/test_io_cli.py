@@ -411,6 +411,13 @@ def test_config_validation():
         GeneratorConfig(3, 0.1, 0.1, 0, -1)
 
 
+def test_config_names_a_negative_selection_count():
+    with pytest.raises(InputError, match="^n_selection must not be negative$"):
+        GeneratorConfig(3, 0.3, 0.1, n_selection=-1)
+    with pytest.raises(InputError, match="^n_selection must leave at least one observed node$"):
+        GeneratorConfig(3, 0.3, 0.1, n_selection=3)
+
+
 # --- command line -----------------------------------------------------------
 
 

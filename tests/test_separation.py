@@ -34,7 +34,6 @@ from cyclomag import (
     sigma_inducing_exists,
     sigma_inducing_paths,
     sigma_markov_equivalent_oracle,
-    sigma_open_path_segments,
     sigma_open_walk,
     sigma_separated,
     sigma_separated_oracle,
@@ -50,7 +49,7 @@ from fixtures import (
     seeded_contexted,
     seeded_valid_mixed,
 )
-from reference import m_open_walk_reference
+from reference import m_open_walk_reference, sigma_open_path_segments_reference
 
 G = SELECTION_DMG.graph
 H = SELECTION_ABSTRACTION
@@ -241,44 +240,75 @@ def test_sigma_unblockable_noncollider_inside_cycle():
     assert sigma_open_walk(G, walk, {"b"})
 
 
-# --- segment-level criterion -------------------------------------------------
+# --- the segment reference ---------------------------------------------------
 
 
 def test_segments_block_endpoint_in_z():
     walk = parse_walk(G, "a -> b <-> d")
-    assert not sigma_open_path_segments(G, walk, {"a"})
+    assert not sigma_open_path_segments_reference(G, walk, {"a"})
 
 
 def test_segments_agree_on_cycle_example():
     walk = parse_walk(G, "a -> b <-> d")
-    assert sigma_open_path_segments(G, walk, {"s"})
+    assert sigma_open_path_segments_reference(G, walk, {"s"})
 
 
 def test_segments_reject_non_path():
     e = next(iter(G.incident_edges("d")))
     walk = Walk("d", (e, e))
-    with pytest.raises(InputError):
-        sigma_open_path_segments(G, walk, set())
+    with pytest.raises(InputError, match="^the segment criterion is defined for simple paths only$"):
+        sigma_open_path_segments_reference(G, walk, set())
+    foreign = Walk("b", (MixedEdge.directed("b", "qq"),))
+    with pytest.raises(InputError, match="^walk edge b -> qq is not in the graph$"):
+        sigma_open_path_segments_reference(G, foreign, set())
 
 
 def test_walk_predicates_check_z_before_the_walk():
     foreign = Walk("b", (MixedEdge.directed("b", "qq"),))
-    for predicate, graph in ((sigma_open_walk, G), (sigma_open_path_segments, G), (m_open_walk, H)):
+    for predicate, graph in ((sigma_open_walk, G), (m_open_walk, H)):
         with pytest.raises(InputError, match="^unknown node: 'zz'$"):
             predicate(graph, foreign, {"zz", "a"})
         with pytest.raises(InputError, match="^walk edge b -> qq is not in the graph$"):
             predicate(graph, foreign, {"a"})
 
 
+def _parallel_edge_dmg(rng: random.Random, names: list) -> DirectedMixedGraph:
+    """A dmg whose chosen pairs hold each of a -> b, b -> a and a <-> b with chance 1/2."""
+    pairs = [pair for pair in itertools.combinations(names, 2) if rng.random() < 0.35]
+    return DirectedMixedGraph.of(
+        *(spec for a, b in pairs for spec in (f"{a} -> {b}", f"{b} -> {a}", f"{a} <-> {b}") if rng.random() < 0.5),
+        nodes=names,
+    )
+
+
+def _system(seed: int) -> DirectedMixedGraph:
+    """A seeded system of 3 to 7 nodes with up to two selection nodes, which may have children."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    config = GeneratorConfig(n, rng.uniform(0.1, 0.25), rng.uniform(0.05, 0.3), rng.randint(0, min(2, n - 1)), seed)
+    return random_dmg(config, allow_selection_children=True).graph
+
+
 def test_segments_agree_with_walk_rule_everywhere():
-    for seed in range(60):
-        g = seeded_contexted(seed, max_n=5, max_s=0).graph
+    # Systems with selection children, and dmgs with parallel edges, n <= 7:
+    # every path of every pair, given every z up to 5 nodes and 6 random ones past that.
+    graphs = [_system(seed) for seed in range(40)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        graphs.append(_parallel_edge_dmg(rng, [f"v{i}" for i in range(rng.randint(4, 7))]))
+    checked = [[0, 0], [0, 0]]  # per family, the closed and the open paths
+    for i, g in enumerate(graphs):
+        rng = random.Random(i)
         for a, b in itertools.combinations(g.nodes, 2):
             paths = list(enumerate_simple_paths(g, a, b))
             rest = [v for v in g.nodes if v not in (a, b)]
-            for z in all_subsets(rest):
+            zs = all_subsets(rest) if len(g.nodes) <= 5 else [{v for v in rest if rng.random() < 0.4} for _ in range(6)]
+            for z in zs:
                 for p in paths:
-                    assert sigma_open_walk(g, p, z) == sigma_open_path_segments(g, p, z)
+                    is_open = sigma_open_walk(g, p, z)
+                    assert is_open == sigma_open_path_segments_reference(g, p, z)
+                    checked[i >= 40][is_open] += 1
+    assert min(min(family) for family in checked) > 2500
 
 
 # --- sigma engine and oracle -------------------------------------------------
@@ -327,7 +357,7 @@ def test_sigma_engine_oracle_differential_with_witness_checks():
                 if not engine.separated:
                     assert engine.witness.is_path
                     assert sigma_open_walk(g, engine.witness, z)
-                    assert sigma_open_path_segments(g, oracle.witness, z)
+                    assert sigma_open_path_segments_reference(g, oracle.witness, z)
                     # The witness is a shortest open walk, so no open path is shorter.
                     paths = enumerate_simple_paths(g, a, b)
                     assert len(engine.witness.edges) == min(len(p.edges) for p in paths if sigma_open_walk(g, p, z))
@@ -401,12 +431,8 @@ def test_path_oracles_return_the_first_open_path_by_pair_then_enumeration_order(
             ),
             nodes=names,
         )
-        pairs = [pair for pair in itertools.combinations(names, 2) if rng.random() < 0.35]
-        g = DirectedMixedGraph.of(
-            *(spec for a, b in pairs for spec in (f"{a} -> {b}", f"{b} -> {a}", f"{a} <-> {b}") if rng.random() < 0.5),
-            nodes=names,
-        )
-        for graph, oracle, is_open in ((g, sigma_separated_oracle, sigma_open_path_segments), (h, m_separated_oracle, m_open_walk)):
+        g = _parallel_edge_dmg(rng, names)
+        for graph, oracle, is_open in ((g, sigma_separated_oracle, sigma_open_path_segments_reference), (h, m_separated_oracle, m_open_walk)):
             for _ in range(8):
                 x, y, z = ({v for v in names if rng.random() < 0.3} for _ in range(3))
                 x = (x or {names[0]}) - z
