@@ -78,30 +78,40 @@ def represent(c: ContextedDmg) -> MixedGraph:
     Sigma-separation is d-separation in the graph's acyclification
     G^acy, so most pairs are decided from its index masks without a
     search.  No set without the two nodes separates a pair adjacent in
-    G^acy (``acy``).  Put T = Anc(a) | Anc(S).  For a partner b in T,
-    Anc(b) lies in T, so Z_ab | {a, b} is T itself, and T is ancestral:
-    every interior node of a path that connects a and b given Z_ab lies
-    in Z_ab and is a collider.  So the pair is adjacent exactly when a
-    collider chain a *-> c1 <-> .. <-> ck <-* b of G^acy runs inside
-    Z_ab.  A chain through a or b can be cut short there, so one closure
-    over ``acy_bi`` inside T from ``acy_heads[a]`` decides every partner
-    in T both ways: b is adjacent when ``acy_heads[b]`` meets it, and
-    separated otherwise.  A pair with neither end in the other's T is
-    decided by separation searches.
+    G^acy (``acy``).  Z_ab | {a, b} is ancestral, so every interior node
+    of a path that connects a and b given Z_ab lies in Z_ab and is a
+    collider: the pair is adjacent exactly when a collider chain
+    a *-> c1 <-> .. <-> ck <-* b of G^acy runs inside Z_ab, that is, when
+    b is in ``acy_spikes[ck]`` for the last node ck of a closure over
+    ``acy_bi`` from ``acy_heads[a]``.  A chain through a or b can be cut
+    short there.  Two such closures per observed node a decide most of
+    its partners:
 
-    Those pairs are decided a group at a time, one
-    :func:`~cyclomag.separation.sigma_separated` query per group.  With
-    T as above, let P hold a's partners not known to be adjacent to it.
-    The group Y holds a's undecided partners whose ancestors all lie in
-    T | P, and those of their ancestors outside T, so T | Y is
-    ancestral.  The query asks whether {a} is separated from Y given
-    z = T - (Y | {a}).  Off Y | {a}, z agrees with each Z_ab, b in Y, and
-    a collider of a walk from a that stops at its first node of Y lies in
-    Anc(Z_ab), inside T | Y, so in z.  So a separated group separates
-    each of its pairs, and a connected one joins a to the node its
-    witness ends at, which leaves P before Y is built again.  A pair that
-    no group takes, from either end, gets its own query, with Y = {b}
-    and z = (T | Anc(b)) - {a, b}.
+    * (R1) Put T = Anc(a) | Anc(S), which lies in Anc({a, b} | S) for
+      every b.  A chain inside T lies in Z_ab | {a}, so every partner it
+      ends at is adjacent, in T or not.  For a partner b in T, Anc(b)
+      lies in T, so Z_ab | {a, b} is T itself: T's other partners are
+      separated.
+    * (R2) When partners are left, a closure over all of G^acy: a closure
+      only grows with its region, so a partner that no chain there ends at
+      is separated.
+
+    The pairs left are decided by separation searches, a group at a
+    time, one :func:`~cyclomag.separation.sigma_separated` query per
+    group.  With T as above, let P hold a's partners not known to be
+    adjacent to it.  The group Y holds a's undecided partners whose
+    ancestors all lie in T | P, and those of their ancestors outside T,
+    so T | Y is ancestral.  The query asks whether {a} is separated from
+    Y given z = T - (Y | {a}).  Off Y | {a}, z agrees with each Z_ab, b
+    in Y, and a collider of a walk from a that stops at its first node of
+    Y lies in Anc(Z_ab), inside T | Y, so in z.  So a separated group
+    separates each of its pairs.  In fact every group comes back
+    separated: z is T - {a}, and a non-collider of such a walk is an
+    ancestor of a collider or an end, so in T, and blocks; the walk is
+    then a collider chain inside T, whose end R1 has made adjacent, so
+    it is in no group.  A pair that no group takes, from either end,
+    gets its own query, with Y = {b} and z = (T | Anc(b)) - {a, b}; that
+    query may come back connected.
 
     The mark at an endpoint is a tail when that endpoint is an ancestor
     of the other one or of the selection set, and an arrowhead otherwise.
@@ -109,20 +119,25 @@ def represent(c: ContextedDmg) -> MixedGraph:
     _check_type(c, ContextedDmg, "represent")
     g, observed = c.graph, c.observed
     idx = g.index
-    ids, heads, anc = idx.ids, idx.acy_heads, idx.anc
+    ids, heads, spikes, bi, anc = idx.ids, idx.acy_heads, idx.acy_spikes, idx.acy_bi, idx.anc
     anc_s = idx.union(anc, idx.mask(c.selection))
     obs = idx.mask(observed)
+    everyone = (1 << len(idx.names)) - 1
     adjacent = list(idx.acy)  # the pairs found adjacent, on both nodes
     decided = adjacent[:]  # the pairs decided either way, on both nodes
-    for ia in idx.ids_in(obs):  # every undecided partner in T = Anc(a) | Anc(S)
+    for ia in idx.ids_in(obs):
         t = anc[ia] | anc_s
-        chained = _collider_reach(idx, heads[ia], idx.acy_bi, t)
-        for ib in idx.ids_in(obs & t & ~decided[ia]):
-            decided[ia] |= 1 << ib
+        joined = idx.union(spikes, _collider_reach(idx, heads[ia], bi, t))  # R1: adjacent, in T or not
+        apart = t & ~joined  # R1: separated
+        if obs & ~(decided[ia] | joined | t):  # R2, when partners are left
+            apart |= ~idx.union(spikes, _collider_reach(idx, heads[ia], bi, everyone))
+        new = obs & (joined | apart) & ~decided[ia]
+        decided[ia] |= new
+        adjacent[ia] |= new & joined
+        for ib in idx.ids_in(new):
             decided[ib] |= 1 << ia
-            if heads[ib] & chained:
-                adjacent[ia] |= 1 << ib
-                adjacent[ib] |= 1 << ia
+        for ib in idx.ids_in(new & joined):
+            adjacent[ib] |= 1 << ia
 
     def query(a: NodeId, y: int) -> None:
         ia = ids[a]
@@ -149,12 +164,11 @@ def represent(c: ContextedDmg) -> MixedGraph:
         for ib in idx.ids_in(obs & ~decided[ids[a]]):
             query(a, 1 << ib)
     edges = []
-    for a, b in combinations(observed, 2):
-        ia, ib = ids[a], ids[b]
-        if adjacent[ia] >> ib & 1:
+    for ia in idx.ids_in(obs):
+        for ib in idx.ids_in(adjacent[ia] & obs & -(2 << ia)):  # the ids above ia
             mark_a = TAIL if (anc[ib] | anc_s) >> ia & 1 else ARROWHEAD
             mark_b = TAIL if (anc[ia] | anc_s) >> ib & 1 else ARROWHEAD
-            edges.append(MixedEdge(a, mark_a, b, mark_b))
+            edges.append(MixedEdge(idx.names[ia], mark_a, idx.names[ib], mark_b))
     return MixedGraph(observed, tuple(edges))
 
 

@@ -313,21 +313,23 @@ class GraphIndex:
       v with an arrowhead at w on an edge v - w, with one at v, over
       ``<->`` and over ``--``; bitmasks built on first use, on which the
       pair tests of ``validate`` and ``condition1`` run.
-    * ``acy_bi``, ``acy_heads``, ``acy``: masks of the acyclification
-      G^acy of a directed mixed graph, built on first use.  G^acy makes
-      each strong component a bidirected clique, turns an edge j -> i
-      that leaves sc(j) into j -> i' for every i' in sc(i), and u <-> w
-      into u' <-> w' over sc(u) x sc(w).  ``acy_bi[v]`` holds v's
-      bidirected neighbours there: sc(v) and sc(w) for every u <-> w with
-      u in sc(v), v itself left out.  ``acy_heads[v]`` holds the nodes c
-      with v *-> c: ``acy_bi[v]`` and sc(w) for every v -> w that leaves
-      sc(v).  ``acy[v]`` holds all of v's neighbours and v itself:
-      ``acy_heads[v]`` and the parents of sc(v) outside it.  Undirected
-      edges are not read.  Sigma-separation is d-separation in G^acy, so
-      no set without the two nodes separates a pair ``acy`` joins, and a
-      collider chain over ``acy_heads`` and ``acy_bi`` whose interior
-      lies in a conditioning set connects its ends; ``represent`` and
-      ``sigma_inducing_exists`` decide pairs from them.
+    * ``acy_bi``, ``acy_heads``, ``acy_spikes``, ``acy``: masks of the
+      acyclification G^acy of a directed mixed graph, built on first use.
+      G^acy makes each strong component a bidirected clique, turns an
+      edge j -> i that leaves sc(j) into j -> i' for every i' in sc(i),
+      and u <-> w into u' <-> w' over sc(u) x sc(w).  ``acy_bi[v]`` holds
+      v's bidirected neighbours there: sc(v) and sc(w) for every u <-> w
+      with u in sc(v), v itself left out.  ``acy_heads[v]`` holds the
+      nodes c with v *-> c: ``acy_bi[v]`` and sc(w) for every v -> w that
+      leaves sc(v).  Its transpose ``acy_spikes[v]`` holds the nodes b
+      with b *-> v: ``acy_bi[v]`` and the parents of sc(v) outside it.
+      ``acy[v]`` holds both and v itself.  Undirected edges are not read.
+      Sigma-separation is d-separation in G^acy, so no set without the
+      two nodes separates a pair ``acy`` joins, and a collider chain over
+      ``acy_heads`` and ``acy_bi`` whose interior lies in a conditioning
+      set connects its ends, each end in ``acy_spikes`` of the node it
+      meets; ``represent`` and ``sigma_inducing_exists`` decide pairs
+      from them.
     """
 
     def __init__(self, nodes: tuple[NodeId, ...], arcs: Callable[[], Iterable[tuple[NodeId, NodeId, int]]]):
@@ -417,6 +419,11 @@ class GraphIndex:
     def acy_heads(self) -> list[int]:
         bi, _, out = self._acyclification
         return [(bi[k] | out[i]) & ~(1 << i) for i, k in enumerate(self.scc)]
+
+    @cached_property
+    def acy_spikes(self) -> list[int]:
+        bi, pa, _ = self._acyclification
+        return [(bi[k] | pa[k]) & ~(1 << i) for i, k in enumerate(self.scc)]
 
     @cached_property
     def acy(self) -> list[int]:
@@ -532,11 +539,15 @@ class _Graph:
         return any(w == j and kind & ~CROSSES_SCC == heads for w, kind in idx.rows[idx.ids[e.a]])
 
     def require_nodes(self, vs: Collection[NodeId]) -> None:
+        missing = []
         for v in vs:
-            if v not in self._node_set:
-                # The least unknown node, so that the message never follows set order.
-                missing = [u for u in vs if u not in self._node_set]
-                raise InputError(f"unknown node: {min(missing, key=str)!r}")
+            try:
+                if v not in self._node_set:
+                    missing.append(v)
+            except TypeError:  # unhashable, so no node name
+                raise NodeSetError(f"not a node name: {v!r}") from None
+        if missing:  # the least unknown node, so that the message never follows set order
+            raise InputError(f"unknown node: {min(missing, key=str)!r}")
 
     def incident_edges(self, v: NodeId) -> tuple[MixedEdge, ...]:
         """The edges at ``v``, in the order of its index row."""

@@ -413,7 +413,7 @@ def _separation(graph, query: SeparationQuery, crit: tuple, closure: str) -> Sep
 
 
 def _check_inducing_args(graph, s: set, a: NodeId, b: NodeId) -> tuple[GraphIndex, int, int]:
-    graph.require_nodes(s | {a, b})
+    graph.require_nodes([*s, a, b])  # a list, so that require_nodes names an unhashable end
     if a == b:
         raise InputError("inducing-path endpoints must differ")
     if a in s or b in s:

@@ -206,14 +206,15 @@ def test_represent_searches_only_separable_candidates(monkeypatch):
     searched = _record_sigma_queries(monkeypatch)
     # A 4-cycle (a, c and b, d share its component without an edge), the
     # edge d -> e, and the collider d -> e <- f.  Of the seven pairs the
-    # acyclification leaves apart, ae, be and ce lie inside T_e = Anc(e)
-    # and are decided from e's collider closure; the four with f are
-    # searched, f lying outside the other end's ancestors and theirs
-    # outside Anc(f).
+    # acyclification leaves apart, six are separated without a search:
+    # the collider chains from a, b and c run inside the cycle, even over
+    # the whole acyclification, so none ends at a node that e or f points
+    # into.  Only df is searched: d's chain d -> e ends where f points in,
+    # and neither end lies in the other's T = Anc(end).
     c = ContextedDmg.of("a -> b", "b -> c", "c -> d", "d -> a", "d -> e", "f -> e")
     h = represent(c)
-    assert sorted(searched) == [(("a",), ("f",)), (("b",), ("f",)), (("c",), ("f",)), (("d",), ("f",))]
-    assert _searched_pairs(searched) == {frozenset(p) for p in ("af", "bf", "cf", "df")}
+    assert sorted(searched) == [(("d",), ("f",))]
+    assert _searched_pairs(searched) == {frozenset("df")}
     assert h == MixedGraph.of("a -- b", "b -- c", "c -- d", "a -- d", "a -- c", "b -- d", "d -> e", "f -> e")
 
 
@@ -234,25 +235,31 @@ def _acyclification_pairs(g: DirectedMixedGraph) -> set:
     return {frozenset(p) for p in _acyclification(g)[0]}
 
 
-def _chain_pairs(c: ContextedDmg, pairs: set) -> set:
-    """The ``pairs`` a, b that a collider chain a *-> c1 <-> .. <-> ck <-* b
-    of the acyclification joins with every ci in Anc({a, b} | S) - {a, b}."""
-    g = c.graph
+def _chain_ends(g: DirectedMixedGraph):
+    """A function of a node a and a node set, giving the nodes b that a
+    collider chain a *-> c1 <-> .. <-> ck <-* b of the acyclification
+    joins to a with every ci in the set."""
     heads, bidirected = _acyclification(g)
     into = {v: {w for u, w in heads if u == v} for v in g.nodes}
     beside = {v: {w for p in bidirected if v in p for w in p if w != v} for v in g.nodes}
-    chained = set()
-    for a, b in map(sorted, pairs):
-        inside = ancestors(g, {a, b, *c.selection}) - {a, b}
+
+    def ends(a, inside: set) -> set:
         reached = into[a] & inside
         frontier = list(reached)
         while frontier:
             step = beside[frontier.pop()] & inside - reached
             reached |= step
             frontier += step
-        if reached & into[b]:
-            chained.add(frozenset((a, b)))
-    return chained
+        return {b for b in g.nodes if reached & into[b]}
+
+    return ends
+
+
+def _chain_pairs(c: ContextedDmg, pairs: set) -> set:
+    """The ``pairs`` a, b that a collider chain a *-> c1 <-> .. <-> ck <-* b
+    of the acyclification joins with every ci in Anc({a, b} | S) - {a, b}."""
+    ends = _chain_ends(c.graph)
+    return {frozenset((a, b)) for a, b in map(sorted, pairs) if b in ends(a, ancestors(c.graph, {a, b, *c.selection}) - {a, b})}
 
 
 def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monkeypatch):
@@ -263,7 +270,7 @@ def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monke
         cfg = GeneratorConfig(n, rng.uniform(1.0, 2.5) / n, rng.uniform(0.5, 1.5) / n, rng.randint(0, n // 4), seed)
         systems.append(random_dmg(cfg, allow_selection_children=seed % 2 == 1))
     searched = _record_sigma_queries(monkeypatch)
-    cyclic = chained = plain = 0
+    cyclic = chained = outside = far = plain = 0
     for c in systems:
         g = c.graph
         idx = g.index
@@ -274,17 +281,33 @@ def test_acy_is_the_acyclification_and_represent_searches_every_other_pair(monke
         # The pairs with one end in T = Anc(the other end) | Anc(S), where
         # Anc({a, b} | S) is that T, so its collider chains decide them.
         t = {v: ancestors(g, {v, *c.selection}) for v in c.observed}
-        in_t = {frozenset((a, b)) for a, b in itertools.combinations(c.observed, 2) if b in t[a] or a in t[b]} - joined
+        pairs = {frozenset(p) for p in itertools.combinations(c.observed, 2)} - joined
+        in_t = {p for p in pairs if any(b in t[a] for a, b in (sorted(p), sorted(p)[::-1]))}
         chains = _chain_pairs(c, in_t)
+        # A chain from a inside T joins a to its end anywhere, as T lies in
+        # every Anc({a, b} | S); no chain over all of the acyclification
+        # separates a from the rest.
+        ends = _chain_ends(g)
+        from_t = {p for a in c.observed for b in ends(a, t[a] - {a}) if (p := frozenset((a, b))) in pairs}
+        beyond = {p for a in c.observed for p in pairs if a in p and not p - {a} <= ends(a, set(g.nodes) - {a})}
         chained += bool(chains)
+        outside += bool(from_t - in_t)
+        far += bool(beyond - in_t)
         plain += not c.selection  # T is Anc(a) alone
         searched.clear()
         h = represent(c)
-        # Every pair that neither the acyclification joins nor T holds is searched, and no other.
-        assert _searched_pairs(searched) == {frozenset(p) for p in itertools.combinations(c.observed, 2)} - joined - in_t
-        # Of the pairs T holds, the chains join the adjacent ones.
-        assert {frozenset(e.endpoints) for e in h.edges} & in_t == chains
-    assert cyclic >= 40 and chained >= 20 and plain >= 20
+        # Every pair that neither the acyclification joins nor these rules
+        # decide is searched, and has its own query if it has one.  A pair
+        # they separate beyond T may still sit in a group, as the ancestor
+        # of a searched partner; no other pair is searched.
+        left = pairs - in_t - from_t - beyond
+        found = _searched_pairs(searched)
+        assert left <= found <= left | beyond
+        assert {frozenset((x, *y)) for (x,), y in searched if len(y) == 1} <= left
+        # Of the pairs T holds, the chains join the adjacent ones; the chains from inside T join adjacent pairs only.
+        adjacent = {frozenset(e.endpoints) for e in h.edges}
+        assert adjacent & in_t == chains and from_t <= adjacent and not adjacent & beyond
+    assert cyclic >= 40 and chained >= 20 and outside >= 10 and far >= 20 and plain >= 20
 
 
 def test_pairs_joined_by_a_selection_chain_are_inseparable(monkeypatch):
@@ -313,15 +336,16 @@ def test_pairs_joined_by_a_selection_chain_are_inseparable(monkeypatch):
     assert decided[True] >= 1000 and decided[False] >= 2000
 
 
-def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
-    # Sparse, dense and bidirected-heavy systems with n = 30..80, half of
-    # them with selection children.  Across the sample, represent must run
-    # a separated group, a connected group, and a pair that no group takes,
-    # whose z reaches outside Anc(x | S).  Every group query must meet the
-    # precondition of the grouping: with T = Anc(a) | Anc(S) for x = {a},
-    # z lies in T and T | y is closed under ancestors.  A group that
-    # leaves out its members' ancestors outside T breaks it, though on
-    # this sample it changes no output.
+def _random_system(seed: int, max_n: int = 14) -> ContextedDmg:
+    """A random_dmg system of 3..max_n nodes, with selection children when the seed is odd."""
+    rng = random.Random(seed)
+    n = rng.randint(3, max_n)
+    cfg = GeneratorConfig(n, rng.uniform(0.8, 3.0) / n, rng.uniform(0.2, 1.5) / n, rng.randint(0, n // 4), seed)
+    return random_dmg(cfg, allow_selection_children=seed % 2 == 1)
+
+
+def _record_sigma_verdicts(monkeypatch) -> list:
+    """Patch the sigma engine to log every query with its verdict, and return the log."""
     from cyclomag import separation
 
     log, engine = [], separation.sigma_separated
@@ -332,34 +356,106 @@ def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
         return verdict
 
     monkeypatch.setattr(separation, "sigma_separated", record)
-    cases = set()
+    return log
+
+
+def test_represent_groups_agree_with_the_pairwise_test(monkeypatch):
+    # Sparse, dense and bidirected-heavy systems with n = 30..80, half of
+    # them with selection children, and one small system with a connected
+    # pair of its own.  Across the sample, represent must run a group and
+    # a pair that no group takes, whose z reaches outside Anc(x | S), and
+    # one such pair must come back connected.  Every group query must meet
+    # the precondition of the grouping: with T = Anc(a) | Anc(S) for
+    # x = {a}, z lies in T and T | y is closed under ancestors.  A group
+    # that leaves out its members' ancestors outside T breaks it, though on
+    # this sample it changes no output.  Every group comes back separated,
+    # as a walk it leaves open ends a collider chain inside T.
+    log = _record_sigma_verdicts(monkeypatch)
+    systems = []
     for k, n in enumerate((30, 45, 60, 80)):
         for p_dir, p_bi in ((1.2, 0.5), (2.5, 1.2), (1.0, 2.0)):
-            c = random_dmg(GeneratorConfig(n, p_dir / n, p_bi / n, n // 10, k), allow_selection_children=k % 2 == 1)
-            g, s = c.graph, set(c.selection)
-            idx = g.index
-            log.clear()
-            h = represent(c)
-            for query, separated in log:
-                if len(query.y) > 1:
-                    cases.add("separated group" if separated else "connected group")
-                    t, y = idx.union(idx.anc, idx.mask(query.x | s)), idx.mask(query.y)
-                    assert not idx.mask(query.z) & ~t and not idx.union(idx.anc, y) & ~(t | y), (n, p_dir, p_bi, query)
-                if query.z - ancestors(g, query.x | s):
-                    cases.add("own pair")
-            expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inseparable(g, s, a, b)}
-            assert {e.endpoints for e in h.edges} == expected, (n, p_dir, p_bi)
-    assert cases == {"separated group", "connected group", "own pair"}
+            systems.append(random_dmg(GeneratorConfig(n, p_dir / n, p_bi / n, n // 10, k), allow_selection_children=k % 2 == 1))
+    # v7 <-> v2 <-> v3 <-> v8 joins v7 and v8 here, with v2 in Anc(v7) only
+    # and v3 in Anc(v8) only, so neither end's T holds the chain.
+    systems.append(_random_system(625))
+    cases = set()
+    for c in systems:
+        g, s = c.graph, set(c.selection)
+        idx = g.index
+        log.clear()
+        h = represent(c)
+        for query, separated in log:
+            if len(query.y) > 1:
+                cases.add("group")
+                assert separated, query
+                t, y = idx.union(idx.anc, idx.mask(query.x | s)), idx.mask(query.y)
+                assert not idx.mask(query.z) & ~t and not idx.union(idx.anc, y) & ~(t | y), query
+            if query.z - ancestors(g, query.x | s):
+                cases.add("own pair" if separated else "connected own pair")
+        expected = {(a, b) for a, b in itertools.combinations(c.observed, 2) if sigma_inseparable(g, s, a, b)}
+        assert {e.endpoints for e in h.edges} == expected, c
+    assert cases == {"group", "own pair", "connected own pair"}
+
+
+def test_every_group_query_comes_back_separated(monkeypatch):
+    # A group's z is T - {a} once every collider chain from a inside T is
+    # decided, so a walk it left open would end a chain that R1 already
+    # joined.  Only a pair's own query can come back connected.
+    log = _record_sigma_verdicts(monkeypatch)
+    groups = Counter()
+    own = Counter()
+    for seed in range(2000):
+        log.clear()
+        represent(_random_system(seed, max_n=26))
+        for query, separated in log:
+            (groups if len(query.y) > 1 else own)[separated] += 1
+    assert groups[True] >= 1500 and not groups[False]
+    assert own[True] >= 1000 and own[False] >= 5
+
+
+def test_acy_spikes_is_the_transpose_of_acy_heads():
+    # Parallel edges, selection children, and strong components of up to
+    # twenty nodes; each mask against its transpose and against the
+    # acyclification built by its rules.
+    systems = [_dense_cycles(seed) for seed in range(40)]
+    systems += [_random_system(seed) for seed in range(100)]
+    systems += [random_dmg(GeneratorConfig(n, 3 / n, 1 / n, n // 10, n), allow_selection_children=True) for n in (20, 40)]
+    parallel = big = 0
+    for c in systems:
+        g = c.graph
+        idx = g.index
+        heads, _ = _acyclification(g)
+        for v in g.nodes:
+            i = idx.ids[v]
+            assert set(idx.members(idx.acy_spikes[i])) == {u for u, w in heads if w == v}, v
+            assert idx.acy_spikes[i] == sum(1 << j for j, row in enumerate(idx.acy_heads) if row >> i & 1), v
+        parallel += any(p in g.directed or p[::-1] in g.directed for p in g.bidirected)
+        big += max(Counter(idx.scc).values()) >= 15
+    assert parallel >= 20 and big >= 2
+
+
+def test_represent_searches_few_pairs_on_a_sparse_system(monkeypatch):
+    # The ladder's sparse shape at n = 100, with no selection node: 3,962
+    # pairs that the acyclification leaves apart, 60 queries.  With the
+    # pairs inside one end's T alone decided from chains it took 120.
+    searched = _record_sigma_queries(monkeypatch)
+    c = random_dmg(GeneratorConfig(100, 1.5 / 100, 0.8 / 100, 0, 0))
+    idx = c.graph.index
+    assert sum(not idx.acy[i] >> j & 1 for i, j in itertools.combinations(range(100), 2)) == 3962
+    represent(c)
+    assert len(searched) <= 66
 
 
 def test_represent_runs_far_fewer_queries_than_pairs(monkeypatch):
     # One query per pair that the acyclification leaves apart would be
-    # 3,884 and 1,907 queries here; represent runs 63 and 32, as the
-    # pairs inside T = Anc(a) | Anc(S) need none and the rest go in groups.
+    # 3,884 and 1,907 queries here; represent runs 23 and 11, as the
+    # collider closures from each node, inside T = Anc(a) | Anc(S) and
+    # over the whole acyclification, decide most pairs and the rest go in
+    # groups (63 and 32 with the pairs inside T alone decided).
     searched = _record_sigma_queries(monkeypatch)
     sparse = GeneratorConfig(100, 1.2 / 100, 0.5 / 100, 5, 4)
     dense = GeneratorConfig(100, 2 / 100, 1 / 100, 10, 1)
-    for cfg, apart, bound in ((sparse, 3884, 70), (dense, 1907, 40)):
+    for cfg, apart, bound in ((sparse, 3884, 25), (dense, 1907, 12)):
         c = random_dmg(cfg)
         idx = c.graph.index
         ids = [idx.ids[v] for v in c.observed]
@@ -372,13 +468,14 @@ def test_represent_runs_far_fewer_queries_than_pairs(monkeypatch):
 def test_represent_decides_selection_chains_without_a_search(monkeypatch):
     # Of the adjacent pairs that the acyclification leaves apart here, 326
     # and 713 in the systems and 233 and 1,241 in their canonical dmgs,
-    # collider chains inside one end's T = Anc(a) | Anc(S) join all but
-    # 13, 17, 0 and 0, so the queries left are nearly all separated
-    # groups: 63, 32, 53 and 15 queries.
+    # collider chains from one end inside its T = Anc(a) | Anc(S) join all
+    # but 0, 1, 0 and 0, so the queries left are nearly all separated
+    # groups: 23, 11, 24 and 10 queries (63, 32, 53 and 15 when only the
+    # partners inside T were decided from those chains).
     searched = _record_sigma_queries(monkeypatch)
     sparse = GeneratorConfig(100, 1.2 / 100, 0.5 / 100, 5, 4)
     dense = GeneratorConfig(100, 2 / 100, 1 / 100, 10, 1)
-    for cfg, bound, canonical_bound in ((sparse, 70, 60), (dense, 40, 20)):
+    for cfg, bound, canonical_bound in ((sparse, 25, 26), (dense, 12, 11)):
         c = random_dmg(cfg)
         searched.clear()
         h = represent(c)
@@ -391,13 +488,15 @@ def test_represent_decides_selection_chains_without_a_search(monkeypatch):
 def test_represent_round_trips_dense_n160_in_few_queries(monkeypatch):
     # All but 137 of the 10,296 observed pairs of this canonical dmg (991
     # nodes, 144 observed) lie inside one end's T or are joined in its
-    # acyclification, and 17 separated group queries decide the 137; the
-    # group queries alone, with chains inside Anc(S) only, took 142.
+    # acyclification, and the collider closures over the whole
+    # acyclification separate the 137 with no query.  Deciding the pairs
+    # inside T alone left 17 separated group queries; the group queries
+    # alone, with chains inside Anc(S) only, took 142.
     searched = _record_sigma_queries(monkeypatch)
     h = represent(random_dmg(GeneratorConfig(160, 2 / 160, 1 / 160, 16, 1)))
     searched.clear()
     assert represent(canonical_dmg(h)) == h
-    assert len(searched) <= 20
+    assert not searched
 
 
 # --- validity checking --------------------------------------------------

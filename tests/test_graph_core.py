@@ -24,6 +24,7 @@ from cyclomag import (
     DiscriminatingPath,
     InputError,
     MixedEdge,
+    NodeSetError,
     MixedGraph,
     GeneratorConfig,
     ancestors,
@@ -274,6 +275,36 @@ def test_a_bare_string_names_one_node(call):
 def test_a_value_that_names_no_node_set_raises_input_error(call):
     # Neither one name nor an iterable of hashable names.
     with pytest.raises(InputError, match="^not a node name or an iterable of node names: "):
+        call()
+
+
+_AQBC = MixedGraph.of("a <-> q", "q -> c", "q <-> b", "b -> c")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: inducing_exists(_AQBC, ["a"], "b"),
+        lambda: inducing_exists(_AQBC, "a", ["a"]),
+        lambda: inducing_paths(_AQBC, ["a"], "b"),
+        lambda: sigma_inducing_exists(_AB_DMG, (), "a", ["a"]),
+        lambda: canonical_inducing_separator(_AQBC, "a", ["a"]),
+        lambda: is_discriminating(_AQBC, ("a", "q", "b", "c"), ["a"]),
+        lambda: neighborhood(_AQBC, ["a"]),
+        lambda: list(enumerate_simple_paths(_AQBC, ["a"], "b")),
+        lambda: _AQBC.adjacent(["a"], "b"),
+        lambda: _AQBC.parents(["a"]),
+        lambda: _AQBC.require_nodes(["zz", ["a"]]),
+    ],
+    ids=[
+        "inducing_exists-a", "inducing_exists-b", "inducing_paths", "sigma_inducing_exists",
+        "canonical_inducing_separator", "is_discriminating", "neighborhood", "enumerate_simple_paths",
+        "adjacent", "parents", "require_nodes-after-an-unknown-node",
+    ],
+)
+def test_an_unhashable_node_name_raises_node_set_error(call):
+    # Named where the call first reads it, as a node-set argument is; not a bare TypeError.
+    with pytest.raises(NodeSetError, match=r"^not a node name: \['a'\]$"):
         call()
 
 
